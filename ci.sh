@@ -32,6 +32,11 @@ echo "== go test ./..."
 go test ./...
 
 if [ "${1:-}" = "quick" ]; then
+	# Selection decisions must not depend on scheduling: rerun the core
+	# differentials at several GOMAXPROCS values, repeatedly, so any
+	# telemetry field leaking into a compared decision shows up here.
+	echo "== go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core (quick)"
+	go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core
 	# Quick still races the telemetry layer: its lock-free counters,
 	# span ring, flight-recorder ring and SLO bucket ring are the code
 	# most likely to regress under concurrency, and these packages
@@ -56,12 +61,12 @@ if [ "${1:-}" = "quick" ]; then
 	echo "== go test -race failover suite (quick)"
 	go test -race ./internal/subidx
 	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestStaged|TestResult' ./internal/adapt
-	# The multicore hot-path suite: raced RCU snapshot reads in the
-	# registry (torn-publish check), raced per-segment eviction + epoch
+	# The multicore hot-path suite: raced lock-free reads in the registry
+	# (torn-read check, nil-before-bump ordering), raced per-segment eviction + epoch
 	# invalidation in the sharded plan cache, and the mutex-profile
 	# assertion that the warm read paths acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
-	go test -race -run 'TestRacedSnapshotReads' ./internal/registry
+	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder' ./internal/registry
 	go test -race -run 'TestPlanCacheShardedRaced|TestHotPathsAcquireNoMutexes' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);

@@ -225,11 +225,7 @@ func TestDifferentialDependencyRepair(t *testing.T) {
 				if err != nil {
 					t.Fatalf("naive: %v", err)
 				}
-				fast.Stats.LocalDuration, slow.Stats.LocalDuration = 0, 0
-				fast.Stats.GlobalDuration, slow.Stats.GlobalDuration = 0, 0
-				if !reflect.DeepEqual(fast, slow) {
-					t.Fatalf("results diverge:\nincremental: %+v\nnaive:       %+v", fast, slow)
-				}
+				sameDecision(t, fast, slow)
 
 				ds, err := req.CompiledDependencies()
 				if err != nil {

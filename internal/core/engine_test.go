@@ -144,9 +144,7 @@ func TestDifferentialEngineKernel(t *testing.T) {
 
 // TestDifferentialSelector runs the full QASSA pipeline twice per case —
 // once through the incremental engine, once with NaiveEvaluation — and
-// requires byte-identical Results: assignment, aggregated vector,
-// utility, feasibility, violation, alternates and their order, and every
-// Stats counter except the wall-clock durations.
+// requires bit-identical decisions (see sameDecision).
 func TestDifferentialSelector(t *testing.T) {
 	ps := qos.StandardSet()
 	laws := workload.DefaultLaws(ps)
@@ -180,13 +178,7 @@ func TestDifferentialSelector(t *testing.T) {
 					if err != nil {
 						t.Fatalf("naive: %v", err)
 					}
-					// Wall-clock durations legitimately differ; everything
-					// else must match bit for bit.
-					fast.Stats.LocalDuration, slow.Stats.LocalDuration = 0, 0
-					fast.Stats.GlobalDuration, slow.Stats.GlobalDuration = 0, 0
-					if !reflect.DeepEqual(fast, slow) {
-						t.Fatalf("results diverge:\nincremental: %+v\nnaive:       %+v", fast, slow)
-					}
+					sameDecision(t, fast, slow)
 				})
 			}
 		}

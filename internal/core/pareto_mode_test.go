@@ -46,11 +46,7 @@ func TestDifferentialParetoKernels(t *testing.T) {
 					if err != nil {
 						t.Fatalf("naive: %v", err)
 					}
-					fast.Stats.LocalDuration, slow.Stats.LocalDuration = 0, 0
-					fast.Stats.GlobalDuration, slow.Stats.GlobalDuration = 0, 0
-					if !reflect.DeepEqual(fast, slow) {
-						t.Fatalf("results diverge:\nincremental: %+v\nnaive:       %+v", fast, slow)
-					}
+					sameDecision(t, fast, slow)
 					checkFrontInvariants(t, req, fast)
 				})
 			}

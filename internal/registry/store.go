@@ -33,17 +33,14 @@ import (
 // a lookup still certifies "no candidate this lookup could see has
 // changed".
 //
-// Read path (RCU): each shard publishes an immutable capKey→capState
-// directory through an atomic.Pointer, and each capState carries an
-// atomic epoch plus an epoch-tagged published candidate slice. Steady-
-// state Candidates and CapabilityEpochs therefore acquire no locks at
-// all — a reader loads the view, loads the published slice, and checks
-// its epoch tag against the live epoch (writers bump the epoch and nil
-// the slice before touching the index, so a tag match proves the slice
-// is current). Only the first lookup after a mutation takes a shard
-// read lock, to rebuild the published slice from the writer-truth index
-// maps. Writers copy-on-write the view in amortized batches so bulk
-// loads stay O(1) per publish.
+// Read path: each capability key owns a capEntry (its epoch and a
+// cached candidate list), reached through a per-shard sync.Map whose
+// Load is lock-free. Writers, under the shard write lock, nil the list
+// before they bump the epoch; a reader that finds the list nil takes the
+// shard write lock, re-checks, rebuilds the list from the index and
+// stores it. A list is never stored outside the write lock, so a reader
+// that has seen epoch E can only load a list built after the mutation
+// that set E. Steady-state Candidates and CapabilityEpochs take no lock.
 //
 // Mutations of one service (same tenant + ID) are serialized on a
 // striped mutex so a Publish/Withdraw race on the same ID cannot
@@ -119,53 +116,23 @@ type storedService struct {
 	home uint32
 }
 
-// capState is the lock-free read-path state of one capability key: the
-// generation counter readers snapshot, and the epoch-tagged candidate
-// slice they resolve against. The struct is shared by reference between
-// successive views, so a key's epoch survives view swaps and rebuilds.
-type capState struct {
+// capEntry is the read-side state of one capability key. Entries are
+// created under the shard write lock and never removed, so a key's epoch
+// survives index rebuilds.
+type capEntry struct {
 	epoch atomic.Uint64
-	// pub is the published candidate slice, tagged with the epoch it was
-	// built at; writers nil it (before the index change, after the epoch
-	// bump) so a tag match certifies the slice is current. Readers that
-	// find it stale rebuild it from the index under the shard read lock.
-	pub atomic.Pointer[capPublished]
+	// list holds the services filed under the key, built from the index;
+	// nil means it must be rebuilt. It is stored only under the shard
+	// write lock and never mutated after the store: callers copy before
+	// filtering or sorting.
+	list atomic.Pointer[[]*storedService]
 }
-
-// capPublished is one immutable snapshot of the services filed under a
-// capability key. list is never mutated after the atomic store; readers
-// copy before filtering or sorting. epoch is the capability epoch the
-// slice was built at and gen the shard's index incarnation (pubGen) it
-// was built from; the fast path demands both tags match the live values,
-// because a whole-store rebuild changes index contents *without* bumping
-// epochs — the epoch tag alone cannot reject a slice built before one.
-type capPublished struct {
-	epoch uint64
-	gen   uint64
-	list  []*storedService
-}
-
-// capView is the immutable capKey→capState directory a shard's readers
-// navigate without locks. Swapped wholesale through shard.view.
-type capView map[capKey]*capState
 
 // shard is one lock domain of the store.
 type shard struct {
-	// view is the RCU side of the shard: an immutable directory of
-	// capability states, atomically swapped by writers. Never nil after
-	// NewStore. First field: it is the hottest word of the struct.
-	view atomic.Pointer[capView]
-	// extraN mirrors len(extra) so lock-free readers can skip the
-	// extra-map fallback (and its read lock) when nothing is pending.
-	extraN atomic.Int32
-	// pubGen is the shard's index incarnation: bumped under the shard
-	// write lock whenever index contents change without per-key epoch
-	// bumps — the whole-store rebuild and the ablation index drop.
-	// Published slices carry the incarnation they were built from, so a
-	// republisher delayed across a rebuild can never install a
-	// pre-rebuild candidate list that the (deliberately unmoved) epoch
-	// tag would otherwise accept forever.
-	pubGen atomic.Uint64
+	// keys maps capKey → *capEntry for lock-free readers. It mirrors
+	// entries: a key is stored in both, once, under mu.
+	keys sync.Map
 
 	mu sync.RWMutex
 	// services holds the directory entries homed here (routed by
@@ -173,103 +140,62 @@ type shard struct {
 	services map[svcKey]*storedService
 	// index maps each capability key owned by this shard (routed by
 	// (tenant, concept)) to the services filed under it, across all home
-	// shards. Writer truth; readers consume it only through capState.pub
+	// shards. Writer truth; readers consume it only through capEntry.list
 	// or under mu.
 	index map[capKey]map[ServiceID]*storedService
-	// extra holds capStates created since the last view swap, guarded by
-	// mu. Folding them into the view in batches keeps bulk loads O(1)
-	// amortized per publish instead of O(view) each.
-	extra map[capKey]*capState
+	// entries is the writers' typed view of keys.
+	entries map[capKey]*capEntry
 
 	// _ pads the shard past a cache line so adjacent shards' hot fields
-	// (view pointer, lock word) never false-share.
+	// never false-share.
 	_ [64]byte
 }
 
-// capStateLocked returns the shard's state for ck, creating it in extra
-// when absent. Callers hold the shard's write lock. The second result
-// reports whether the state is newly created.
-func (sh *shard) capStateLocked(ck capKey) (*capState, bool) {
-	if st, ok := (*sh.view.Load())[ck]; ok {
-		return st, false
+// entryLocked returns the entry for ck, creating it when absent. Callers
+// hold the shard's write lock.
+func (sh *shard) entryLocked(ck capKey) *capEntry {
+	e := sh.entries[ck]
+	if e == nil {
+		e = &capEntry{}
+		sh.entries[ck] = e
+		sh.keys.Store(ck, e)
 	}
-	if st, ok := sh.extra[ck]; ok {
-		return st, false
-	}
-	st := &capState{}
-	sh.extra[ck] = st
-	sh.extraN.Store(int32(len(sh.extra)))
-	return st, true
+	return e
 }
 
-// mergeExtraLocked folds extra into a freshly copied view and publishes
-// it. Callers hold the shard's write lock.
-func (sh *shard) mergeExtraLocked() {
-	if len(sh.extra) == 0 {
-		return
-	}
-	old := *sh.view.Load()
-	next := make(capView, len(old)+len(sh.extra))
-	for k, v := range old {
-		next[k] = v
-	}
-	for k, v := range sh.extra {
-		next[k] = v
-	}
-	sh.view.Store(&next)
-	sh.extra = make(map[capKey]*capState)
-	sh.extraN.Store(0)
+// entry returns the entry for ck without locking, or nil when the key
+// has never been filed or bumped.
+func (sh *shard) entry(ck capKey) *capEntry {
+	v, _ := sh.keys.Load(ck)
+	e, _ := v.(*capEntry)
+	return e
 }
 
-// capStateOf returns the capState for ck without any lock on the fast
-// path, or nil when the key has never been filed or bumped. Keys still
-// waiting in extra (a bulk load in flight) fall back to the read lock.
-//
-// Both miss paths re-check the view before giving up: a concurrent
-// merge (mergeExtraLocked, or the rebuild republish) moves keys from
-// extra into a grown view — storing the view *before* zeroing extraN —
-// so a key can leave extra between this reader's first view load and
-// its extra probe. Views only ever grow, and Go atomics are
-// sequentially consistent, so one re-load after observing extraN==0
-// (or missing the key in extra under the lock) closes the window: a
-// key whose Publish completed before the call can never be reported
-// absent.
-func (sh *shard) capStateOf(ck capKey) *capState {
-	if st, ok := (*sh.view.Load())[ck]; ok {
-		return st
+// clearListsLocked drops every cached list, for index changes that move
+// no epoch. Callers hold the shard's write lock.
+func (sh *shard) clearListsLocked() {
+	for _, e := range sh.entries {
+		e.list.Store(nil)
 	}
-	if sh.extraN.Load() == 0 {
-		return (*sh.view.Load())[ck]
-	}
-	sh.mu.RLock()
-	st := sh.extra[ck]
-	if st == nil {
-		st = (*sh.view.Load())[ck]
-	}
-	sh.mu.RUnlock()
-	return st
 }
 
-// republish rebuilds the epoch-tagged candidate slice for ck from the
-// writer-truth index and installs it for subsequent lock-free readers.
-// The epoch and index generation are read under the read lock, where
-// they are stable (writers move them only under the write lock), so the
-// tag pair can never claim a newer index state than the slice carries.
-// The store itself runs outside the lock; a republisher delayed across
-// a per-key mutation installs a slice the epoch tag rejects, and one
-// delayed across a rebuild or ablation drop installs a slice the gen
-// tag rejects — stale publications are recoverable, never served.
-func (sh *shard) republish(ck capKey, st *capState) []*storedService {
-	sh.mu.RLock()
-	e := st.epoch.Load()
-	g := sh.pubGen.Load()
+// listOf returns the cached list of ck, rebuilding it from the index
+// under the write lock when a mutation cleared it.
+func (sh *shard) listOf(ck capKey, e *capEntry) []*storedService {
+	if l := e.list.Load(); l != nil {
+		return *l
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if l := e.list.Load(); l != nil {
+		return *l
+	}
 	set := sh.index[ck]
 	list := make([]*storedService, 0, len(set))
 	for _, ss := range set {
 		list = append(list, ss)
 	}
-	sh.mu.RUnlock()
-	st.pub.Store(&capPublished{epoch: e, gen: g, list: list})
+	e.list.Store(&list)
 	return list
 }
 
@@ -338,9 +264,7 @@ func NewStore(o *semantics.Ontology, opts StoreOptions) *Store {
 	}
 	for i := range s.shards {
 		s.shards[i].services = make(map[svcKey]*storedService)
-		s.shards[i].extra = make(map[capKey]*capState)
-		empty := make(capView)
-		s.shards[i].view.Store(&empty)
+		s.shards[i].entries = make(map[capKey]*capEntry)
 	}
 	s.indexing.Store(true)
 	if opts.Obs != nil {
@@ -396,18 +320,7 @@ func (s *Store) SetIndexing(enabled bool) {
 			sh := &s.shards[i]
 			sh.mu.Lock()
 			sh.index = nil
-			// Index contents changed without epoch bumps: retire the
-			// incarnation so a republisher delayed across the switch
-			// cannot install a slice built from the dropped index.
-			sh.pubGen.Add(1)
-			// Published slices alias the dropped index; clear them so
-			// nothing holds candidate lists past the ablation switch.
-			for _, st := range *sh.view.Load() {
-				st.pub.Store(nil)
-			}
-			for _, st := range sh.extra {
-				st.pub.Store(nil)
-			}
+			sh.clearListsLocked()
 			sh.mu.Unlock()
 		}
 	}
@@ -577,16 +490,13 @@ func (s *Store) applyIndexDelta(t TenantID, id ServiceID, ss *storedService, old
 	process := func(idx uint32) {
 		s.lockShard(idx)
 		sh := &s.shards[idx]
-		added := false
-		// bump invalidates the key for lock-free readers *before* the
-		// index change: the epoch moves and the published slice is nilled
-		// first, so a reader whose tag still matches is guaranteed to be
-		// looking at the pre-mutation index state.
+		// bump invalidates the key for lock-free readers before the index
+		// change. The list is nilled before the epoch moves, so a reader
+		// that sees the new epoch finds no pre-mutation list to load.
 		bump := func(ck capKey) {
-			st, fresh := sh.capStateLocked(ck)
-			added = added || fresh
-			st.epoch.Add(1)
-			st.pub.Store(nil)
+			e := sh.entryLocked(ck)
+			e.list.Store(nil)
+			e.epoch.Add(1)
 		}
 		for _, k := range oldKeys {
 			if s.shardOfCap(t, k) != idx {
@@ -624,14 +534,6 @@ func (s *Store) applyIndexDelta(t TenantID, id ServiceID, ss *storedService, old
 				}
 				set[id] = ss
 			}
-		}
-		// Fold freshly created capStates into the immutable view:
-		// immediately once a mutation stops minting new keys (flushes the
-		// tail a bulk load leaves behind), and in amortized batches of
-		// view/8 while one is in flight — populating k fresh capabilities
-		// costs O(k) total copying, not O(k²).
-		if n := len(sh.extra); n > 0 && (!added || n > len(*sh.view.Load())/8) {
-			sh.mergeExtraLocked()
 		}
 		sh.mu.Unlock()
 	}
@@ -712,12 +614,11 @@ func (s *Store) capabilityEpochs(t TenantID, dst []uint64, concepts ...semantics
 		if s.ontology != nil {
 			c = s.ontology.Canonical(c)
 		}
-		sh := &s.shards[s.shardOfCap(t, c)]
-		var e uint64
-		if st := sh.capStateOf(capKey{t, c}); st != nil {
-			e = st.epoch.Load()
+		var epoch uint64
+		if e := s.shards[s.shardOfCap(t, c)].entry(capKey{t, c}); e != nil {
+			epoch = e.epoch.Load()
 		}
-		dst = append(dst, e)
+		dst = append(dst, epoch)
 	}
 	if s.ontology != nil {
 		dst = append(dst, s.ontology.Version())
@@ -767,36 +668,16 @@ func (s *Store) ensureIndex() {
 			}
 		}
 	}
-	// Republish each shard's view: existing capStates keep their epochs
-	// (a rebuild is not a mutation — the ontology version, appended to
-	// every epoch snapshot, is what certifies closure changes), new index
-	// keys minted by a moved ontology get zero-epoch states, and every
-	// published slice is cleared because index contents changed under
-	// unchanged epoch values. The incarnation bump is what keeps that
-	// clearing durable: a republisher that read the old index before the
-	// rebuild may store its slice *after* these loops run, and with
-	// epochs unmoved only the gen mismatch rejects it.
+	// A rebuild is not a mutation: epochs stay (the ontology version,
+	// appended to every epoch snapshot, certifies closure changes). Keys
+	// a moved ontology newly files get zero-epoch entries, and every list
+	// is cleared because index contents changed under unchanged epochs.
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.pubGen.Add(1)
-		old := *sh.view.Load()
-		next := make(capView, len(old)+len(sh.extra)+len(sh.index))
-		for k, st := range old {
-			st.pub.Store(nil)
-			next[k] = st
-		}
-		for k, st := range sh.extra {
-			st.pub.Store(nil)
-			next[k] = st
-		}
 		for ck := range sh.index {
-			if _, ok := next[ck]; !ok {
-				next[ck] = &capState{}
-			}
+			sh.entryLocked(ck)
 		}
-		sh.view.Store(&next)
-		sh.extra = make(map[capKey]*capState)
-		sh.extraN.Store(0)
+		sh.clearListsLocked()
 	}
 	s.indexVersion.Store(version)
 	s.built.Store(true)
@@ -807,9 +688,9 @@ func (s *Store) ensureIndex() {
 }
 
 // collect gathers the stored-service pointers a candidate lookup must
-// consider: the capability's published slice on the indexed path (lock-
-// free when its epoch tag is current, one shard read lock to republish
-// after a mutation), every shard's tenant directory on the scan path.
+// consider: the capability's cached list on the indexed path (lock-free
+// unless a mutation cleared it), every shard's tenant directory on the
+// scan path.
 // The indexed result may be a shared snapshot — callers must treat it
 // as immutable and copy before filtering or sorting.
 func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService {
@@ -818,14 +699,11 @@ func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService 
 		s.indexedLookups.Add(1)
 		sh := &s.shards[s.shardOfCap(t, canon)]
 		ck := capKey{t, canon}
-		st := sh.capStateOf(ck)
-		if st == nil {
+		e := sh.entry(ck)
+		if e == nil {
 			return nil // key never filed or bumped: nothing to find
 		}
-		if p := st.pub.Load(); p != nil && p.epoch == st.epoch.Load() && p.gen == sh.pubGen.Load() {
-			return p.list
-		}
-		return sh.republish(ck, st)
+		return sh.listOf(ck, e)
 	}
 	s.scanLookups.Add(1)
 	var out []*storedService

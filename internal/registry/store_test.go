@@ -7,9 +7,11 @@ package registry
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"qasom/internal/obs"
 	"qasom/internal/qos"
@@ -462,12 +464,10 @@ func TestRacedSnapshotReads(t *testing.T) {
 	}
 }
 
-// TestRacedFreshKeyVisibility pins the capStateOf merge race: a key
-// whose Publish completed before the read began must never be invisible
-// (epoch 0, no candidates), even while concurrent publishes of
-// brand-new keys keep merging the extra overflow into the view — the
-// window where a key has just left extra (extraN observed 0) but the
-// reader's first view load predates the merged view.
+// TestRacedFreshKeyVisibility checks that a key whose Publish completed
+// before the read began is never invisible (epoch 0, no candidates),
+// even while concurrent publishes keep minting brand-new keys on the
+// same shards.
 func TestRacedFreshKeyVisibility(t *testing.T) {
 	s := NewStore(nil, StoreOptions{Shards: 2})
 	r := s.Tenant(DefaultTenant)
@@ -530,14 +530,9 @@ func TestRacedFreshKeyVisibility(t *testing.T) {
 	}
 }
 
-// TestRebuildInvalidatesStalePublications pins the index-generation tag
-// on published slices. A republisher delayed across a whole-store
-// rebuild installs a candidate list built from the pre-rebuild index;
-// because a rebuild deliberately leaves epochs untouched (the ontology
-// version certifies closure changes), the epoch tag alone would let the
-// fast path serve that stale list indefinitely. The gen tag must reject
-// it. The delayed store is simulated deterministically by re-installing
-// the pre-rebuild capPublished after the rebuild ran.
+// TestRebuildInvalidatesStalePublications checks that a whole-store
+// rebuild, which moves no epoch, still drops the cached candidate list:
+// after the ontology moves, the lookup sees both services.
 func TestRebuildInvalidatesStalePublications(t *testing.T) {
 	o := semantics.New("rebuild-race")
 	o.MustAddConcept("shop")
@@ -551,31 +546,72 @@ func TestRebuildInvalidatesStalePublications(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the index and install the publication for "shop".
+	// Warm the index and cache the list for "shop".
 	if got := candidateIDs(r.Candidates("shop", ps)); len(got) != 1 || got[0] != "svc-shop" {
 		t.Fatalf("warm lookup = %v, want [svc-shop]", got)
 	}
-	sh := &s.shards[s.shardOfCap(DefaultTenant, "shop")]
-	st := sh.capStateOf(capKey{DefaultTenant, "shop"})
-	if st == nil {
-		t.Fatal("no capState for warmed key")
-	}
-	stale := st.pub.Load()
-	if stale == nil {
-		t.Fatal("warm lookup did not publish a slice")
-	}
-
 	// Moving the ontology (kiosk ⊑ shop) forces a whole-store rebuild on
 	// the next lookup: "shop" now also covers svc-kiosk, epochs unmoved.
 	o.MustAddConcept("kiosk", "shop")
 	if got := candidateIDs(r.Candidates("shop", ps)); len(got) != 2 {
 		t.Fatalf("post-rebuild lookup = %v, want both services", got)
 	}
+}
 
-	// The delayed republisher lands its pre-rebuild slice. Epoch matches
-	// (rebuilds don't bump), so only the generation tag can reject it.
-	st.pub.Store(stale)
-	if got := candidateIDs(r.Candidates("shop", ps)); len(got) != 2 {
-		t.Fatalf("stale publication served after rebuild: %v, want both services", got)
+// TestRacedEpochOrder pins the writer's ordering invariant: a key's
+// cached list is nilled before its epoch moves. One writer only
+// publishes new services under one key, so epoch E implies at least E
+// candidates; a reader that reads the epoch and then looks up must never
+// see fewer. With the bump before the nil, a reader between the two
+// loads the pre-publish list under the new epoch. That gap is a few
+// instructions wide, so the test oversubscribes the CPUs with spinning
+// readers: the OS then deschedules the writer at arbitrary points, and
+// a swapped order fails here within about a second.
+func TestRacedEpochOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const c = semantics.ConceptID("grow")
+	ps := qos.StandardSet()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) && !t.Failed() {
+		r := NewStore(nil, StoreOptions{Shards: 2}).Tenant(DefaultTenant)
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				var last uint64
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// Spin until the writer bumps, then look up at once.
+					e := r.CapabilityEpochs(nil, c)[0]
+					if e == last {
+						continue
+					}
+					last = e
+					if n := len(r.Candidates(c, ps)); uint64(n) < e {
+						t.Errorf("epoch %d but %d candidates: a pre-publish list was served", e, n)
+						return
+					}
+				}
+			}()
+		}
+		for i := 0; i < 100; i++ {
+			d := Description{
+				ID:      ServiceID(fmt.Sprintf("svc-%d", i)),
+				Concept: c,
+				Offers:  stdOffers(40, 5, 0.95, 0.9, 40),
+			}
+			if err := r.Publish(d); err != nil {
+				t.Error(err)
+				break
+			}
+		}
+		close(stop)
+		readers.Wait()
 	}
 }

@@ -99,6 +99,9 @@ func planSegments(capacity, requested int) int {
 	return n
 }
 
+// newPlanCache builds a cache of the given capacity (0 = default,
+// negative = disabled). segments 0 auto-sizes via planSegments; the
+// facade always passes 0, tests pin explicit counts.
 func newPlanCache(capacity, segments int, r *obs.Registry) *planCache {
 	if capacity == 0 {
 		capacity = defaultPlanCacheSize

@@ -156,13 +156,6 @@ type Options struct {
 	// run. 0 means the default (128 entries); negative disables caching.
 	// Distributed selections are never cached.
 	SelectionCacheSize int
-	// SelectionCacheSegments sets the plan cache's lock-stripe count
-	// (rounded up to a power of two, capped at 16). 0 auto-sizes from
-	// SelectionCacheSize; 1 forces a single segment, whose eviction
-	// order is exact global LRU. Lookups are lock-free at any setting —
-	// segments only bound writer (put/invalidate) contention and split
-	// the capacity into per-segment LRU shares.
-	SelectionCacheSegments int
 	// OntologyMemoCap bounds each of the ontology's Match/Distance memo
 	// tables so long-running nodes cannot grow them without limit. 0
 	// means the semantics-layer default (8192 entries per table);
@@ -347,7 +340,7 @@ func New(opts ...Options) (*Middleware, error) {
 		mon:      monitor.New(ps, monitor.Options{Obs: o.Obs}),
 		obs:      o.Obs,
 		met:      composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
-		plans:    newPlanCache(o.SelectionCacheSize, o.SelectionCacheSegments, o.Obs.Metrics),
+		plans:    newPlanCache(o.SelectionCacheSize, 0, o.Obs.Metrics),
 		opts:     o,
 		tenant:   tenantLabel(o.TenantID),
 	}
