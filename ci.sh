@@ -62,12 +62,13 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race ./internal/subidx
 	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestStaged|TestResult' ./internal/adapt
 	# The multicore hot-path suite: raced lock-free reads in the registry
-	# (torn-read check, nil-before-bump ordering), raced per-segment eviction + epoch
-	# invalidation in the sharded plan cache, and the mutex-profile
-	# assertion that the warm read paths acquire zero locks.
+	# (torn-read check, nil-before-bump ordering), raced eviction + epoch
+	# invalidation in the copy-on-write plan cache, the shared-plan leak
+	# check (substitutions copy, never write the cached Result), and the
+	# mutex-profile assertion that the warm read paths acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder' ./internal/registry
-	go test -race -run 'TestPlanCacheShardedRaced|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestHotPathsAcquireNoMutexes' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

@@ -50,6 +50,9 @@ type Composition struct {
 	mw      *Middleware
 	runtime *adapt.Runtime
 	manager *adapt.Manager
+	// cacheHit reports that the selection was replayed from the plan
+	// cache (the shared Result itself carries no per-request marks).
+	cacheHit bool
 	// trackOnce defers substitution-index registration to the first
 	// Execute: compose-only workloads (the serving hot path) never touch
 	// the tracker.
@@ -202,10 +205,11 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		planEpochSnap = m.planEpochs(nil, t)
 		res, outcome := m.plans.lookup(planKey, planEpochSnap)
 		if res != nil {
-			res.Stats.CacheHit = true
 			rec.CacheHit = true
 			fillSelectionRecord(rec, res)
-			return m.wrapComposition(coreReq, res), nil
+			comp := m.wrapComposition(coreReq, res)
+			comp.cacheHit = true
+			return comp, nil
 		}
 		rec.CacheMiss = outcome.missCause()
 	}
@@ -253,7 +257,11 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	res.Stats.MatchCacheMisses = cacheDelta.MatchMisses
 	m.met.phaseSeconds.With("local").ObserveDuration(res.Stats.LocalDuration)
 	m.met.phaseSeconds.With("global").ObserveDuration(res.Stats.GlobalDuration)
+	// Phase timings describe this request only, so they are recorded on
+	// the miss path: a hit ran none of these phases.
 	rec.Phases.Lookup = lookupDur
+	rec.Phases.Local = res.Stats.LocalDuration
+	rec.Phases.Global = res.Stats.GlobalDuration
 	fillSelectionRecord(rec, res)
 	if m.opts.ParetoMode {
 		m.met.paretoFrontSize.Observe(float64(res.Stats.FrontSize))
@@ -266,11 +274,9 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 }
 
 // fillSelectionRecord copies the selection outcome into the flight
-// record: phase timings, resilience/degradation counters and the final
-// bindings with their per-activity utility contributions.
+// record: resilience/degradation counters and the final bindings with
+// their per-activity utility contributions.
 func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result) {
-	rec.Phases.Local = res.Stats.LocalDuration
-	rec.Phases.Global = res.Stats.GlobalDuration
 	rec.Degraded = res.Degraded
 	rec.DegradedCauses = res.Stats.DegradedCauses
 	rec.Retries = res.Stats.Retries
@@ -381,7 +387,7 @@ func (c *Composition) SelectionStats() SelectionStats {
 			BreakerSkips:     s.BreakerSkips,
 			Fallbacks:        s.Fallbacks,
 			Degraded:         res.Degraded,
-			CacheHit:         s.CacheHit,
+			CacheHit:         c.cacheHit,
 			FrontSize:        s.FrontSize,
 		}
 	})

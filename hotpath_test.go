@@ -2,8 +2,9 @@
 // design promises that a warm plan-cache hit through Compose and the
 // registry's candidate/epoch read paths acquire zero mutexes: reads go
 // through atomically published snapshots (RCU-style capability lists,
-// copy-on-write cache segments), so contention can only ever appear on
-// the write/repair paths. This test turns the runtime mutex profiler
+// the plan cache's copy-on-write entry map, whose hits share the cached
+// Result without copying it), so contention can only ever appear on the
+// write/repair paths. This test turns the runtime mutex profiler
 // on, hammers the warm paths from several goroutines, and fails if any
 // contention sample's stack passes through a hot-path function.
 package qasom_test

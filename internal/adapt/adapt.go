@@ -56,8 +56,11 @@ type Runtime struct {
 	deps *core.DependencySet
 
 	mu sync.Mutex
-	// result is the current selection (assignment + alternates).
+	// result is the current selection (assignment + alternates). It is
+	// shared read-only until owned is set: ownLocked replaces it with a
+	// private copy before the first write.
 	result *core.Result
+	owned  bool
 	// completed marks finished activities of the current behaviour.
 	completed map[string]bool
 	// observed keeps the measured QoS of completed activities (feeding
@@ -71,7 +74,9 @@ type Runtime struct {
 	failoverFallbacks map[string]int
 }
 
-// NewRuntime wraps a fresh selection into a runtime.
+// NewRuntime wraps a selection into a runtime. The Result is treated as
+// shared — it may be a plan-cache entry other compositions read — and is
+// never written: the runtime copies it before its first substitution.
 func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 	// The request was validated at selection time, so a compile failure
 	// here can only mean the caller mutated it since; running without the
@@ -101,14 +106,24 @@ func (rt *Runtime) depAdmissibleLocked(activityID string, cand registry.Candidat
 }
 
 // Result returns a deep copy of the current selection result. The copy
-// is detached: Substitute and behaviour switches mutate the runtime's
-// internal result in place, and the returned value never observes those
-// mutations. Callers that only need a cheap read under the runtime lock
-// use View instead.
+// is detached: Substitute mutates the runtime's own result in place and
+// behaviour switches replace it, and the returned value never observes
+// those mutations. Callers that only need a cheap read under the runtime
+// lock use View instead.
 func (rt *Runtime) Result() *core.Result {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return rt.result.Clone()
+}
+
+// ownLocked gives the runtime a private copy of its selection before
+// the first in-place write; the Result handed to NewRuntime stays
+// untouched. Caller holds rt.mu.
+func (rt *Runtime) ownLocked() {
+	if !rt.owned {
+		rt.result = rt.result.Clone()
+		rt.owned = true
+	}
 }
 
 // View runs f with the live selection result while holding the runtime
@@ -263,6 +278,7 @@ func (rt *Runtime) switchBehaviour(newBehaviour *task.Task, sel *core.Result) {
 	defer rt.mu.Unlock()
 	rt.Behaviour = newBehaviour
 	rt.result = sel
+	rt.owned = true // a fresh re-selection, never a plan-cache entry
 	rt.version.Add(1)
 	// Completed activities of the old behaviour do not exist in the new
 	// one: keep only observations (for consumed QoS the old behaviour's
@@ -410,6 +426,7 @@ func (m *Manager) commitIndexed(rt *Runtime, activityID string, chosen registry.
 	if !rt.depAdmissibleLocked(activityID, chosen) {
 		return false, "dependency"
 	}
+	rt.ownLocked()
 	alts := rt.result.Alternates[activityID]
 	pos := -1
 	for i := range alts {
@@ -548,6 +565,7 @@ func (m *Manager) commitReactive(rt *Runtime, activityID string, pick registry.S
 // commitLocked rotates pick into the binding. Caller holds rt.mu and has
 // established that pick is a current alternate.
 func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.ServiceID) registry.Candidate {
+	rt.ownLocked()
 	alts := rt.result.Alternates[activityID]
 	pos := -1
 	for i := range alts {

@@ -139,11 +139,6 @@ type Stats struct {
 	// DegradedCauses maps each degraded activity to the failure that
 	// exhausted its policy (nil when nothing degraded).
 	DegradedCauses map[string]string
-	// CacheHit marks a Result served from a selection-plan cache: the
-	// assignment is bit-identical to a fresh selection at the same
-	// registry epoch, but the durations and work counters above describe
-	// the original run that populated the cache, not this request.
-	CacheHit bool
 	// FrontSize is the number of non-dominated members the Pareto-front
 	// mode returned (0 in scalar mode).
 	FrontSize int
@@ -196,8 +191,10 @@ type Result struct {
 // Clone returns a deep copy of the result sharing no mutable state with
 // the original: assignment and alternate candidates are deep-copied
 // (registry.Candidate.Clone), the aggregated vector and the stats maps
-// are duplicated. Selection-plan caches rely on this to hand each caller
-// an independent Result while the cached original stays pristine.
+// are duplicated. A Result is immutable once it leaves the selector and
+// may be shared (the selection-plan cache hands the same pointer to
+// every hit); a writer — adapt.Runtime before its first substitution —
+// takes a private copy with Clone first.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil

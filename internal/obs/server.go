@@ -90,17 +90,24 @@ func ServeDebug(ctx context.Context, addr string, h *Hub) (string, func(), error
 		return "", nil, fmt.Errorf("obs: listen: %w", err)
 	}
 	srv := &http.Server{Handler: h.Handler()}
-	done := make(chan struct{})
+	served := make(chan struct{})
 	go func() {
-		defer close(done)
-		_ = srv.Serve(ln) // returns on Shutdown/Close
+		defer close(served)
+		_ = srv.Serve(ln) // returns as soon as Shutdown starts
 	}()
+	// done closes only once Shutdown has returned (idle keep-alive
+	// connections closed, in-flight requests drained) and Serve has
+	// released the listener: Serve alone returns too early for stop's
+	// promise.
+	done := make(chan struct{})
 	serveCtx, cancel := context.WithCancel(ctx)
 	go func() {
+		defer close(done)
 		<-serveCtx.Done()
 		shutCtx, shutCancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer shutCancel()
 		_ = srv.Shutdown(shutCtx)
+		<-served
 	}()
 	stop := func() {
 		cancel()

@@ -3,7 +3,6 @@ package qasom
 import (
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,55 +18,39 @@ import (
 // from the task fingerprint, constraints, weights and aggregation
 // approach, together with the registry-epoch snapshot of every
 // capability the task touches. A lookup whose fresh epoch snapshot
-// matches the stored one returns a deep copy of the Result with zero
+// matches the stored one returns the stored Result itself with zero
 // selection work — bit-identical to recomputation, because selections
 // are deterministic per seed and the epochs certify that no candidate
 // the request could see has changed. An epoch mismatch drops the entry
 // (the registry churned underneath it); capacity overflow evicts the
-// least-recently-touched entry of the overflowing segment.
+// least-recently-touched entry (exact LRU).
 //
-// The cache is lock-striped: keys hash (FNV-1a) to one of a power-of-two
-// number of segments, each an atomically-swapped immutable map with its
-// own writer mutex and capacity share. The hit path — map load, epoch
-// compare, recency stamp, deep copy — acquires no mutex at all, so
-// concurrent tenants hitting warm plans never serialize; only writers
-// (put, stale-entry removal, eviction) take their segment's lock.
-// Recency is an approximate LRU over per-entry atomic touch ticks; with
-// a single segment it degenerates to exact LRU, which the unit tests
-// pin.
+// The entry map is immutable and swapped atomically by writers under one
+// mutex. The hit path — map load, epoch compare, recency stamp —
+// acquires no mutex at all, so concurrent tenants hitting warm plans
+// never serialize; only writers (put, stale-entry removal, eviction)
+// take the lock.
 //
-// Both put and get deep-copy the Result, so cached state is never
-// aliased by a live Composition (the adaptation runtime mutates its
-// Result during substitution).
+// Cached Results are shared, never copied: a Result is immutable once it
+// leaves the selector, every Composition served from the same entry
+// reads the same pointer, and adapt.Runtime takes a private copy before
+// its first substitution commit (the only writer of a Result).
 type planCache struct {
-	segMask uint32
-	segCap  int
-	segs    []planSegment
-
-	hits, misses, evictions, invalidations *obs.Counter
-	// segHits are the per-segment hit counters, label pre-resolved so the
-	// hit path never formats.
-	segHits []*obs.Counter
-}
-
-// planSegment is one lock domain of the cache. Padded so adjacent
-// segments' tick counters and map pointers never false-share a cache
-// line.
-type planSegment struct {
-	// items is the segment's immutable key→entry map, swapped wholesale
-	// by writers. Never nil after newPlanCache.
+	capacity int
+	// items is the immutable key→entry map, swapped wholesale by
+	// writers. Never nil after newPlanCache.
 	items atomic.Pointer[map[string]*planEntry]
-	// tick is the segment's recency clock; every hit and insert stamps
-	// the entry with the next tick.
+	// tick is the recency clock; every hit and insert stamps the entry
+	// with the next tick.
 	tick atomic.Uint64
 	mu   sync.Mutex
-	_    [64]byte
+
+	hits, misses, evictions, invalidations *obs.Counter
 }
 
 // planEntry is immutable after publication except for the touch stamp;
 // put replaces an entry wholesale rather than mutating it in place.
 type planEntry struct {
-	key    string
 	epochs []uint64
 	res    *core.Result
 	touch  atomic.Uint64
@@ -77,43 +60,17 @@ type planEntry struct {
 // is zero.
 const defaultPlanCacheSize = 128
 
-// maxPlanCacheSegments bounds the stripe count: beyond ~16 segments the
-// per-segment capacity share gets too small to behave like an LRU, and
-// the hit path is already lock-free so more stripes buy nothing.
-const maxPlanCacheSegments = 16
-
-// planSegments resolves the effective segment count: an explicit request
-// is rounded up to a power of two; 0 auto-sizes so each segment keeps a
-// useful capacity share (≥8 entries) up to maxPlanCacheSegments.
-func planSegments(capacity, requested int) int {
-	n := 1
-	if requested > 0 {
-		for n < requested && n < maxPlanCacheSegments {
-			n <<= 1
-		}
-		return n
-	}
-	for n < maxPlanCacheSegments && capacity/(n*2) >= 8 {
-		n <<= 1
-	}
-	return n
-}
-
 // newPlanCache builds a cache of the given capacity (0 = default,
-// negative = disabled). segments 0 auto-sizes via planSegments; the
-// facade always passes 0, tests pin explicit counts.
-func newPlanCache(capacity, segments int, r *obs.Registry) *planCache {
+// negative = disabled).
+func newPlanCache(capacity int, r *obs.Registry) *planCache {
 	if capacity == 0 {
 		capacity = defaultPlanCacheSize
 	}
 	if capacity < 0 {
 		return nil // caching disabled
 	}
-	n := planSegments(capacity, segments)
 	c := &planCache{
-		segMask: uint32(n - 1),
-		segCap:  (capacity + n - 1) / n,
-		segs:    make([]planSegment, n),
+		capacity: capacity,
 		hits: r.Counter("qasom_plan_cache_hits_total",
 			"Selections served from the plan cache (zero selection work)."),
 		misses: r.Counter("qasom_plan_cache_misses_total",
@@ -122,46 +79,18 @@ func newPlanCache(capacity, segments int, r *obs.Registry) *planCache {
 			"Plan-cache entries evicted by the LRU capacity bound."),
 		invalidations: r.Counter("qasom_plan_cache_epoch_invalidations_total",
 			"Plan-cache entries dropped because a capability epoch moved (registry churn)."),
-		segHits: make([]*obs.Counter, n),
 	}
-	segHits := r.CounterVec("qasom_plan_cache_segment_hits_total",
-		"Plan-cache hits per lock-striped segment (distribution check).", "segment")
-	for i := range c.segs {
-		empty := make(map[string]*planEntry)
-		c.segs[i].items.Store(&empty)
-		c.segHits[i] = segHits.With(strconv.Itoa(i))
-	}
+	empty := make(map[string]*planEntry)
+	c.items.Store(&empty)
 	return c
 }
 
-// fnvKey hashes a cache key for segment routing (FNV-1a).
-func fnvKey(key string) uint32 {
-	const prime = 16777619
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * prime
-	}
-	return h
-}
-
-// len returns the number of live entries across all segments.
+// len returns the number of live entries.
 func (c *planCache) len() int {
 	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.segs {
-		n += len(*c.segs[i].items.Load())
-	}
-	return n
-}
-
-// segments reports the stripe count (test hook).
-func (c *planCache) segments() int {
-	if c == nil {
-		return 0
-	}
-	return len(c.segs)
+	return len(*c.items.Load())
 }
 
 // planOutcome classifies one cache probe for the flight recorder:
@@ -187,8 +116,9 @@ func (o planOutcome) missCause() string {
 	}
 }
 
-// get returns a deep copy of the entry under key when its stored epoch
-// snapshot equals now, and nil otherwise.
+// get returns the stored Result under key when its stored epoch
+// snapshot equals now, and nil otherwise. The Result is shared: callers
+// must not write it.
 func (c *planCache) get(key string, now []uint64) *core.Result {
 	res, _ := c.lookup(key, now)
 	return res
@@ -201,30 +131,27 @@ func (c *planCache) lookup(key string, now []uint64) (*core.Result, planOutcome)
 	if c == nil {
 		return nil, planMissCold
 	}
-	idx := fnvKey(key) & c.segMask
-	seg := &c.segs[idx]
-	e := (*seg.items.Load())[key]
+	e := (*c.items.Load())[key]
 	if e == nil {
 		c.misses.Inc()
 		return nil, planMissCold
 	}
 	if !equalEpochs(e.epochs, now) {
-		seg.remove(key, e)
+		c.remove(key, e)
 		c.invalidations.Inc()
 		c.misses.Inc()
 		return nil, planMissEpoch
 	}
-	e.touch.Store(seg.tick.Add(1))
+	e.touch.Store(c.tick.Add(1))
 	c.hits.Inc()
-	c.segHits[idx].Inc()
-	return e.res.Clone(), planHit
+	return e.res, planHit
 }
 
 // remove drops the entry under key, but only if it still is victim (a
 // concurrent put of a fresh entry under the same key must win).
-func (seg *planSegment) remove(key string, victim *planEntry) {
-	seg.mu.Lock()
-	cur := *seg.items.Load()
+func (c *planCache) remove(key string, victim *planEntry) {
+	c.mu.Lock()
+	cur := *c.items.Load()
 	if cur[key] == victim {
 		next := make(map[string]*planEntry, len(cur))
 		for k, v := range cur {
@@ -232,32 +159,31 @@ func (seg *planSegment) remove(key string, victim *planEntry) {
 				next[k] = v
 			}
 		}
-		seg.items.Store(&next)
+		c.items.Store(&next)
 	}
-	seg.mu.Unlock()
+	c.mu.Unlock()
 }
 
-// put stores a deep copy of res under key with its epoch snapshot,
-// evicting the segment's least-recently-touched entry beyond the
-// segment's capacity share.
+// put stores res under key with its epoch snapshot, evicting the
+// least-recently-touched entry beyond capacity. res is shared from here
+// on: neither the caller nor the cache may write it afterwards.
 func (c *planCache) put(key string, epochs []uint64, res *core.Result) {
 	if c == nil {
 		return
 	}
-	seg := &c.segs[fnvKey(key)&c.segMask]
-	e := &planEntry{key: key, epochs: epochs, res: res.Clone()}
-	e.touch.Store(seg.tick.Add(1))
+	e := &planEntry{epochs: epochs, res: res}
+	e.touch.Store(c.tick.Add(1))
 	evicted := false
-	seg.mu.Lock()
-	cur := *seg.items.Load()
+	c.mu.Lock()
+	cur := *c.items.Load()
 	next := make(map[string]*planEntry, len(cur)+1)
 	for k, v := range cur {
 		next[k] = v
 	}
 	next[key] = e
-	if len(next) > c.segCap {
-		// Evict the minimum touch stamp. Stamps are unique per segment
-		// (every hit and insert takes a fresh tick), so the victim is
+	if len(next) > c.capacity {
+		// Evict the minimum touch stamp. Stamps are unique (every hit
+		// and insert takes a fresh tick), so the victim is
 		// deterministic.
 		var victim string
 		minTouch := ^uint64(0)
@@ -273,8 +199,8 @@ func (c *planCache) put(key string, epochs []uint64, res *core.Result) {
 		delete(next, victim)
 		evicted = true
 	}
-	seg.items.Store(&next)
-	seg.mu.Unlock()
+	c.items.Store(&next)
+	c.mu.Unlock()
 	if evicted {
 		c.evictions.Inc()
 	}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"qasom"
@@ -103,7 +104,7 @@ func TestComposeCacheHitBitIdentical(t *testing.T) {
 		}
 	}
 	// A cached composition is live: it executes independently of the
-	// original (deep copy, no shared adaptation state).
+	// original (shared read-only plan, private adaptation state).
 	if _, err := mw.Execute(context.Background(), second); err != nil {
 		t.Fatalf("executing a cached composition: %v", err)
 	}
@@ -338,5 +339,119 @@ func TestComposeCacheHitRespectsCancelledContext(t *testing.T) {
 	}
 	if !c.SelectionStats().CacheHit {
 		t.Error("warm entry lost after the cancelled probe")
+	}
+}
+
+// TestSharedPlansDoNotLeak pins the ownership rule behind the plan
+// cache: every hit shares the cached Result read-only, and a
+// composition's substitutions land on its own private copy. Goroutines
+// keep hitting the same warm plan while the others substitute every
+// activity of their compositions; no hit may ever observe a foreign
+// substitution, and the cached plan must come out untouched. Run under
+// -race it also proves that substitution never writes the shared Result.
+func TestSharedPlansDoNotLeak(t *testing.T) {
+	mw, err := qasom.New(qasom.Options{Obs: obs.NewHub()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMall(t, mw)
+	req := qasom.Request{Task: behaviourA,
+		Constraints: []qasom.Constraint{{Property: "responseTime", Bound: 300}}}
+	first, err := mw.Compose(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := viewOf(first)
+
+	const goroutines, rounds = 4, 50
+	var wg sync.WaitGroup
+	errc := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var own *qasom.Composition
+			for i := 0; i < rounds; i++ {
+				c, err := mw.Compose(req)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if !c.SelectionStats().CacheHit {
+					errc <- fmt.Errorf("round %d: warm compose missed the plan cache", i)
+					return
+				}
+				if got := c.Bindings(); !reflect.DeepEqual(got, want.Bindings) {
+					errc <- fmt.Errorf("round %d: hit bindings %v, want %v", i, got, want.Bindings)
+					return
+				}
+				own = c
+			}
+			for act, orig := range want.Bindings {
+				id, err := own.Substitute(act)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if id == orig || own.Bindings()[act] != id {
+					errc <- fmt.Errorf("substitution of %s did not rebind %s (got %s)", act, orig, id)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	again, err := mw.Compose(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.SelectionStats().CacheHit {
+		t.Fatal("final compose should still be a plan-cache hit")
+	}
+	got := viewOf(again)
+	if !reflect.DeepEqual(got.Bindings, want.Bindings) || !reflect.DeepEqual(got.Alternates, want.Alternates) {
+		t.Fatalf("substitutions leaked into the cached plan:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestFlightRecordHitPhases: a hit's flight record reports only what the
+// hit ran. The miss timed lookup and QASSA's local/global phases; the hit
+// replayed the stored decision, so its selection phases are zero rather
+// than copied from the miss that populated the cache.
+func TestFlightRecordHitPhases(t *testing.T) {
+	hub := obs.NewHub()
+	mw, err := qasom.New(qasom.Options{Obs: hub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMall(t, mw)
+	req := qasom.Request{Task: behaviourA,
+		Constraints: []qasom.Constraint{{Property: "responseTime", Bound: 300}}}
+	for i := 0; i < 2; i++ {
+		if _, err := mw.Compose(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs := hub.Flight.Snapshot(obs.FlightQuery{})
+	if len(recs) != 2 {
+		t.Fatalf("%d flight records, want 2", len(recs))
+	}
+	miss, hit := recs[0], recs[1]
+	if miss.CacheHit || !hit.CacheHit {
+		t.Fatalf("records cache_hit = %v, %v; want false, true", miss.CacheHit, hit.CacheHit)
+	}
+	if miss.Phases.Lookup <= 0 || miss.Phases.Local <= 0 || miss.Phases.Global <= 0 {
+		t.Errorf("miss record lacks selection phases: %+v", miss.Phases)
+	}
+	if hit.Phases.Lookup != 0 || hit.Phases.Local != 0 || hit.Phases.Global != 0 {
+		t.Errorf("hit record reports phases it never ran: %+v", hit.Phases)
+	}
+	if !reflect.DeepEqual(hit.Bindings, miss.Bindings) {
+		t.Errorf("hit bindings %v, miss bindings %v", hit.Bindings, miss.Bindings)
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // fakeResult builds a minimal distinguishable Result for cache-mechanics
-// tests (the cache treats results as opaque deep-copied payloads).
+// tests (the cache treats results as opaque shared payloads).
 func fakeResult(id string, utility float64) *core.Result {
 	return &core.Result{
 		Assignment: core.Assignment{
@@ -48,7 +48,7 @@ func counterValue(t *testing.T, r *obs.Registry, name string) float64 {
 
 func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 	r := obs.NewRegistry()
-	c := newPlanCache(2, 0, r)
+	c := newPlanCache(2, r)
 	e := []uint64{7}
 
 	if got := c.get("a", e); got != nil {
@@ -94,53 +94,31 @@ func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 		t.Errorf("hits counter = %g, want 3", hits)
 	}
 
-	// Both put and get deep-copy: mutating either side must not leak.
-	c.put("x", e, fakeResult("sx", 0.5))
-	got := c.get("x", e)
-	got.Assignment["act"].Vector[0] = 99
-	again := c.get("x", e)
-	if again.Assignment["act"].Vector[0] != 1 {
-		t.Error("mutation of a returned Result leaked into the cache")
+	// The cache shares, never copies: get returns the pointer put stored
+	// (leak safety is the adaptation runtime's copy-on-write, pinned by
+	// TestSharedPlansDoNotLeak).
+	stored := fakeResult("sx", 0.5)
+	c.put("x", e, stored)
+	if got := c.get("x", e); got != stored {
+		t.Error("get should return the stored Result itself")
 	}
 }
 
-func TestPlanCacheSegmentSizing(t *testing.T) {
-	for _, tc := range []struct{ capacity, requested, want int }{
-		{2, 0, 1},     // tiny caches stay single-segment (exact LRU)
-		{16, 0, 2},    // splits only while segments keep ≥8 entries
-		{32, 0, 4},    //
-		{128, 0, 16},  // the default: 16 segments of 8
-		{1024, 0, 16}, // capped at maxPlanCacheSegments
-		{128, 1, 1},   // explicit single segment wins
-		{128, 3, 4},   // explicit counts round up to a power of two
-		{128, 64, 16}, // explicit counts are capped too
-	} {
-		c := newPlanCache(tc.capacity, tc.requested, obs.NewRegistry())
-		if got := c.segments(); got != tc.want {
-			t.Errorf("newPlanCache(%d, %d): %d segments, want %d",
-				tc.capacity, tc.requested, got, tc.want)
-		}
-	}
-}
-
-// TestPlanCacheShardedRaced storms a multi-segment cache with
-// concurrent puts, hits, and epoch invalidations and then checks the
-// invariants the churn differential relies on: the capacity bound holds
-// per segment, stale entries are really gone, surviving entries return
-// deep copies of exactly what was stored, and the counters account for
-// the eviction/invalidation traffic. Run under -race it proves the
-// lock-free hit path against the copy-on-write writers.
-func TestPlanCacheShardedRaced(t *testing.T) {
+// TestPlanCacheRaced storms a cache with concurrent puts, hits, and
+// epoch invalidations and then checks the invariants the churn
+// differential relies on: the capacity bound holds, stale entries are
+// really gone, surviving entries return exactly what was stored, and the
+// counters account for the eviction/invalidation traffic. Run under
+// -race it proves the lock-free hit path against the copy-on-write
+// writers.
+func TestPlanCacheRaced(t *testing.T) {
 	r := obs.NewRegistry()
-	c := newPlanCache(16, 4, r)
-	if c.segments() != 4 {
-		t.Fatalf("segments = %d, want 4", c.segments())
-	}
+	c := newPlanCache(16, r)
 	fresh := []uint64{1}
 	stale := []uint64{2}
 	keyOf := func(i int) string { return fmt.Sprintf("plan-%d", i) }
 
-	const keys = 48 // 3x capacity: every segment must evict
+	const keys = 48 // 3x capacity: the cache must evict
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -158,8 +136,6 @@ func TestPlanCacheShardedRaced(t *testing.T) {
 							t.Errorf("get(%s) returned foreign payload %v", k, got.Utility)
 							return
 						}
-						// Deep copy: scribbling on it must not reach the cache.
-						got.Assignment["act"].Vector[0] = 99
 					}
 				case 2:
 					_ = c.get(k, stale) // epoch mismatch: removal-on-sight
@@ -172,14 +148,8 @@ func TestPlanCacheShardedRaced(t *testing.T) {
 	if got := c.len(); got > 16 {
 		t.Errorf("len = %d exceeds capacity 16", got)
 	}
-	for i := range c.segs {
-		if n := len(*c.segs[i].items.Load()); n > c.segCap {
-			t.Errorf("segment %d holds %d entries, cap share is %d", i, n, c.segCap)
-		}
-	}
-	// Quiesced sweep: every surviving entry is uncorrupted (hit-path
-	// scribbles above must have landed on copies) and every stale probe
-	// removed its entry.
+	// Quiesced sweep: every surviving entry carries its own payload and
+	// every stale probe removes its entry.
 	for i := 0; i < keys; i++ {
 		k := keyOf(i)
 		if got := c.get(k, fresh); got != nil {
@@ -200,14 +170,10 @@ func TestPlanCacheShardedRaced(t *testing.T) {
 	if v := counterValue(t, r, "qasom_plan_cache_epoch_invalidations_total"); v == 0 {
 		t.Error("no epoch invalidations counted despite stale probes")
 	}
-	hits := counterValue(t, r, "qasom_plan_cache_hits_total")
-	if segSum := counterValue(t, r, "qasom_plan_cache_segment_hits_total"); segSum > hits {
-		t.Errorf("per-segment hits %g exceed total hits %g", segSum, hits)
-	}
 }
 
 func TestPlanCacheDisabledIsNil(t *testing.T) {
-	c := newPlanCache(-1, 0, obs.NewRegistry())
+	c := newPlanCache(-1, obs.NewRegistry())
 	if c != nil {
 		t.Fatal("negative capacity should disable the cache")
 	}

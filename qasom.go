@@ -151,9 +151,8 @@ type Options struct {
 	// SelectionCacheSize bounds the selection-plan cache: repeated
 	// Compose calls whose task, constraints, weights and approach match
 	// — and whose touched registry capabilities have not changed since
-	// (tracked by registry epochs) — are served a deep copy of the
-	// previous Result with zero selection work, bit-identical to a fresh
-	// run. 0 means the default (128 entries); negative disables caching.
+	// (tracked by registry epochs) — share the previous Result read-only
+	// with zero selection work, bit-identical to a fresh run. 0 means the default (128 entries); negative disables caching.
 	// Distributed selections are never cached.
 	SelectionCacheSize int
 	// OntologyMemoCap bounds each of the ontology's Match/Distance memo
@@ -340,7 +339,7 @@ func New(opts ...Options) (*Middleware, error) {
 		mon:      monitor.New(ps, monitor.Options{Obs: o.Obs}),
 		obs:      o.Obs,
 		met:      composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
-		plans:    newPlanCache(o.SelectionCacheSize, 0, o.Obs.Metrics),
+		plans:    newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
 		opts:     o,
 		tenant:   tenantLabel(o.TenantID),
 	}
