@@ -64,11 +64,12 @@ if [ "${1:-}" = "quick" ]; then
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-read check, nil-before-bump ordering), raced eviction + epoch
 	# invalidation in the copy-on-write plan cache, the shared-plan leak
-	# check (substitutions copy, never write the cached Result), and the
+	# check (substitutions copy, never write the cached Result), the
+	# first-Execute index attachment racing a manual Substitute, and the
 	# mutex-profile assertion that the warm read paths acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestHotPathsAcquireNoMutexes' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

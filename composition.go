@@ -49,7 +49,6 @@ func (m *Middleware) TaskClasses() []string { return m.repo.Names() }
 type Composition struct {
 	mw      *Middleware
 	runtime *adapt.Runtime
-	manager *adapt.Manager
 	// cacheHit reports that the selection was replayed from the plan
 	// cache (the shared Result itself carries no per-request marks).
 	cacheHit bool
@@ -59,22 +58,19 @@ type Composition struct {
 	trackOnce sync.Once
 }
 
-// track registers the runtime with the substitution-index tracker and
-// wires the behavioural-alternate stager. Idempotent; called at the top
-// of Execute so a ranked replacement list is warm before the first
-// invocation.
+// track registers the runtime with the substitution-index tracker,
+// wires the behavioural-alternate stager and attaches the index to the
+// runtime. Idempotent; called at the top of Execute so a ranked
+// replacement list is warm before the first invocation.
 func (c *Composition) track() {
-	if c.mw.subst == nil {
-		return
-	}
 	c.trackOnce.Do(func() {
-		manager, runtime := c.manager, c.runtime
+		manager, runtime := c.mw.manager, c.runtime
 		idx := c.mw.subst.Track(runtime)
 		idx.SetStager(
 			func() string { return manager.FrontierKey(runtime) },
 			func() *subidx.StagedBehaviours { return manager.StageBehaviours(runtime) },
 		)
-		manager.Index = idx
+		runtime.AttachIndex(idx)
 	})
 }
 
@@ -242,7 +238,7 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		// selection (Stats.Fallbacks, Result.Degraded) instead of
 		// failing the composition.
 		res, err = core.NewResilientDistributedSelector(
-			core.Options{K: m.opts.K, MaxAlternates: m.opts.MaxAlternates, Seed: m.opts.Seed, Workers: m.opts.Workers},
+			core.Options{Seed: m.opts.Seed},
 			replicas,
 			core.DistConfig{Fallback: candidates},
 		).Select(ctx, coreReq)
@@ -288,25 +284,13 @@ func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result) {
 	rec.Bindings = res.BindingRecords()
 }
 
-// wrapComposition attaches the adaptation runtime and manager to a
-// selection result (freshly computed or replayed from the plan cache).
-// Substitution-index registration is deferred to the first Execute (see
-// Composition.track) so the compose hot path pays nothing for it.
+// wrapComposition attaches an adaptation runtime to a selection result
+// (freshly computed or replayed from the plan cache); the middleware's
+// one adaptation manager serves it. Substitution-index registration is
+// deferred to the first Execute (see Composition.track) so the compose
+// hot path pays nothing for it.
 func (m *Middleware) wrapComposition(coreReq *core.Request, res *core.Result) *Composition {
-	manager := &adapt.Manager{
-		Registry: m.reg,
-		Repo:     m.repo,
-		Selector: m.selector,
-		Monitor:  m.mon,
-		Obs:      m.obs,
-	}
-	manager.Options.Match.AllowSubsume = true
-	manager.Options.Match.AllowMerge = true
-	return &Composition{
-		mw:      m,
-		runtime: adapt.NewRuntime(coreReq, res),
-		manager: manager,
-	}
+	return &Composition{mw: m, runtime: adapt.NewRuntime(coreReq, res)}
 }
 
 // resolveTask accepts an abstract-BPEL document or the name of a
@@ -316,8 +300,8 @@ func (m *Middleware) resolveTask(spec string) (*task.Task, error) {
 		return nil, fmt.Errorf("qasom: empty task")
 	}
 	// A registered behaviour name?
-	for _, className := range m.repo.Names() {
-		for _, b := range m.repo.Class(className).Behaviours {
+	if class := m.repo.ClassOf(spec); class != nil {
+		for _, b := range class.Behaviours {
 			if b.Name == spec {
 				return b, nil
 			}
@@ -576,9 +560,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 	// evicted index builds synchronously here (off the failure path), so
 	// failures during this execution resolve with a lock-free lookup.
 	c.track()
-	if c.manager.Index != nil {
-		c.manager.Index.BuildNow()
-	}
+	c.runtime.Index().BuildNow()
 
 	for round := 0; round < 4; round++ {
 		remaining, ok := c.remainingTask()
@@ -591,8 +573,8 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 			Invoker:    m.env,
 			Binder:     c.runtime,
 			Monitor:    m.mon,
-			OnFailure:  c.manager.FailureHandler(c.runtime),
-			OnComplete: c.manager.CompletionHook(c.runtime),
+			OnFailure:  c.mw.manager.FailureHandler(c.runtime),
+			OnComplete: c.mw.manager.CompletionHook(c.runtime),
 			Options:    exec.Options{Seed: m.opts.Seed + int64(round)},
 		}
 		trace, err := execu.Run(ctx, remaining)
@@ -609,7 +591,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 		}
 		// Substitution exhausted inside the executor: behavioural
 		// adaptation is the second line of defence.
-		if _, aerr := c.manager.AdaptBehaviour(c.runtime); aerr != nil {
+		if _, aerr := c.mw.manager.AdaptBehaviour(c.runtime); aerr != nil {
 			report.Substitutions = c.runtime.Substitutions()
 			retErr = fmt.Errorf("qasom: execution failed and adaptation impossible: %w (execution: %v)", aerr, err)
 			return report, retErr
@@ -689,7 +671,7 @@ func (c *Composition) Assess(horizon int) Assessment {
 // healthy alternate (the manual trigger for proactive adaptation); it
 // returns the substitute's service ID.
 func (c *Composition) Substitute(activityID string) (string, error) {
-	cand, err := c.manager.Substitute(c.runtime, activityID, nil)
+	cand, err := c.mw.manager.Substitute(c.runtime, activityID, nil)
 	if err != nil {
 		return "", err
 	}
@@ -745,7 +727,7 @@ func (c *Composition) Heal(horizon int) (*HealReport, error) {
 	if _, done := c.remainingTask(); !done {
 		c.runtime.ResetProgress()
 	}
-	if _, aerr := c.manager.AdaptBehaviour(c.runtime); aerr == nil {
+	if _, aerr := c.mw.manager.AdaptBehaviour(c.runtime); aerr == nil {
 		report.BehaviourSwitched = true
 	}
 	report.Healthy = c.Assess(horizon).Healthy()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"qasom"
+	"qasom/internal/obs"
 )
 
 // newChurnMall publishes 5 stable services per capability (these never
@@ -171,5 +172,43 @@ func TestConcurrentComposeWithChurn(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Errorf("concurrent compose failed: %v", err)
+	}
+}
+
+// TestConcurrentExecuteAndSubstitute runs the first Execute of a
+// composition (which attaches its substitution index) concurrently with
+// a manual Substitute on the same composition. Both paths read the
+// composition's failover state, so under -race this pins that the
+// attachment is published safely.
+func TestConcurrentExecuteAndSubstitute(t *testing.T) {
+	mw, err := qasom.New(qasom.Options{Obs: obs.NewHub()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mw.Close()
+	seedMall(t, mw)
+	for round := 0; round < 20; round++ {
+		comp, err := mw.Compose(qasom.Request{Task: behaviourA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var execErr, subErr error
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			_, execErr = mw.Execute(context.Background(), comp)
+		}()
+		go func() {
+			defer wg.Done()
+			_, subErr = comp.Substitute("order")
+		}()
+		wg.Wait()
+		if execErr != nil {
+			t.Fatalf("round %d: Execute: %v", round, execErr)
+		}
+		if subErr != nil {
+			t.Fatalf("round %d: Substitute: %v", round, subErr)
+		}
 	}
 }

@@ -6,7 +6,12 @@
 // subgraph-homeomorphism matching, then re-run QASSA on the remaining
 // subtask under residual constraints).
 //
-// Failover is index-first: when the manager carries a substitution index
+// One Manager serves every composition of a middleware: it holds only
+// shared collaborators, and all per-composition state — the selection,
+// progress, failover accounting and the substitution index — lives on the
+// composition's Runtime.
+//
+// Failover is index-first: when the runtime carries a substitution index
 // (internal/subidx), Substitute resolves the replacement with one
 // lock-free lookup — zero registry or monitor calls on the failure path —
 // and falls back to the reactive alternate scan only when the index is
@@ -42,6 +47,10 @@ type Runtime struct {
 	// Behaviour is the currently executing behaviour (initially
 	// Req.Task; replaced by behavioural adaptation).
 	Behaviour *task.Task
+
+	// index is the composition's substitution index (internal/subidx),
+	// attached once by AttachIndex; nil keeps failover fully reactive.
+	index atomic.Pointer[subidx.Index]
 
 	// version counts selection mutations (substitution commits and
 	// behaviour switches). Bumped under mu, read lock-free: the
@@ -91,6 +100,14 @@ func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 		observed:  make(map[string]qos.Vector),
 	}
 }
+
+// AttachIndex attaches the composition's substitution index: from then
+// on failovers are served index-first. Safe to call while other
+// goroutines substitute; they see either no index or this one.
+func (rt *Runtime) AttachIndex(x *subidx.Index) { rt.index.Store(x) }
+
+// Index returns the attached substitution index, nil when none.
+func (rt *Runtime) Index() *subidx.Index { return rt.index.Load() }
 
 // depAdmissibleLocked reports whether binding cand to the activity keeps
 // every dependency rule satisfied under the rest of the current
@@ -148,7 +165,7 @@ type FailoverStats struct {
 	// (lock-free, zero registry/monitor calls).
 	IndexHits int
 	// Fallbacks counts reactive-scan fallbacks by cause ("cold",
-	// "drained", "exhausted", "raced", "disabled").
+	// "drained", "exhausted", "raced", "dependency").
 	Fallbacks map[string]int
 }
 
@@ -294,11 +311,6 @@ func (rt *Runtime) switchBehaviour(newBehaviour *task.Task, sel *core.Result) {
 
 // Options tune the adaptation manager.
 type Options struct {
-	// MinSuccessRate disqualifies substitutes the monitor has seen
-	// failing more often than this; 0 means 0.5. Must match the
-	// substitution index's threshold when an index is attached (the
-	// facade wires both from the same knob).
-	MinSuccessRate float64
 	// Match configures the homeomorphism search of behavioural
 	// adaptation (the manager fills in the registry's ontology when the
 	// field is nil).
@@ -310,14 +322,8 @@ type Options struct {
 	RequireFeasible bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.MinSuccessRate <= 0 {
-		o.MinSuccessRate = 0.5
-	}
-	return o
-}
-
-// Manager coordinates the two adaptation strategies.
+// Manager coordinates the two adaptation strategies. It holds no
+// per-composition state, so one Manager serves every composition.
 type Manager struct {
 	// Registry resolves candidate services.
 	Registry *registry.Registry
@@ -325,11 +331,9 @@ type Manager struct {
 	Repo *task.Repository
 	// Selector re-runs QASSA during behavioural adaptation.
 	Selector *core.Selector
-	// Monitor, when set, filters substitutes by observed health.
+	// Monitor, when set, filters substitutes by observed health
+	// (monitor.MinSuccessRate).
 	Monitor *monitor.Monitor
-	// Index, when set, serves failovers from the substitution index;
-	// nil keeps the fully reactive behaviour.
-	Index *subidx.Index
 	// Obs, when set, exports adaptation counters (substitutions,
 	// behaviour switches, failover causes) into the hub's metrics
 	// registry.
@@ -382,17 +386,17 @@ var ErrNoSubstitute = fmt.Errorf("adapt: no substitute available")
 // alternate that is still published, healthy and not excluded. It
 // updates the runtime's assignment and returns the substitute.
 //
-// With an index attached the replacement is resolved by one lock-free
-// lookup (no registry or monitor calls); the reactive scan runs only
-// when the index is cold, drained, exhausted, or its pick was raced by a
-// concurrent selection change. Both paths commit the same rotation: the
+// With an index attached to the runtime the replacement is resolved by
+// one lock-free lookup (no registry or monitor calls); the reactive scan
+// runs only when the index is cold, drained, exhausted, or its pick was
+// raced by a concurrent selection change. Both paths commit the same rotation: the
 // chosen alternate leaves the list, the displaced binding rejoins it at
 // the tail.
 func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	if m.Index != nil {
-		cand, out := m.Index.Lookup(activityID, exclude)
+	if x := rt.Index(); x != nil {
+		cand, out := x.Lookup(activityID, exclude)
 		if out == subidx.Hit {
-			if applied, cause := m.commitIndexed(rt, activityID, cand); applied {
+			if applied, cause := m.commitIndexed(rt, x, activityID, cand); applied {
 				m.counter(failoverHitMetric, failoverHitHelp).Inc()
 				return cand, nil
 			} else {
@@ -416,7 +420,7 @@ func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registr
 // assignment (the index filtered against the assignment it was built
 // from; an adjacent substitution may have shifted the admissible set
 // since).
-func (m *Manager) commitIndexed(rt *Runtime, activityID string, chosen registry.Candidate) (bool, string) {
+func (m *Manager) commitIndexed(rt *Runtime, x *subidx.Index, activityID string, chosen registry.Candidate) (bool, string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	old, bound := rt.result.Assignment[activityID]
@@ -458,12 +462,12 @@ func (m *Manager) commitIndexed(rt *Runtime, activityID string, chosen registry.
 	rt.substitutions++
 	rt.failoverHits++
 	rt.version.Add(1)
-	m.Index.Commit(activityID, chosen.Service.ID, old)
+	x.Commit(activityID, chosen.Service.ID, old)
 	if rt.deps.Touches(activityID) {
 		// The swap may have shifted which replacements are admissible for
 		// dependency-adjacent activities: schedule a refilter off the
 		// failure path (stale lists stay safe — commits revalidate here).
-		m.Index.MarkDirty()
+		x.MarkDirty()
 	}
 	m.counter(substitutionMetric, substitutionHelp).Inc()
 	return true, ""
@@ -489,7 +493,6 @@ var idScratch = sync.Pool{
 // rescan; past the bound the scan runs fully locked, which guarantees
 // termination at the cost of the old serialization.
 func (m *Manager) substituteReactive(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	opts := m.Options.withDefaults()
 	ids := idScratch.Get().(*[]registry.ServiceID)
 	defer func() {
 		*ids = (*ids)[:0]
@@ -511,7 +514,7 @@ func (m *Manager) substituteReactive(rt *Runtime, activityID string, exclude map
 		}
 		rt.mu.Unlock()
 
-		pick := m.scanEligible(*ids, exclude, opts.MinSuccessRate)
+		pick := m.scanEligible(*ids, exclude)
 		if pick == "" {
 			return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 		}
@@ -521,14 +524,14 @@ func (m *Manager) substituteReactive(rt *Runtime, activityID string, exclude map
 		// A concurrent commit moved the selection: rescan from the
 		// current rotation order.
 	}
-	return m.substituteLocked(rt, activityID, exclude, opts)
+	return m.substituteLocked(rt, activityID, exclude)
 }
 
 // scanEligible walks the candidate IDs in rotation order and returns the
 // first one that is not excluded, still published and healthy. Runs
 // without the runtime lock; every probe is counted so tests can assert
 // the index path performs none.
-func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.ServiceID]bool, minRate float64) registry.ServiceID {
+func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.ServiceID]bool) registry.ServiceID {
 	for _, id := range ids {
 		if exclude[id] {
 			continue
@@ -541,7 +544,7 @@ func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.Se
 		}
 		if m.Monitor != nil {
 			m.counter(failoverMonitorChecksMetric, failoverMonitorChecksHelp).Inc()
-			if m.Monitor.SuccessRate(id) < minRate {
+			if m.Monitor.SuccessRate(id) < monitor.MinSuccessRate {
 				continue
 			}
 		}
@@ -589,10 +592,10 @@ func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.Ser
 	rt.result.Assignment[activityID] = chosen
 	rt.substitutions++
 	rt.version.Add(1)
-	if m.Index != nil {
-		m.Index.Commit(activityID, pick, old)
+	if x := rt.Index(); x != nil {
+		x.Commit(activityID, pick, old)
 		if rt.deps.Touches(activityID) {
-			m.Index.MarkDirty()
+			x.MarkDirty()
 		}
 	}
 	m.counter(substitutionMetric, substitutionHelp).Inc()
@@ -602,7 +605,7 @@ func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.Ser
 // substituteLocked is the pre-index algorithm: scan and commit in one
 // critical section. Kept as the termination guarantee of the optimistic
 // reactive path under pathological commit churn.
-func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool, opts Options) (registry.Candidate, error) {
+func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	for _, alt := range rt.result.Alternates[activityID] {
@@ -620,7 +623,7 @@ func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[r
 		}
 		if m.Monitor != nil {
 			m.counter(failoverMonitorChecksMetric, failoverMonitorChecksHelp).Inc()
-			if m.Monitor.SuccessRate(alt.Service.ID) < opts.MinSuccessRate {
+			if m.Monitor.SuccessRate(alt.Service.ID) < monitor.MinSuccessRate {
 				continue
 			}
 		}

@@ -77,8 +77,8 @@ func (m *Manager) AdaptBehaviour(rt *Runtime) (*BehaviouralPlan, error) {
 
 	// Staged fast path: the index pre-computed the homeomorphism matches
 	// for this exact progress frontier on its background goroutine.
-	if m.Index != nil {
-		if staged := m.Index.Staged(frontierKey(behaviour, completed)); staged != nil && len(staged.Matches) > 0 {
+	if x := rt.Index(); x != nil {
+		if staged := x.Staged(frontierKey(behaviour, completed)); staged != nil && len(staged.Matches) > 0 {
 			if plan, err := m.planFromStaged(rt, staged, residual); err == nil {
 				return plan, nil
 			}
@@ -166,8 +166,8 @@ func (m *Manager) planFromStaged(rt *Runtime, staged *subidx.StagedBehaviours, r
 func (m *Manager) installPlan(rt *Runtime, plan *BehaviouralPlan) {
 	rt.switchBehaviour(plan.Alternative, plan.Selection)
 	m.counter(behaviourSwitchMetric, behaviourSwitchHelp).Inc()
-	if m.Index != nil {
-		m.Index.MarkCold()
+	if x := rt.Index(); x != nil {
+		x.MarkCold()
 	}
 }
 

@@ -142,19 +142,19 @@ func TestIndexRespectsDependencyMask(t *testing.T) {
 	m.Monitor = mon
 	tr := subidx.NewTracker(reg, mon, subidx.Options{})
 	t.Cleanup(tr.Close)
-	m.Index = tr.Track(rt)
-	m.Index.BuildNow()
+	rt.AttachIndex(tr.Track(rt))
+	rt.Index().BuildNow()
 
 	// The published replacement list for order may only contain the
 	// requires-admissible services.
-	for _, r := range m.Index.Replacements("order") {
+	for _, r := range rt.Index().Replacements("order") {
 		if r.Service != "order-0" && r.Service != "order-1" {
 			t.Fatalf("index published inadmissible replacement %s for order", r.Service)
 		}
 	}
 	// And with order-0 bound, pay-1 must not be published for pay.
 	if boundID(rt, "order") == "order-0" {
-		for _, r := range m.Index.Replacements("pay") {
+		for _, r := range rt.Index().Replacements("pay") {
 			if r.Service == "pay-1" {
 				t.Fatal("index published pay-1 while order-0 excludes it")
 			}

@@ -26,12 +26,12 @@ func indexedFixture(t *testing.T) (*Manager, *Runtime, *registry.Registry, *moni
 	m.Monitor = mon
 	tr := subidx.NewTracker(reg, mon, subidx.Options{})
 	t.Cleanup(tr.Close)
-	m.Index = tr.Track(rt)
-	m.Index.SetStager(
+	rt.AttachIndex(tr.Track(rt))
+	rt.Index().SetStager(
 		func() string { return m.FrontierKey(rt) },
 		func() *subidx.StagedBehaviours { return m.StageBehaviours(rt) },
 	)
-	m.Index.BuildNow()
+	rt.Index().BuildNow()
 	return m, rt, reg, mon, tr
 }
 
@@ -155,7 +155,7 @@ func TestIndexHitPerformsZeroRegistryMonitorChecks(t *testing.T) {
 	}
 
 	// A cold index (fresh manager state) falls back and probes.
-	m.Index.MarkCold()
+	rt.Index().MarkCold()
 	if _, err := m.Substitute(rt, "order", map[registry.ServiceID]bool{boundID(rt, "order"): true}); err != nil {
 		t.Fatalf("reactive Substitute: %v", err)
 	}
@@ -278,8 +278,8 @@ func TestConcurrentSubstitutionExactlyOnce(t *testing.T) {
 				m.Monitor = mon
 				tr := subidx.NewTracker(reg, mon, subidx.Options{})
 				t.Cleanup(tr.Close)
-				m.Index = tr.Track(rt)
-				m.Index.BuildNow()
+				rt.AttachIndex(tr.Track(rt))
+				rt.Index().BuildNow()
 			}
 			want := bindingUniverse(rt)
 			const rounds = 50
@@ -315,8 +315,8 @@ func TestExecutorParallelFailuresSubstituteOnce(t *testing.T) {
 	m.Monitor = mon
 	tr := subidx.NewTracker(reg, mon, subidx.Options{})
 	t.Cleanup(tr.Close)
-	m.Index = tr.Track(rt)
-	m.Index.BuildNow()
+	rt.AttachIndex(tr.Track(rt))
+	rt.Index().BuildNow()
 	want := bindingUniverse(rt)
 
 	dead := map[registry.ServiceID]bool{}
@@ -353,8 +353,8 @@ func TestIndexTracksChurnDuringFailovers(t *testing.T) {
 	m.Monitor = mon
 	tr := subidx.NewTracker(reg, mon, subidx.Options{})
 	t.Cleanup(tr.Close)
-	m.Index = tr.Track(rt)
-	m.Index.BuildNow()
+	rt.AttachIndex(tr.Track(rt))
+	rt.Index().BuildNow()
 
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
@@ -392,7 +392,7 @@ func TestIndexTracksChurnDuringFailovers(t *testing.T) {
 
 	for _, act := range []string{"a1", "a2", "a3"} {
 		want := altIDs(rt, act)
-		reps := m.Index.Replacements(act)
+		reps := rt.Index().Replacements(act)
 		if len(reps) < len(want) {
 			t.Fatalf("%s: index has %d entries, runtime has %d alternates", act, len(reps), len(want))
 		}
@@ -430,7 +430,7 @@ func TestStagedBehaviouralAdaptation(t *testing.T) {
 	rt.MarkCompleted("browse", qos.Vector{80, 5, 0.95, 0.9, 40})
 	tr.Quiesce() // restage for the moved frontier
 
-	staged := m.Index.Staged(m.FrontierKey(rt))
+	staged := rt.Index().Staged(m.FrontierKey(rt))
 	if staged == nil || len(staged.Matches) == 0 {
 		t.Fatal("expected staged behavioural alternates for the current frontier")
 	}
@@ -452,11 +452,11 @@ func TestStagedBehaviouralAdaptation(t *testing.T) {
 	}
 	// The switch marked the index cold; a BuildNow re-indexes the new
 	// selection.
-	m.Index.BuildNow()
-	if got := m.Index.State(); got != subidx.StateBuilt {
+	rt.Index().BuildNow()
+	if got := rt.Index().State(); got != subidx.StateBuilt {
 		t.Fatalf("index state after rebuild = %v", got)
 	}
-	if m.Index.Replacements("bundle") == nil {
+	if rt.Index().Replacements("bundle") == nil {
 		t.Error("rebuilt index should cover the new behaviour's activities")
 	}
 }

@@ -33,10 +33,10 @@ type FailoverConfig struct {
 	// WithdrawnFrac of the victim's alternates leave the registry
 	// before measurement; 0 means 0.6.
 	WithdrawnFrac float64
-	// UnhealthyFrac of the victim's alternates fail below the
-	// monitor's MinSuccessRate; 0 means 0.2.
+	// UnhealthyFrac of the victim's alternates fail below
+	// monitor.MinSuccessRate; 0 means 0.2.
 	UnhealthyFrac float64
-	// Indexed attaches a warm substitution index to the manager;
+	// Indexed attaches a warm substitution index to the runtime;
 	// false measures the reactive alternate scan.
 	Indexed bool
 	// Seed drives the simulated environment; 0 means 1.
@@ -169,8 +169,8 @@ func NewFailoverRig(cfg FailoverConfig) (*FailoverRig, error) {
 		r.tracker = subidx.NewTracker(reg, r.mon, subidx.Options{
 			RefreshInterval: 5 * time.Second,
 		})
-		r.manager.Index = r.tracker.Track(r.rt)
-		r.manager.Index.BuildNow()
+		r.rt.AttachIndex(r.tracker.Track(r.rt))
+		r.rt.Index().BuildNow()
 		r.tracker.Quiesce()
 	}
 	if err := r.poison(); err != nil {

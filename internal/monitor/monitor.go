@@ -31,6 +31,12 @@ type Observation struct {
 	Success bool
 }
 
+// MinSuccessRate is the health threshold of QoS-driven adaptation: a
+// service whose observed success rate falls below it is no substitute.
+// The adaptation manager's reactive failover scan and the substitution
+// index both filter by it, so an index hit and the scan agree.
+const MinSuccessRate = 0.5
+
 // Options tune the monitor.
 type Options struct {
 	// WindowSize is the per-service observation ring size; 0 means 20.
@@ -122,8 +128,8 @@ func New(ps *qos.PropertySet, opts Options) *Monitor {
 
 // SubscribeHealth registers a callback fired whenever a service's
 // observed success rate crosses the threshold in either direction
-// (healthy ⇔ rate ≥ threshold, matching the adaptation manager's
-// MinSuccessRate filter). The unobserved prior counts as healthy, so the
+// (healthy ⇔ rate ≥ threshold; the substitution index subscribes
+// with MinSuccessRate). The unobserved prior counts as healthy, so the
 // very first failing observations of a service do notify. Callbacks run
 // synchronously on the Report goroutine but outside the monitor's lock —
 // they may call back into the monitor, but should return quickly. The

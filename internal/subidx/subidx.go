@@ -15,7 +15,7 @@
 //   - a publish event restores the live bit of a known candidate, and
 //     marks the index dirty when the new service matches one of the
 //     composition's bound capabilities (the refresh inserts it);
-//   - a success-rate crossing of MinSuccessRate flips the healthy bit
+//   - a success-rate crossing of monitor.MinSuccessRate flips the healthy bit
 //     without any rebuild (the monitor invokes the tracker synchronously,
 //     so health demotions are visible to the very next failover).
 //
@@ -572,7 +572,7 @@ func capabilityMatches(onto *semantics.Ontology, required, offered semantics.Con
 // Runs off the failure path: on the tracker goroutine or a BuildNow
 // caller. An installed snapshot whose runtime version moved mid-build is
 // discarded and the index stays dirty.
-func (x *Index) rebuild(reg *registry.Registry, mon *monitor.Monitor, opts Options) bool {
+func (x *Index) rebuild(reg *registry.Registry, mon *monitor.Monitor) bool {
 	if State(x.state.Load()) == StateDrained {
 		return false
 	}
@@ -628,7 +628,7 @@ func (x *Index) rebuild(reg *registry.Registry, mon *monitor.Monitor, opts Optio
 			e.live.Store(live)
 			healthy := true
 			if mon != nil {
-				healthy = mon.SuccessRate(c.Service.ID) >= opts.MinSuccessRate
+				healthy = mon.SuccessRate(c.Service.ID) >= monitor.MinSuccessRate
 			}
 			e.healthy.Store(healthy)
 			byService[c.Service.ID] = append(byService[c.Service.ID], e)
@@ -649,7 +649,7 @@ func (x *Index) rebuild(reg *registry.Registry, mon *monitor.Monitor, opts Optio
 			return extras[i].Service.ID < extras[j].Service.ID
 		})
 		for _, c := range extras {
-			if len(list) >= opts.MaxReplacements {
+			if len(list) >= maxReplacements {
 				break
 			}
 			if admissible != nil && !admissible(c) {

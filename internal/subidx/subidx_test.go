@@ -346,7 +346,7 @@ func TestRebuildDiscardsStaleSnapshot(t *testing.T) {
 	src.mu.Unlock()
 	stale := &fakeSource{acts: snap.Activities, assign: snap.Assignment, alts: snap.Alternates, ps: snap.Properties}
 	_ = stale // the version check lives in rebuild; exercise it directly:
-	if x.rebuild(nil, nil, x.t.opts) {
+	if x.rebuild(nil, nil) {
 		// rebuild re-snapshots, so with a self-consistent source it
 		// succeeds; force the race instead via a version-bumping source.
 		t.Log("self-consistent rebuild succeeded (expected)")
@@ -355,7 +355,7 @@ func TestRebuildDiscardsStaleSnapshot(t *testing.T) {
 		// The successful rebuild cleared dirty; now force a mid-build bump.
 		bump := &bumpingSource{fakeSource: src}
 		x.src = bump
-		if x.rebuild(nil, nil, x.t.opts) {
+		if x.rebuild(nil, nil) {
 			t.Fatal("rebuild with a mid-build version bump must be discarded")
 		}
 		if !x.dirty.Load() {

@@ -10,52 +10,43 @@ import (
 	"qasom/internal/semantics"
 )
 
-// Options tune a Tracker.
+// Options tune a Tracker. Entries are health-filtered by
+// monitor.MinSuccessRate, the threshold the reactive scan uses too.
 type Options struct {
-	// MinSuccessRate is the health threshold entries are filtered by;
-	// it must equal the adaptation manager's MinSuccessRate so an index
-	// hit and the reactive scan agree. 0 means 0.5.
-	MinSuccessRate float64
 	// RefreshInterval paces the background refresher: dirty indexes are
 	// re-ranked and one stale index is resynced per tick. 0 means 250ms.
 	RefreshInterval time.Duration
-	// BuildDelay debounces initial builds: a composition must survive
-	// this long before the background builder invests in it (an Execute
-	// builds immediately regardless), so compose-heavy serving loops do
-	// not pay for indexes of compositions they throw away. 0 means 50ms.
-	BuildDelay time.Duration
 	// MaxTracked bounds the number of tracked compositions; beyond it
 	// the oldest index is drained. 0 means 64.
 	MaxTracked int
-	// MaxReplacements caps one activity's replacement list. 0 means 64.
-	MaxReplacements int
-	// WatchBuffer sizes the registry event subscription. 0 means 256.
-	WatchBuffer int
 	// Metrics, when set, exports the tracker's gauges and counters.
 	Metrics *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
-	if o.MinSuccessRate <= 0 {
-		o.MinSuccessRate = 0.5
-	}
 	if o.RefreshInterval <= 0 {
 		o.RefreshInterval = 250 * time.Millisecond
-	}
-	if o.BuildDelay <= 0 {
-		o.BuildDelay = 50 * time.Millisecond
 	}
 	if o.MaxTracked <= 0 {
 		o.MaxTracked = 64
 	}
-	if o.MaxReplacements <= 0 {
-		o.MaxReplacements = 64
-	}
-	if o.WatchBuffer <= 0 {
-		o.WatchBuffer = 256
-	}
 	return o
 }
+
+const (
+	// buildDelay debounces initial builds: a composition must survive
+	// this long before the background builder invests in it (an Execute
+	// builds immediately regardless), so compose-heavy serving loops do
+	// not pay for indexes of compositions they throw away.
+	buildDelay = 50 * time.Millisecond
+	// maxReplacements caps one activity's replacement list.
+	maxReplacements = 64
+	// watchBuffer sizes the registry event subscription: deep enough to
+	// absorb a publish/withdraw burst between two loop wakes. Delivery
+	// is best-effort, so an overflow drops events and the rolling resync
+	// (staleResyncAge) repairs the index.
+	watchBuffer = 256
+)
 
 // staleResyncAge is how old a built index may grow before the rolling
 // resync rebuilds it even without a dirty mark — the safety net against
@@ -163,7 +154,7 @@ func NewTracker(reg *registry.Registry, mon *monitor.Monitor, opts Options) *Tra
 			})
 	}
 	if mon != nil {
-		t.cancelHealth = mon.SubscribeHealth(t.opts.MinSuccessRate, t.onHealth)
+		t.cancelHealth = mon.SubscribeHealth(monitor.MinSuccessRate, t.onHealth)
 	}
 	t.loopWG.Add(1)
 	go t.loop()
@@ -172,7 +163,7 @@ func NewTracker(reg *registry.Registry, mon *monitor.Monitor, opts Options) *Tra
 
 // Track registers a composition at selection-commit time. The call is
 // cheap (one small allocation and a list append); the actual build runs
-// on the tracker goroutine after BuildDelay, or synchronously at the
+// on the tracker goroutine after buildDelay, or synchronously at the
 // composition's first Execute via Index.BuildNow. Beyond MaxTracked the
 // oldest index is drained — its composition falls back to reactive
 // failover until it executes again.
@@ -187,7 +178,7 @@ func (t *Tracker) track(x *Index) {
 	t.mu.Lock()
 	t.order = append(t.order, x)
 	if t.pending == nil && t.cancelWatch == nil && t.reg != nil && !t.closed {
-		t.pending, t.cancelWatch = t.reg.Watch(t.opts.WatchBuffer)
+		t.pending, t.cancelWatch = t.reg.Watch(watchBuffer)
 	}
 	if len(t.order) > t.opts.MaxTracked {
 		evicted = t.order[0]
@@ -266,7 +257,7 @@ func (t *Tracker) buildNow(x *Index) {
 		x.state.Store(int32(StateCold))
 		t.track(x)
 	}
-	if x.rebuild(t.reg, t.mon, t.opts) {
+	if x.rebuild(t.reg, t.mon) {
 		t.met.builds.Inc()
 	}
 }
@@ -352,11 +343,11 @@ func (t *Tracker) adoptEvents(events *<-chan registry.Event) {
 	t.mu.Unlock()
 }
 
-// debounce waits BuildDelay before the next build pass while still
+// debounce waits buildDelay before the next build pass while still
 // servicing events and sync requests; it returns false when the tracker
 // closed mid-wait.
 func (t *Tracker) debounce(events *<-chan registry.Event) bool {
-	timer := time.NewTimer(t.opts.BuildDelay)
+	timer := time.NewTimer(buildDelay)
 	defer timer.Stop()
 	for {
 		select {
@@ -410,7 +401,7 @@ func (t *Tracker) drain(events *<-chan registry.Event) {
 // buildPending builds every cold index.
 func (t *Tracker) buildPending() {
 	for _, x := range t.snapshot() {
-		if x.State() == StateCold && x.rebuild(t.reg, t.mon, t.opts) {
+		if x.State() == StateCold && x.rebuild(t.reg, t.mon) {
 			t.met.builds.Inc()
 		}
 	}
@@ -427,7 +418,7 @@ func (t *Tracker) refresh() {
 			continue
 		}
 		if x.dirty.Load() {
-			if x.rebuild(t.reg, t.mon, t.opts) {
+			if x.rebuild(t.reg, t.mon) {
 				t.met.refreshes.Inc()
 			}
 			continue
@@ -440,7 +431,7 @@ func (t *Tracker) refresh() {
 		}
 	}
 	if stalest != nil && time.Since(time.Unix(0, stalestNS)) > staleResyncAge*t.opts.RefreshInterval {
-		if stalest.rebuild(t.reg, t.mon, t.opts) {
+		if stalest.rebuild(t.reg, t.mon) {
 			t.met.refreshes.Inc()
 		}
 	}
@@ -458,7 +449,7 @@ func (t *Tracker) refreshAll() {
 		switch {
 		case x.State() == StateDrained:
 		case x.State() == StateCold || x.dirty.Load():
-			if x.rebuild(t.reg, t.mon, t.opts) {
+			if x.rebuild(t.reg, t.mon) {
 				t.met.refreshes.Inc()
 				if x.restage() {
 					t.met.stagings.Inc()

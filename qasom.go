@@ -22,8 +22,8 @@ package qasom
 
 import (
 	"fmt"
-	"time"
 
+	"qasom/internal/adapt"
 	"qasom/internal/contract"
 	"qasom/internal/core"
 	"qasom/internal/monitor"
@@ -141,13 +141,6 @@ type Options struct {
 	// ExtendedProperties switches from the standard five-property set to
 	// the extended eight-property set.
 	ExtendedProperties bool
-	// SelectorOptions tunes QASSA (zero values mean defaults).
-	K             int
-	MaxAlternates int
-	// Workers bounds the QASSA local-phase worker pool; 0 means
-	// GOMAXPROCS. Selections are identical for every worker count (the
-	// per-activity clustering derives its randomness from Seed alone).
-	Workers int
 	// SelectionCacheSize bounds the selection-plan cache: repeated
 	// Compose calls whose task, constraints, weights and approach match
 	// — and whose touched registry capabilities have not changed since
@@ -155,11 +148,6 @@ type Options struct {
 	// with zero selection work, bit-identical to a fresh run. 0 means the default (128 entries); negative disables caching.
 	// Distributed selections are never cached.
 	SelectionCacheSize int
-	// OntologyMemoCap bounds each of the ontology's Match/Distance memo
-	// tables so long-running nodes cannot grow them without limit. 0
-	// means the semantics-layer default (8192 entries per table);
-	// negative disables the bound.
-	OntologyMemoCap int
 	// Obs is the telemetry hub (metrics registry + span tracer) the
 	// instance reports into; nil means the process-wide default hub, so
 	// one /metrics endpoint covers every middleware in the process.
@@ -171,31 +159,13 @@ type Options struct {
 	// never invalidate its cached selection plans. The zero value is the
 	// default tenant.
 	TenantID string
-	// RegistryShards is the lock-domain count of a freshly created
-	// registry store (rounded up to a power of two; 0 means the registry
-	// default). Ignored when Store is set.
-	RegistryShards int
 	// Store, when non-nil, is a shared multi-tenant registry store this
 	// instance attaches to (via TenantID) instead of creating its own —
 	// the way many logical environments share one process. The store's
-	// ontology replaces the instance-private one, so OntologyMemoCap is
-	// ignored for shared stores.
+	// ontology replaces the instance-private one. Deployments that need
+	// a registry shard count or an ontology memo cap other than the
+	// defaults build their own Store.
 	Store *registry.Store
-	// DisableSubstitutionIndex turns off the per-composition substitution
-	// index (internal/subidx). Default on: failover resolves replacements
-	// with one lock-free index lookup and falls back to the reactive
-	// alternate scan only when the index is cold, drained or exhausted.
-	// Disabling keeps the fully reactive pre-index behaviour.
-	DisableSubstitutionIndex bool
-	// SubstitutionIndexRefresh is the background refresh interval of the
-	// substitution index (re-rank after registry churn, re-stage
-	// behavioural alternates); 0 means the subidx default (250ms).
-	SubstitutionIndexRefresh time.Duration
-	// SubstitutionIndexCompositions bounds how many compositions keep a
-	// warm substitution index at once (an LRU over actively executing
-	// compositions — evicted indexes rebuild at their next Execute); 0
-	// means the subidx default (64).
-	SubstitutionIndexCompositions int
 	// ParetoMode switches every selection of this instance from scalar
 	// (single best-utility composition) to multi-objective: the
 	// composition still binds the scalarized-best member, and
@@ -230,7 +200,8 @@ type Middleware struct {
 	obs       *obs.Hub
 	met       composeMetrics
 	plans     *planCache
-	subst     *subidx.Tracker // nil when DisableSubstitutionIndex
+	manager   *adapt.Manager  // the one adaptation manager every composition shares
+	subst     *subidx.Tracker // substitution indexes of executing compositions
 	opts      Options
 	tenant    string // tenant label on metrics and flight records ("default" for the zero tenant)
 }
@@ -322,11 +293,7 @@ func New(opts ...Options) (*Middleware, error) {
 		onto = store.Ontology()
 	} else {
 		onto = semantics.PervasiveWithScenarios()
-		onto.SetMemoCap(o.OntologyMemoCap)
-		store = registry.NewStore(onto, registry.StoreOptions{
-			Shards: o.RegistryShards,
-			Obs:    o.Obs.Metrics,
-		})
+		store = registry.NewStore(onto, registry.StoreOptions{Obs: o.Obs.Metrics})
 	}
 	reg := store.Tenant(registry.TenantID(o.TenantID))
 	m := &Middleware{
@@ -335,7 +302,7 @@ func New(opts ...Options) (*Middleware, error) {
 		reg:      reg,
 		repo:     task.NewRepository(onto),
 		env:      simenv.New(ps, reg, simenv.Options{Seed: o.Seed}),
-		selector: core.NewSelector(core.Options{K: o.K, MaxAlternates: o.MaxAlternates, Seed: o.Seed, Workers: o.Workers, ParetoMode: o.ParetoMode}),
+		selector: core.NewSelector(core.Options{Seed: o.Seed, ParetoMode: o.ParetoMode}),
 		mon:      monitor.New(ps, monitor.Options{Obs: o.Obs}),
 		obs:      o.Obs,
 		met:      composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
@@ -343,13 +310,16 @@ func New(opts ...Options) (*Middleware, error) {
 		opts:     o,
 		tenant:   tenantLabel(o.TenantID),
 	}
-	if !o.DisableSubstitutionIndex {
-		m.subst = subidx.NewTracker(reg, m.mon, subidx.Options{
-			RefreshInterval: o.SubstitutionIndexRefresh,
-			MaxTracked:      o.SubstitutionIndexCompositions,
-			Metrics:         o.Obs.Metrics,
-		})
+	m.manager = &adapt.Manager{
+		Registry: reg,
+		Repo:     m.repo,
+		Selector: m.selector,
+		Monitor:  m.mon,
+		Obs:      o.Obs,
 	}
+	m.manager.Options.Match.AllowSubsume = true
+	m.manager.Options.Match.AllowMerge = true
+	m.subst = subidx.NewTracker(reg, m.mon, subidx.Options{Metrics: o.Obs.Metrics})
 	obs.RegisterBuildInfo(o.Obs.Metrics)
 	o.Obs.Metrics.Func("qasom_plan_cache_entries",
 		"Live entries in the selection-plan cache.",
@@ -388,11 +358,7 @@ func New(opts ...Options) (*Middleware, error) {
 // index tracker's maintenance goroutine and its registry/monitor
 // subscriptions. The instance stays usable afterwards — failover simply
 // reverts to the reactive scan. Safe to call more than once.
-func (m *Middleware) Close() {
-	if m.subst != nil {
-		m.subst.Close()
-	}
-}
+func (m *Middleware) Close() { m.subst.Close() }
 
 // Observability returns the middleware's telemetry hub: the metrics
 // registry behind /metrics and the tracer whose Snapshot holds the most
