@@ -54,18 +54,20 @@ if [ "${1:-}" = "quick" ]; then
 	# (QASSA vs the exhaustive reference front, both eval kernels).
 	echo "== go test -race -run TestDifferential . ./internal/core ./internal/baseline ./internal/registry (quick)"
 	go test -race -run 'TestDifferential' . ./internal/core ./internal/baseline ./internal/registry
-	# The failover suite races the substitution index: lock-free
-	# lookups against watch/health churn in subidx, and the adapt
-	# package's concurrent-substitution exactly-once, differential
-	# decision-identity and churn-during-failover tests.
+	# The failover suite races the eligibility table: lock-free reads
+	# against watch/health churn in subidx, the adapt package's
+	# concurrent-substitution exactly-once, differential
+	# decision-identity, churn-during-failover and table-path tests, and
+	# the facade's Close contract (failover reverts to the reactive scan).
 	echo "== go test -race failover suite (quick)"
 	go test -race ./internal/subidx
-	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestStaged|TestResult' ./internal/adapt
+	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestTable|TestResult' ./internal/adapt
+	go test -race -run 'TestCloseRevertsFailoverToReactive' .
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-read check, nil-before-bump ordering), raced eviction + epoch
 	# invalidation in the copy-on-write plan cache, the shared-plan leak
 	# check (substitutions copy, never write the cached Result), the
-	# first-Execute index attachment racing a manual Substitute, and the
+	# first-Execute table start racing a manual Substitute, and the
 	# mutex-profile assertion that the warm read paths acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder' ./internal/registry

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"qasom/internal/adapt"
@@ -15,7 +14,6 @@ import (
 	"qasom/internal/obs"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -52,26 +50,6 @@ type Composition struct {
 	// cacheHit reports that the selection was replayed from the plan
 	// cache (the shared Result itself carries no per-request marks).
 	cacheHit bool
-	// trackOnce defers substitution-index registration to the first
-	// Execute: compose-only workloads (the serving hot path) never touch
-	// the tracker.
-	trackOnce sync.Once
-}
-
-// track registers the runtime with the substitution-index tracker,
-// wires the behavioural-alternate stager and attaches the index to the
-// runtime. Idempotent; called at the top of Execute so a ranked
-// replacement list is warm before the first invocation.
-func (c *Composition) track() {
-	c.trackOnce.Do(func() {
-		manager, runtime := c.mw.manager, c.runtime
-		idx := c.mw.subst.Track(runtime)
-		idx.SetStager(
-			func() string { return manager.FrontierKey(runtime) },
-			func() *subidx.StagedBehaviours { return manager.StageBehaviours(runtime) },
-		)
-		runtime.AttachIndex(idx)
-	})
 }
 
 // Compose resolves the request: it parses the task, gathers candidate
@@ -286,9 +264,7 @@ func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result) {
 
 // wrapComposition attaches an adaptation runtime to a selection result
 // (freshly computed or replayed from the plan cache); the middleware's
-// one adaptation manager serves it. Substitution-index registration is
-// deferred to the first Execute (see Composition.track) so the compose
-// hot path pays nothing for it.
+// one adaptation manager serves it.
 func (m *Middleware) wrapComposition(coreReq *core.Request, res *core.Result) *Composition {
 	return &Composition{mw: m, runtime: adapt.NewRuntime(coreReq, res)}
 }
@@ -555,12 +531,10 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 		c.runtime.ResetProgress()
 	}
 
-	// Warm the substitution index before the first invocation: the first
-	// Execute registers the composition with the tracker, and a cold or
-	// evicted index builds synchronously here (off the failure path), so
-	// failures during this execution resolve with a lock-free lookup.
-	c.track()
-	c.runtime.Index().BuildNow()
+	// The middleware's first Execute starts the failover eligibility
+	// table (later calls return at once), so failures during this
+	// execution walk the rotation without probing registry or monitor.
+	m.table.Start()
 
 	for round := 0; round < 4; round++ {
 		remaining, ok := c.remainingTask()

@@ -176,10 +176,10 @@ func TestConcurrentComposeWithChurn(t *testing.T) {
 }
 
 // TestConcurrentExecuteAndSubstitute runs the first Execute of a
-// composition (which attaches its substitution index) concurrently with
-// a manual Substitute on the same composition. Both paths read the
-// composition's failover state, so under -race this pins that the
-// attachment is published safely.
+// composition (the middleware's first starts the eligibility table)
+// concurrently with a manual Substitute on the same composition. Both
+// paths read the failover state, so under -race this pins that the
+// table's start is published safely.
 func TestConcurrentExecuteAndSubstitute(t *testing.T) {
 	mw, err := qasom.New(qasom.Options{Obs: obs.NewHub()})
 	if err != nil {

@@ -8,23 +8,21 @@
 //
 // One Manager serves every composition of a middleware: it holds only
 // shared collaborators, and all per-composition state — the selection,
-// progress, failover accounting and the substitution index — lives on the
-// composition's Runtime.
+// progress and failover accounting — lives on the composition's Runtime.
 //
-// Failover is index-first: when the runtime carries a substitution index
-// (internal/subidx), Substitute resolves the replacement with one
-// lock-free lookup — zero registry or monitor calls on the failure path —
-// and falls back to the reactive alternate scan only when the index is
-// cold, drained, exhausted or raced by a concurrent commit. The reactive
-// scan itself snapshots its decision inputs outside the runtime lock, so
-// even the fallback no longer serializes parallel-branch failovers
-// against the registry and monitor locks.
+// Failover walks the runtime's own alternate rotation. With an active
+// eligibility table (internal/subidx) the walk reads the table's
+// live/healthy bits under the runtime lock and commits in the same
+// critical section — zero registry or monitor calls, and by construction
+// the pick of the reactive scan. Only an exhausted rotation queries the
+// registry, for services published after selection. Without an active
+// table the reactive scan probes the registry and monitor outside the
+// runtime lock, so parallel-branch failovers do not serialize on them.
 package adapt
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"qasom/internal/core"
 	"qasom/internal/exec"
@@ -48,18 +46,13 @@ type Runtime struct {
 	// Req.Task; replaced by behavioural adaptation).
 	Behaviour *task.Task
 
-	// index is the composition's substitution index (internal/subidx),
-	// attached once by AttachIndex; nil keeps failover fully reactive.
-	index atomic.Pointer[subidx.Index]
-
 	// version counts selection mutations (substitution commits and
-	// behaviour switches). Bumped under mu, read lock-free: the
-	// substitution index uses it to discard rebuilds whose snapshot a
-	// concurrent commit made stale.
-	version atomic.Uint64
+	// behaviour switches), under mu. The reactive scan uses it to detect
+	// a commit that raced its unlocked probe phase.
+	version uint64
 
 	// deps is the request's compiled dependency rule set (nil when the
-	// request declares none). Every substitution path — indexed, reactive
+	// request declares none). Every substitution path — table, reactive
 	// and locked — consults it, so failover can never install a binding
 	// that violates a dependency rule.
 	deps *core.DependencySet
@@ -77,8 +70,9 @@ type Runtime struct {
 	observed map[string]qos.Vector
 	// substitutions counts applied service substitutions.
 	substitutions int
-	// failoverHits counts substitutions served by the index;
-	// failoverFallbacks counts reactive fallbacks by cause.
+	// failoverHits counts substitutions served by the eligibility
+	// table's rotation walk; failoverFallbacks counts registry queries by
+	// cause.
 	failoverHits      int
 	failoverFallbacks map[string]int
 }
@@ -100,14 +94,6 @@ func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 		observed:  make(map[string]qos.Vector),
 	}
 }
-
-// AttachIndex attaches the composition's substitution index: from then
-// on failovers are served index-first. Safe to call while other
-// goroutines substitute; they see either no index or this one.
-func (rt *Runtime) AttachIndex(x *subidx.Index) { rt.index.Store(x) }
-
-// Index returns the attached substitution index, nil when none.
-func (rt *Runtime) Index() *subidx.Index { return rt.index.Load() }
 
 // depAdmissibleLocked reports whether binding cand to the activity keeps
 // every dependency rule satisfied under the rest of the current
@@ -161,11 +147,12 @@ func (rt *Runtime) Substitutions() int {
 
 // FailoverStats summarizes how this runtime's failovers were served.
 type FailoverStats struct {
-	// IndexHits counts substitutions resolved by the substitution index
-	// (lock-free, zero registry/monitor calls).
+	// IndexHits counts substitutions resolved by the rotation walk over
+	// the eligibility table (zero registry/monitor calls).
 	IndexHits int
-	// Fallbacks counts reactive-scan fallbacks by cause ("cold",
-	// "drained", "exhausted", "raced", "dependency").
+	// Fallbacks counts table-backed failovers that had to query the
+	// registry, by cause. The only cause is "exhausted": no eligible
+	// alternate was left in the rotation.
 	Fallbacks map[string]int
 }
 
@@ -192,39 +179,6 @@ func (rt *Runtime) noteFallback(cause string) {
 	rt.failoverFallbacks[cause]++
 	rt.mu.Unlock()
 }
-
-// SelectionVersion returns the runtime's mutation counter without taking
-// the runtime lock (safe to call while the index lock is held).
-func (rt *Runtime) SelectionVersion() uint64 { return rt.version.Load() }
-
-// SelectionSnapshot captures the current selection state for the
-// substitution index: fresh map/slice copies of the assignment and the
-// alternate lists in their current rotation order (candidate values share
-// immutable backing data).
-func (rt *Runtime) SelectionSnapshot() subidx.Snapshot {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	snap := subidx.Snapshot{
-		Version:    rt.version.Load(),
-		Activities: append([]*task.Activity(nil), rt.Behaviour.Activities()...),
-		Assignment: make(map[string]registry.Candidate, len(rt.result.Assignment)),
-		Alternates: make(map[string][]registry.Candidate, len(rt.result.Alternates)),
-		Weights:    rt.Req.EffectiveWeights(),
-		Properties: rt.Req.Properties,
-	}
-	if rt.deps != nil {
-		snap.Mask = rt.deps
-	}
-	for k, v := range rt.result.Assignment {
-		snap.Assignment[k] = v
-	}
-	for k, v := range rt.result.Alternates {
-		snap.Alternates[k] = append([]registry.Candidate(nil), v...)
-	}
-	return snap
-}
-
-var _ subidx.Source = (*Runtime)(nil)
 
 // ResetProgress clears completion tracking so the behaviour can run
 // again (repeated executions of the same composition, e.g. streaming
@@ -296,7 +250,7 @@ func (rt *Runtime) switchBehaviour(newBehaviour *task.Task, sel *core.Result) {
 	rt.Behaviour = newBehaviour
 	rt.result = sel
 	rt.owned = true // a fresh re-selection, never a plan-cache entry
-	rt.version.Add(1)
+	rt.version++
 	// Completed activities of the old behaviour do not exist in the new
 	// one: keep only observations (for consumed QoS the old behaviour's
 	// aggregate was already folded into the residual constraints), and
@@ -338,6 +292,11 @@ type Manager struct {
 	// behaviour switches, failover causes) into the hub's metrics
 	// registry.
 	Obs *obs.Hub
+	// Table, when set and active, serves failover eligibility in place
+	// of registry and monitor probes. It must observe the same Registry
+	// and Monitor; an inactive table (not started, or closed) leaves
+	// failover on the reactive scan.
+	Table *subidx.Table
 	// Options tune the strategies.
 	Options Options
 }
@@ -350,16 +309,16 @@ const (
 	substitutionHelp   = "Service substitutions applied by the adaptation manager."
 
 	failoverHitMetric = "qasom_adapt_failover_index_hits_total"
-	failoverHitHelp   = "Failovers resolved by a lock-free substitution-index lookup."
+	failoverHitHelp   = "Failovers resolved by a rotation walk over the eligibility table."
 
 	failoverFallbackMetric = "qasom_adapt_failover_fallbacks_total"
-	failoverFallbackHelp   = "Failovers that fell back to the reactive alternate scan, by cause."
+	failoverFallbackHelp   = "Table-backed failovers that queried the registry, by cause."
 
 	failoverRegistryChecksMetric = "qasom_adapt_failover_registry_checks_total"
-	failoverRegistryChecksHelp   = "Registry liveness probes performed on the failover path (zero on index hits)."
+	failoverRegistryChecksHelp   = "Registry probes and queries performed on the failover path (zero on table hits)."
 
 	failoverMonitorChecksMetric = "qasom_adapt_failover_monitor_checks_total"
-	failoverMonitorChecksHelp   = "Monitor health probes performed on the failover path (zero on index hits)."
+	failoverMonitorChecksHelp   = "Monitor health probes performed on the failover path (zero on table hits)."
 )
 
 // counter fetches a registry counter; nil (a no-op) without a hub.
@@ -382,95 +341,74 @@ func (m *Manager) fallbackCounter(cause string) *obs.Counter {
 // ErrNoSubstitute is wrapped when no alternate can replace a service.
 var ErrNoSubstitute = fmt.Errorf("adapt: no substitute available")
 
-// Substitute replaces the service bound to an activity by the best
-// alternate that is still published, healthy and not excluded. It
-// updates the runtime's assignment and returns the substitute.
+// Substitute replaces the service bound to an activity by the first
+// alternate of its rotation that is still published, healthy, not
+// excluded and dependency-admissible. It updates the runtime's
+// assignment and returns the substitute. The chosen alternate leaves the
+// rotation and the displaced binding rejoins it at the tail.
 //
-// With an index attached to the runtime the replacement is resolved by
-// one lock-free lookup (no registry or monitor calls); the reactive scan
-// runs only when the index is cold, drained, exhausted, or its pick was
-// raced by a concurrent selection change. Both paths commit the same rotation: the
-// chosen alternate leaves the list, the displaced binding rejoins it at
-// the tail.
+// With an active eligibility table the walk reads the table's bits under
+// the runtime lock and commits in the same critical section; when the
+// rotation is exhausted, services published after selection are tried.
+// Without one, the reactive scan probes the registry and monitor.
 func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	if x := rt.Index(); x != nil {
-		cand, out := x.Lookup(activityID, exclude)
-		if out == subidx.Hit {
-			if applied, cause := m.commitIndexed(rt, x, activityID, cand); applied {
-				m.counter(failoverHitMetric, failoverHitHelp).Inc()
-				return cand, nil
-			} else {
-				rt.noteFallback(cause)
-				m.fallbackCounter(cause).Inc()
-			}
-		} else {
-			rt.noteFallback(out.String())
-			m.fallbackCounter(out.String()).Inc()
-		}
+	if t := m.Table; t != nil && t.Active() {
+		return m.substituteTable(rt, t, activityID, exclude)
 	}
 	return m.substituteReactive(rt, activityID, exclude)
 }
 
-// commitIndexed applies an index-resolved substitution to the runtime,
-// keeping the alternate rotation in lockstep with the index. It fails
-// (returning false with a fallback cause, caller runs the reactive scan)
-// when the runtime no longer matches the lookup — the activity is
-// unbound (a behaviour switch raced us) or the pick is already bound —
-// or when the pick would violate a dependency rule under the CURRENT
-// assignment (the index filtered against the assignment it was built
-// from; an adjacent substitution may have shifted the admissible set
-// since).
-func (m *Manager) commitIndexed(rt *Runtime, x *subidx.Index, activityID string, chosen registry.Candidate) (bool, string) {
+// substituteTable is the table-backed failover: the locked scan's walk
+// with table reads in place of probes.
+func (m *Manager) substituteTable(rt *Runtime, t *subidx.Table, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
+	rt.mu.Lock()
+	if cand, ok := m.walkLocked(rt, activityID, exclude, t.Eligible); ok {
+		rt.failoverHits++
+		rt.mu.Unlock()
+		m.counter(failoverHitMetric, failoverHitHelp).Inc()
+		return cand, nil
+	}
+	behaviour := rt.Behaviour
+	rt.mu.Unlock()
+	rt.noteFallback("exhausted")
+	m.fallbackCounter("exhausted").Inc()
+	return m.substituteLate(rt, t, behaviour, activityID, exclude)
+}
+
+// substituteLate serves an exhausted rotation from services published
+// after selection: it queries the registry outside the runtime lock,
+// ranks the services that are neither bound nor in the rotation with
+// subidx.Extras, and binds the first one that is eligible, not excluded
+// and dependency-admissible. The displaced binding joins the rotation.
+func (m *Manager) substituteLate(rt *Runtime, t *subidx.Table, behaviour *task.Task, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
+	act := behaviour.ActivityByID(activityID)
+	if m.Registry == nil || act == nil {
+		return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
+	}
+	m.counter(failoverRegistryChecksMetric, failoverRegistryChecksHelp).Inc()
+	cands := m.Registry.CandidatesForActivity(act, rt.Req.Properties)
+
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	old, bound := rt.result.Assignment[activityID]
-	if !bound || old.Service.ID == chosen.Service.ID {
-		return false, "raced"
+	if rt.Behaviour != behaviour || !bound {
+		// A behaviour switch replaced the activity while we queried.
+		return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 	}
-	if !rt.depAdmissibleLocked(activityID, chosen) {
-		return false, "dependency"
-	}
-	rt.ownLocked()
 	alts := rt.result.Alternates[activityID]
-	pos := -1
-	for i := range alts {
-		if alts[i].Service.ID == chosen.Service.ID {
-			pos = i
-			break
+	for _, c := range subidx.Extras(rt.Req.Properties, rt.Req.EffectiveWeights(), old, alts, cands) {
+		if !t.Eligible(c.Service.ID) || exclude[c.Service.ID] || !rt.depAdmissibleLocked(activityID, c) {
+			continue
 		}
+		rt.ownLocked()
+		rt.result.Alternates[activityID] = append(rt.result.Alternates[activityID], old)
+		rt.result.Assignment[activityID] = c
+		rt.substitutions++
+		rt.version++
+		m.counter(substitutionMetric, substitutionHelp).Inc()
+		return c, nil
 	}
-	if pos >= 0 {
-		chosen = alts[pos]
-		// Rotate in place: drop the chosen alternate, displaced binding
-		// rejoins at the tail. No reallocation on the failure path.
-		copy(alts[pos:], alts[pos+1:])
-		if old.Service.ID != "" {
-			alts[len(alts)-1] = old
-		} else {
-			alts = alts[:len(alts)-1]
-		}
-		rt.result.Alternates[activityID] = alts
-	} else {
-		// The pick is an index-inserted extra (published after
-		// selection): nothing to remove, the displaced binding still
-		// rejoins the rotation.
-		if old.Service.ID != "" {
-			rt.result.Alternates[activityID] = append(alts, old)
-		}
-	}
-	rt.result.Assignment[activityID] = chosen
-	rt.substitutions++
-	rt.failoverHits++
-	rt.version.Add(1)
-	x.Commit(activityID, chosen.Service.ID, old)
-	if rt.deps.Touches(activityID) {
-		// The swap may have shifted which replacements are admissible for
-		// dependency-adjacent activities: schedule a refilter off the
-		// failure path (stale lists stay safe — commits revalidate here).
-		x.MarkDirty()
-	}
-	m.counter(substitutionMetric, substitutionHelp).Inc()
-	return true, ""
+	return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 }
 
 // maxReactiveRetries bounds optimistic rescans of the reactive path
@@ -485,13 +423,12 @@ var idScratch = sync.Pool{
 	},
 }
 
-// substituteReactive is the fallback scan. Unlike the pre-index
-// implementation it does NOT hold the runtime lock while probing the
-// registry and monitor: it snapshots the candidate IDs (and the
-// runtime's mutation version) under the lock, probes outside it, then
-// revalidates and commits. A concurrent commit triggers a bounded
-// rescan; past the bound the scan runs fully locked, which guarantees
-// termination at the cost of the old serialization.
+// substituteReactive is the scan without a table. It does NOT hold the
+// runtime lock while probing the registry and monitor: it snapshots the
+// candidate IDs (and the runtime's mutation version) under the lock,
+// probes outside it, then revalidates and commits. A concurrent commit
+// triggers a bounded rescan; past the bound the scan runs fully locked,
+// which guarantees termination at the cost of serializing the probes.
 func (m *Manager) substituteReactive(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
 	ids := idScratch.Get().(*[]registry.ServiceID)
 	defer func() {
@@ -500,7 +437,7 @@ func (m *Manager) substituteReactive(rt *Runtime, activityID string, exclude map
 	}()
 	for attempt := 0; attempt < maxReactiveRetries; attempt++ {
 		rt.mu.Lock()
-		version := rt.version.Load()
+		version := rt.version
 		alts := rt.result.Alternates[activityID]
 		*ids = (*ids)[:0]
 		for i := range alts {
@@ -530,27 +467,32 @@ func (m *Manager) substituteReactive(rt *Runtime, activityID string, exclude map
 // scanEligible walks the candidate IDs in rotation order and returns the
 // first one that is not excluded, still published and healthy. Runs
 // without the runtime lock; every probe is counted so tests can assert
-// the index path performs none.
+// the table path performs none.
 func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.ServiceID]bool) registry.ServiceID {
 	for _, id := range ids {
-		if exclude[id] {
-			continue
+		if !exclude[id] && m.probe(id) {
+			return id
 		}
-		if m.Registry != nil {
-			m.counter(failoverRegistryChecksMetric, failoverRegistryChecksHelp).Inc()
-			if _, ok := m.Registry.Get(id); !ok {
-				continue // withdrawn from the environment
-			}
-		}
-		if m.Monitor != nil {
-			m.counter(failoverMonitorChecksMetric, failoverMonitorChecksHelp).Inc()
-			if m.Monitor.SuccessRate(id) < monitor.MinSuccessRate {
-				continue
-			}
-		}
-		return id
 	}
 	return ""
+}
+
+// probe reports whether a service is still published and healthy, asking
+// the registry and the monitor. Every probe is counted.
+func (m *Manager) probe(id registry.ServiceID) bool {
+	if m.Registry != nil {
+		m.counter(failoverRegistryChecksMetric, failoverRegistryChecksHelp).Inc()
+		if _, ok := m.Registry.Get(id); !ok {
+			return false // withdrawn from the environment
+		}
+	}
+	if m.Monitor != nil {
+		m.counter(failoverMonitorChecksMetric, failoverMonitorChecksHelp).Inc()
+		if m.Monitor.SuccessRate(id) < monitor.MinSuccessRate {
+			return false
+		}
+	}
+	return true
 }
 
 // commitReactive validates that no selection change raced the unlocked
@@ -559,7 +501,7 @@ func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.Se
 func (m *Manager) commitReactive(rt *Runtime, activityID string, pick registry.ServiceID, version uint64) (registry.Candidate, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if rt.version.Load() != version {
+	if rt.version != version {
 		return registry.Candidate{}, false
 	}
 	return m.commitLocked(rt, activityID, pick), true
@@ -568,18 +510,20 @@ func (m *Manager) commitReactive(rt *Runtime, activityID string, pick registry.S
 // commitLocked rotates pick into the binding. Caller holds rt.mu and has
 // established that pick is a current alternate.
 func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.ServiceID) registry.Candidate {
-	rt.ownLocked()
-	alts := rt.result.Alternates[activityID]
-	pos := -1
-	for i := range alts {
-		if alts[i].Service.ID == pick {
-			pos = i
-			break
+	for pos, alt := range rt.result.Alternates[activityID] {
+		if alt.Service.ID == pick {
+			return m.rotateLocked(rt, activityID, pos)
 		}
 	}
-	if pos < 0 {
-		return registry.Candidate{}
-	}
+	return registry.Candidate{}
+}
+
+// rotateLocked binds the alternate at pos: it leaves the rotation and
+// the displaced binding rejoins it at the tail, in place — no
+// reallocation on the failure path. Caller holds rt.mu.
+func (m *Manager) rotateLocked(rt *Runtime, activityID string, pos int) registry.Candidate {
+	rt.ownLocked()
+	alts := rt.result.Alternates[activityID]
 	chosen := alts[pos]
 	old := rt.result.Assignment[activityID]
 	copy(alts[pos:], alts[pos+1:])
@@ -591,45 +535,37 @@ func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.Ser
 	rt.result.Alternates[activityID] = alts
 	rt.result.Assignment[activityID] = chosen
 	rt.substitutions++
-	rt.version.Add(1)
-	if x := rt.Index(); x != nil {
-		x.Commit(activityID, pick, old)
-		if rt.deps.Touches(activityID) {
-			x.MarkDirty()
-		}
-	}
+	rt.version++
 	m.counter(substitutionMetric, substitutionHelp).Inc()
 	return chosen
 }
 
-// substituteLocked is the pre-index algorithm: scan and commit in one
-// critical section. Kept as the termination guarantee of the optimistic
+// substituteLocked is the probing scan and commit in one critical
+// section. Kept as the termination guarantee of the optimistic
 // reactive path under pathological commit churn.
 func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for _, alt := range rt.result.Alternates[activityID] {
-		if exclude[alt.Service.ID] {
-			continue
-		}
-		if !rt.depAdmissibleLocked(activityID, alt) {
-			continue
-		}
-		if m.Registry != nil {
-			m.counter(failoverRegistryChecksMetric, failoverRegistryChecksHelp).Inc()
-			if _, ok := m.Registry.Get(alt.Service.ID); !ok {
-				continue
-			}
-		}
-		if m.Monitor != nil {
-			m.counter(failoverMonitorChecksMetric, failoverMonitorChecksHelp).Inc()
-			if m.Monitor.SuccessRate(alt.Service.ID) < monitor.MinSuccessRate {
-				continue
-			}
-		}
-		return m.commitLocked(rt, activityID, alt.Service.ID), nil
+	if cand, ok := m.walkLocked(rt, activityID, exclude, m.probe); ok {
+		return cand, nil
 	}
 	return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
+}
+
+// walkLocked binds the first alternate of the rotation that passes
+// eligible, is not excluded and is dependency-admissible. The locked
+// scan and the table path share it and differ only in eligible: probes
+// or table reads. Eligibility is asked first because a table read is
+// cheaper than the exclude lookup and rejects the dead entries a walk
+// mostly skips. Caller holds rt.mu.
+func (m *Manager) walkLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool, eligible func(registry.ServiceID) bool) (registry.Candidate, bool) {
+	for pos, alt := range rt.result.Alternates[activityID] {
+		if !eligible(alt.Service.ID) || exclude[alt.Service.ID] || !rt.depAdmissibleLocked(activityID, alt) {
+			continue
+		}
+		return m.rotateLocked(rt, activityID, pos), true
+	}
+	return registry.Candidate{}, false
 }
 
 // excludeScratch pools the per-failover exclusion snapshots built by

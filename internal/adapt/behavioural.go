@@ -3,14 +3,11 @@ package adapt
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"qasom/internal/core"
 	"qasom/internal/graph"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -35,10 +32,6 @@ type BehaviouralPlan struct {
 	// MatchSteps counts homeomorphism search steps spent on the accepted
 	// alternative.
 	MatchSteps int
-	// Staged reports whether the homeomorphism match came from the
-	// substitution index's pre-staged alternates instead of a
-	// failure-time search.
-	Staged bool
 }
 
 // AdaptBehaviour runs the behavioural adaptation strategy of Chapter V:
@@ -52,14 +45,8 @@ type BehaviouralPlan struct {
 //     constraints by the QoS already consumed, and re-run QASSA on it;
 //  5. return the first feasible plan (or the best-effort one).
 //
-// When the substitution index has pre-staged the match search for the
-// current progress frontier, step 3 is skipped entirely: the staged
-// matches are consumed and only the re-selection (which depends on the
-// QoS consumed up to the failure) runs at failure time.
-//
-// On success the runtime is switched to the new behaviour and the
-// substitution index (if any) is marked cold for rebuild against the new
-// selection.
+// On success the runtime is switched to the new behaviour; failover then
+// walks the new selection's rotations.
 func (m *Manager) AdaptBehaviour(rt *Runtime) (*BehaviouralPlan, error) {
 	if m.Repo == nil {
 		return nil, fmt.Errorf("adapt: manager has no task-class repository")
@@ -74,18 +61,6 @@ func (m *Manager) AdaptBehaviour(rt *Runtime) (*BehaviouralPlan, error) {
 		return nil, fmt.Errorf("adapt: task already completed, nothing to adapt")
 	}
 	residual := ResidualConstraints(rt.Req.Properties, rt.Req.Constraints, rt.Consumed())
-
-	// Staged fast path: the index pre-computed the homeomorphism matches
-	// for this exact progress frontier on its background goroutine.
-	if x := rt.Index(); x != nil {
-		if staged := x.Staged(frontierKey(behaviour, completed)); staged != nil && len(staged.Matches) > 0 {
-			if plan, err := m.planFromStaged(rt, staged, residual); err == nil {
-				return plan, nil
-			}
-			// The staged alternatives no longer select (services
-			// vanished since staging): fall through to the full search.
-		}
-	}
 
 	// Homeomorphism matching reconciles *partial progress* with an
 	// alternative's structure. With no progress at all, every behaviour
@@ -134,41 +109,10 @@ func (m *Manager) AdaptBehaviour(rt *Runtime) (*BehaviouralPlan, error) {
 		ErrNoAlternative, behaviour.Name, len(class.Alternatives(behaviour.Name)))
 }
 
-// planFromStaged replays the pre-staged matches through re-selection,
-// applying the same feasible-first/best-effort policy as the full
-// search.
-func (m *Manager) planFromStaged(rt *Runtime, staged *subidx.StagedBehaviours, residual qos.Constraints) (*BehaviouralPlan, error) {
-	var fallback *BehaviouralPlan
-	for _, sm := range staged.Matches {
-		plan, err := m.buildPlan(rt, sm.Alternative, sm.NewTask.Clone(), sm.MatchSteps, residual)
-		if err != nil {
-			continue
-		}
-		plan.Staged = true
-		if plan.Selection.Feasible {
-			m.installPlan(rt, plan)
-			return plan, nil
-		}
-		if fallback == nil {
-			fallback = plan
-		}
-	}
-	if fallback != nil && !m.Options.RequireFeasible {
-		m.installPlan(rt, fallback)
-		return fallback, nil
-	}
-	return nil, fmt.Errorf("%w (staged, %d alternatives tried)", ErrNoAlternative, len(staged.Matches))
-}
-
-// installPlan switches the runtime to the plan's behaviour and
-// invalidates the substitution index (the new selection has entirely new
-// replacement lists).
+// installPlan switches the runtime to the plan's behaviour.
 func (m *Manager) installPlan(rt *Runtime, plan *BehaviouralPlan) {
 	rt.switchBehaviour(plan.Alternative, plan.Selection)
 	m.counter(behaviourSwitchMetric, behaviourSwitchHelp).Inc()
-	if x := rt.Index(); x != nil {
-		x.MarkCold()
-	}
 }
 
 // progress snapshots the current behaviour and completed set.
@@ -204,73 +148,10 @@ func (m *Manager) matchOptions() graph.MatchOptions {
 	return matchOpts
 }
 
-// FrontierKey identifies the current progress frontier: the behaviour
-// plus the (order-insensitive) set of completed activities. Staged
-// behavioural alternates are valid exactly while this key is unchanged.
-func (m *Manager) FrontierKey(rt *Runtime) string {
-	behaviour, completed := rt.progress()
-	return frontierKey(behaviour, completed)
-}
-
-func frontierKey(behaviour *task.Task, completed map[string]bool) string {
-	ids := make([]string, 0, len(completed))
-	for id, done := range completed {
-		if done {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return behaviour.Name + "|" + strings.Join(ids, ",")
-}
-
-// StageBehaviours pre-computes the homeomorphism matches that
-// AdaptBehaviour would otherwise search at failure time, for the current
-// progress frontier. It runs on the substitution index's tracker
-// goroutine, off the failure path. Re-selection is deliberately NOT
-// staged: residual constraints depend on the QoS consumed up to the
-// failure, which is unknown until it happens. A nil-Matches result means
-// staging could not run (no repository, no class, task finished) and the
-// consumer falls back to the full search.
-func (m *Manager) StageBehaviours(rt *Runtime) *subidx.StagedBehaviours {
-	behaviour, completed := rt.progress()
-	out := &subidx.StagedBehaviours{Key: frontierKey(behaviour, completed)}
-	if m.Repo == nil {
-		return out
-	}
-	remaining, ok := behaviour.Remaining(completed)
-	if !ok {
-		return out
-	}
-	var pattern *graph.Graph
-	if remaining.Size() < behaviour.Size() {
-		p, err := graph.FromTask(remaining)
-		if err != nil {
-			return out
-		}
-		pattern = p
-	}
-	class := m.classOf(behaviour)
-	if class == nil {
-		return out
-	}
-	matchOpts := m.matchOptions()
-	for _, alt := range class.Alternatives(behaviour.Name) {
-		newTask, steps, err := matchAlternative(alt, pattern, matchOpts)
-		if err != nil {
-			continue
-		}
-		out.Matches = append(out.Matches, subidx.StagedMatch{
-			Alternative: alt, NewTask: newTask, MatchSteps: steps,
-		})
-	}
-	return out
-}
-
 // matchAlternative decides whether the remaining work (pattern) embeds
 // into one alternative behaviour and derives the alternative's
 // still-needed portion. Pure graph work — no registry, monitor or
-// runtime access — so it can run either at failure time or pre-staged on
-// the index's background goroutine.
+// runtime access.
 func matchAlternative(alt *task.Task, pattern *graph.Graph, matchOpts graph.MatchOptions) (*task.Task, int, error) {
 	if pattern == nil {
 		// Fresh start: the whole alternative runs.

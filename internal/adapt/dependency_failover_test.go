@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"qasom/internal/core"
-	"qasom/internal/monitor"
 	"qasom/internal/registry"
 	"qasom/internal/semantics"
-	"qasom/internal/subidx"
 )
 
 // depFixture is the shopping fixture with dependency rules: any browse
@@ -132,36 +130,15 @@ func TestDifferentialFailoverNeverViolatesDependencies(t *testing.T) {
 	}
 }
 
-// TestIndexRespectsDependencyMask proves the indexed failover path keeps
-// the dependency invariant: the rebuilt index publishes no inadmissible
-// replacement, index-served substitutions stay admissible, and a stale
-// index entry is revalidated at commit time rather than installed.
+// TestIndexRespectsDependencyMask proves the table-backed failover path
+// keeps the dependency invariant: the rotation walk and the late-service
+// rung apply the same admissibility filter as the reactive scan, against
+// the assignment of the moment, so no table-served substitution violates
+// a rule.
 func TestIndexRespectsDependencyMask(t *testing.T) {
 	m, rt, reg, ds := depFixture(t)
-	mon := monitor.New(stdPS(), monitor.Options{})
-	m.Monitor = mon
-	tr := subidx.NewTracker(reg, mon, subidx.Options{})
-	t.Cleanup(tr.Close)
-	rt.AttachIndex(tr.Track(rt))
-	rt.Index().BuildNow()
+	withTable(t, m)
 
-	// The published replacement list for order may only contain the
-	// requires-admissible services.
-	for _, r := range rt.Index().Replacements("order") {
-		if r.Service != "order-0" && r.Service != "order-1" {
-			t.Fatalf("index published inadmissible replacement %s for order", r.Service)
-		}
-	}
-	// And with order-0 bound, pay-1 must not be published for pay.
-	if boundID(rt, "order") == "order-0" {
-		for _, r := range rt.Index().Replacements("pay") {
-			if r.Service == "pay-1" {
-				t.Fatal("index published pay-1 while order-0 excludes it")
-			}
-		}
-	}
-
-	// Index-served failovers keep the invariant across a burst.
 	for i := 0; i < 4; i++ {
 		for _, act := range []string{"order", "pay", "browse"} {
 			cur := boundID(rt, act)
@@ -170,7 +147,10 @@ func TestIndexRespectsDependencyMask(t *testing.T) {
 				continue // exhausted is fine; invariant is what matters
 			}
 			if act == "order" && sub.Service.ID != "order-0" && sub.Service.ID != "order-1" {
-				t.Fatalf("indexed failover bound inadmissible %s to order", sub.Service.ID)
+				t.Fatalf("table failover bound inadmissible %s to order", sub.Service.ID)
+			}
+			if act == "pay" && sub.Service.ID == "pay-1" && boundID(rt, "order") == "order-0" {
+				t.Fatal("table failover bound pay-1 while order-0 excludes it")
 			}
 			if n := depViolations(rt, ds); n != 0 {
 				t.Fatalf("round %d %s: %d dependency violations", i, act, n)
@@ -179,6 +159,45 @@ func TestIndexRespectsDependencyMask(t *testing.T) {
 	}
 	stats := rt.FailoverStats()
 	if stats.IndexHits == 0 {
-		t.Fatal("expected at least one index-served failover")
+		t.Fatal("expected at least one table-served failover")
+	}
+
+	// Selection filters alternates against the selected assignment, so
+	// the walk's own filter matters once another activity has moved. Start
+	// from order-1 bound with pay-1 in pay's rotation, fail order over to
+	// order-0, and pay-1 becomes inadmissible.
+	cands := map[registry.ServiceID]registry.Candidate{}
+	for _, act := range []string{"order", "pay"} {
+		for _, c := range reg.CandidatesForActivity(rt.Req.Task.ActivityByID(act), rt.Req.Properties) {
+			cands[c.Service.ID] = c
+		}
+	}
+	var res *core.Result
+	rt.View(func(r *core.Result) { res = r.Clone() })
+	res.Assignment["order"] = cands["order-1"]
+	res.Alternates["order"] = []registry.Candidate{cands["order-0"]}
+	res.Assignment["pay"] = cands["pay-0"]
+	res.Alternates["pay"] = []registry.Candidate{cands["pay-1"], cands["pay-2"]}
+	moved := NewRuntime(rt.Req, res)
+	if sub, err := m.Substitute(moved, "order", map[registry.ServiceID]bool{"order-1": true}); err != nil || sub.Service.ID != "order-0" {
+		t.Fatalf("order failover = %s, %v; want order-0", sub.Service.ID, err)
+	}
+	if sub, err := m.Substitute(moved, "pay", map[registry.ServiceID]bool{"pay-0": true}); err != nil || sub.Service.ID != "pay-2" {
+		t.Fatalf("pay failover = %s, %v; want pay-2 (pay-1 is excluded by order-0)", sub.Service.ID, err)
+	}
+	// An exhausted rotation must not bind a late service the requires
+	// rule forbids: order-2, order-3 and order-late are all outside it.
+	if err := reg.Publish(registry.Description{
+		ID: "order-late", Concept: semantics.OrderItem, Offers: offers(20, 5, 0.95, 0.9, 40),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.Table.Quiesce()
+	exclude := map[registry.ServiceID]bool{"order-1": true}
+	if sub, err := m.Substitute(moved, "order", exclude); !errors.Is(err, ErrNoSubstitute) {
+		t.Fatalf("exhausted order failover bound %s (%v), want ErrNoSubstitute", sub.Service.ID, err)
+	}
+	if n := depViolations(moved, ds); n != 0 {
+		t.Fatalf("moved runtime has %d dependency violations", n)
 	}
 }

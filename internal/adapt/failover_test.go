@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,22 +18,26 @@ import (
 	"qasom/internal/task"
 )
 
-// indexedFixture extends fixture with a monitor, a tracker and a warm
-// substitution index on the manager.
-func indexedFixture(t *testing.T) (*Manager, *Runtime, *registry.Registry, *monitor.Monitor, *subidx.Tracker) {
+// withTable gives the manager a monitor and a started eligibility table
+// over its registry.
+func withTable(t *testing.T, m *Manager) (*monitor.Monitor, *subidx.Table) {
 	t.Helper()
-	m, rt, reg := fixture(t)
 	mon := monitor.New(stdPS(), monitor.Options{})
 	m.Monitor = mon
-	tr := subidx.NewTracker(reg, mon, subidx.Options{})
-	t.Cleanup(tr.Close)
-	rt.AttachIndex(tr.Track(rt))
-	rt.Index().SetStager(
-		func() string { return m.FrontierKey(rt) },
-		func() *subidx.StagedBehaviours { return m.StageBehaviours(rt) },
-	)
-	rt.Index().BuildNow()
-	return m, rt, reg, mon, tr
+	tab := subidx.NewTable(m.Registry, mon, nil)
+	t.Cleanup(tab.Close)
+	m.Table = tab
+	tab.Start()
+	return mon, tab
+}
+
+// indexedFixture extends fixture with a monitor and a started
+// eligibility table on the manager.
+func indexedFixture(t *testing.T) (*Manager, *Runtime, *registry.Registry, *monitor.Monitor, *subidx.Table) {
+	t.Helper()
+	m, rt, reg := fixture(t)
+	mon, tab := withTable(t, m)
+	return m, rt, reg, mon, tab
 }
 
 // boundID reads the current binding of an activity.
@@ -40,6 +45,13 @@ func boundID(rt *Runtime, act string) registry.ServiceID {
 	var id registry.ServiceID
 	rt.View(func(res *core.Result) { id = res.Assignment[act].Service.ID })
 	return id
+}
+
+// twinOf returns a runtime over a deep copy of rt's current selection.
+func twinOf(rt *Runtime) *Runtime {
+	var res *core.Result
+	rt.View(func(r *core.Result) { res = r.Clone() })
+	return NewRuntime(rt.Req, res)
 }
 
 // altIDs reads the current alternate rotation of an activity.
@@ -54,19 +66,17 @@ func altIDs(rt *Runtime, act string) []registry.ServiceID {
 }
 
 // TestDifferentialDecisionIdentity proves the acceptance criterion:
-// index-first failover picks the same substitute as the reactive scan
+// table-backed failover picks the same substitute as the reactive scan
 // given identical registry/monitor state, across a script of
 // withdrawals, health demotions, recoveries and repeated failovers
-// (publishes frozen — index-inserted extras are a documented index-only
-// bonus).
+// (publishes frozen — late services served after an exhausted rotation
+// are a table-only bonus).
 func TestDifferentialDecisionIdentity(t *testing.T) {
 	mA, rtA, reg, mon, tr := indexedFixture(t)
 
-	// The reactive twin: same registry, monitor and options, no index,
+	// The reactive twin: same registry, monitor and options, no table,
 	// operating on a deep copy of the same selection.
-	var twinRes *core.Result
-	rtA.View(func(res *core.Result) { twinRes = res.Clone() })
-	rtB := NewRuntime(rtA.Req, twinRes)
+	rtB := twinOf(rtA)
 	mB := &Manager{Registry: reg, Repo: mA.Repo, Selector: mA.Selector, Monitor: mon}
 
 	failover := func(step string) {
@@ -111,22 +121,41 @@ func TestDifferentialDecisionIdentity(t *testing.T) {
 	// Withdraw the head alternate of "order".
 	reg.Withdraw(altIDs(rtA, "order")[0])
 	failover("after-withdraw")
-	// Demote the new head by monitor observations.
-	report(altIDs(rtA, "order")[0], false, 5)
+	// Demote, by monitor observations, the first alternate still
+	// published: the one the next failover would pick (the withdrawn
+	// head stays in the rotation).
+	var sick registry.ServiceID
+	for _, id := range altIDs(rtA, "order") {
+		if _, ok := reg.Get(id); ok {
+			sick = id
+			break
+		}
+	}
+	report(sick, false, 5)
 	failover("after-demotion")
-	// Recover it.
-	report(altIDs(rtA, "order")[0], true, 15)
+	if boundID(rtA, "order") == sick {
+		t.Fatalf("failover bound the demoted %s", sick)
+	}
+	// Recover it: the next failover picks it again.
+	report(sick, true, 15)
 	failover("after-recovery")
+	if got := boundID(rtA, "order"); got != sick {
+		t.Fatalf("after recovery order bound %s, want the recovered %s", got, sick)
+	}
 	// Exhaust: repeated failovers rotate through everything.
 	failover("rotate-1")
 	failover("rotate-2")
+	// Every table-side substitution was a rotation walk over the table.
+	if hits, subs := rtA.FailoverStats().IndexHits, rtA.Substitutions(); hits != subs || subs == 0 {
+		t.Errorf("table hits = %d, substitutions = %d; want every substitution table-served", hits, subs)
+	}
 }
 
 // TestIndexHitPerformsZeroRegistryMonitorChecks asserts, via the obs
-// counters, that an index-served failover touches neither the registry
-// nor the monitor.
+// counters, that a table-served failover touches neither the registry
+// nor the monitor, and that a closed table reverts to probing.
 func TestIndexHitPerformsZeroRegistryMonitorChecks(t *testing.T) {
-	m, rt, _, _, _ := indexedFixture(t)
+	m, rt, _, _, tab := indexedFixture(t)
 	hub := obs.NewHub()
 	m.Obs = hub
 
@@ -154,25 +183,26 @@ func TestIndexHitPerformsZeroRegistryMonitorChecks(t *testing.T) {
 		t.Errorf("failover stats = %+v, want 1 hit, no fallbacks", fs)
 	}
 
-	// A cold index (fresh manager state) falls back and probes.
-	rt.Index().MarkCold()
+	// A closed table is inactive: the reactive scan probes instead.
+	tab.Close()
 	if _, err := m.Substitute(rt, "order", map[registry.ServiceID]bool{boundID(rt, "order"): true}); err != nil {
 		t.Fatalf("reactive Substitute: %v", err)
 	}
 	if got := counter(failoverRegistryChecksMetric); got == 0 {
-		t.Error("reactive fallback should probe the registry")
+		t.Error("reactive scan should probe the registry")
+	}
+	if got := counter(failoverMonitorChecksMetric); got == 0 {
+		t.Error("reactive scan should probe the monitor")
 	}
 	fs = rt.FailoverStats()
-	if fs.Fallbacks["cold"] != 1 {
-		t.Errorf("fallback causes = %v, want cold=1", fs.Fallbacks)
+	if fs.IndexHits != 1 || len(fs.Fallbacks) != 0 {
+		t.Errorf("failover stats = %+v, want the reactive scan unaccounted", fs)
 	}
 }
 
 // TestIndexedSubstituteAllocFloor floors the per-failover allocation
-// count on the index path. The commit allocates exactly one fresh
-// replacement slice (immutability contract for lock-free readers);
-// everything else is in-place or pooled, independent of candidate-set
-// size.
+// count on the table path: the walk and the rotation are in place,
+// independent of candidate-set size.
 func TestIndexedSubstituteAllocFloor(t *testing.T) {
 	m, rt, _, _, _ := indexedFixture(t)
 	exclude := make(map[registry.ServiceID]bool, 1)
@@ -183,8 +213,8 @@ func TestIndexedSubstituteAllocFloor(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// boundID's View closure + the Commit slice are the budget; the
-	// lookup and rotation themselves are allocation-free.
+	// boundID's View closure is the budget; the walk and rotation
+	// themselves are allocation-free.
 	if allocs > 4 {
 		t.Errorf("index-path Substitute allocs = %g, want ≤ 4", allocs)
 	}
@@ -263,7 +293,7 @@ func bindingUniverse(rt *Runtime) map[string]map[registry.ServiceID]bool {
 }
 
 // TestConcurrentSubstitutionExactlyOnce races simultaneous failovers of
-// parallel activities (with and without the index) and checks the
+// parallel activities (with and without the table) and checks the
 // exactly-once / no-duplicate-binding invariants.
 func TestConcurrentSubstitutionExactlyOnce(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
@@ -272,14 +302,9 @@ func TestConcurrentSubstitutionExactlyOnce(t *testing.T) {
 			name = "indexed"
 		}
 		t.Run(name, func(t *testing.T) {
-			m, rt, reg := parallelFixture(t)
+			m, rt, _ := parallelFixture(t)
 			if indexed {
-				mon := monitor.New(stdPS(), monitor.Options{})
-				m.Monitor = mon
-				tr := subidx.NewTracker(reg, mon, subidx.Options{})
-				t.Cleanup(tr.Close)
-				rt.AttachIndex(tr.Track(rt))
-				rt.Index().BuildNow()
+				withTable(t, m)
 			}
 			want := bindingUniverse(rt)
 			const rounds = 50
@@ -310,13 +335,8 @@ func TestConcurrentSubstitutionExactlyOnce(t *testing.T) {
 // through the real executor: every bound service of a parallel task is
 // dead, so all three failovers race inside one Run.
 func TestExecutorParallelFailuresSubstituteOnce(t *testing.T) {
-	m, rt, reg := parallelFixture(t)
-	mon := monitor.New(stdPS(), monitor.Options{})
-	m.Monitor = mon
-	tr := subidx.NewTracker(reg, mon, subidx.Options{})
-	t.Cleanup(tr.Close)
-	rt.AttachIndex(tr.Track(rt))
-	rt.Index().BuildNow()
+	m, rt, _ := parallelFixture(t)
+	withTable(t, m)
 	want := bindingUniverse(rt)
 
 	dead := map[registry.ServiceID]bool{}
@@ -343,18 +363,14 @@ func TestExecutorParallelFailuresSubstituteOnce(t *testing.T) {
 	checkBindingInvariant(t, rt, want)
 }
 
-// TestIndexTracksChurnDuringFailovers runs failovers while the registry
-// churns underneath; afterwards the index must mirror the runtime's
-// rotation order exactly (selection-order prefix) and the binding
-// invariant must hold.
+// TestIndexTracksChurnDuringFailovers runs table-backed failovers while
+// the registry churns underneath. After Quiesce the table matches
+// registry and monitor truth, the binding invariant holds, and the next
+// failover of every activity picks what a reactive twin picks.
 func TestIndexTracksChurnDuringFailovers(t *testing.T) {
 	m, rt, reg := parallelFixture(t)
-	mon := monitor.New(stdPS(), monitor.Options{})
-	m.Monitor = mon
-	tr := subidx.NewTracker(reg, mon, subidx.Options{})
-	t.Cleanup(tr.Close)
-	rt.AttachIndex(tr.Track(rt))
-	rt.Index().BuildNow()
+	mon, tab := withTable(t, m)
+	want := bindingUniverse(rt)
 
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
@@ -388,19 +404,81 @@ func TestIndexTracksChurnDuringFailovers(t *testing.T) {
 	}
 	close(stop)
 	churn.Wait()
-	tr.Quiesce()
+	tab.Quiesce()
 
-	for _, act := range []string{"a1", "a2", "a3"} {
-		want := altIDs(rt, act)
-		reps := rt.Index().Replacements(act)
-		if len(reps) < len(want) {
-			t.Fatalf("%s: index has %d entries, runtime has %d alternates", act, len(reps), len(want))
-		}
-		for i, id := range want {
-			if reps[i].Service != id {
-				t.Fatalf("%s: rotation diverged at %d: index %v, runtime %v", act, i, reps[i].Service, want)
+	checkBindingInvariant(t, rt, want)
+	for _, set := range want {
+		for id := range set {
+			_, live := reg.Get(id)
+			truth := live && mon.SuccessRate(id) >= monitor.MinSuccessRate
+			if got := tab.Eligible(id); got != truth {
+				t.Errorf("Eligible(%s) = %v after Quiesce, truth %v", id, got, truth)
 			}
 		}
+	}
+	twin := twinOf(rt)
+	reactive := &Manager{Registry: reg, Monitor: mon}
+	for _, act := range []string{"a1", "a2", "a3"} {
+		exclude := map[registry.ServiceID]bool{boundID(rt, act): true}
+		got, errA := m.Substitute(rt, act, exclude)
+		ref, errB := reactive.Substitute(twin, act, exclude)
+		if (errA == nil) != (errB == nil) || got.Service.ID != ref.Service.ID {
+			t.Errorf("%s: table picked %s (%v), reactive picked %s (%v)", act, got.Service.ID, errA, ref.Service.ID, errB)
+		}
+	}
+}
+
+// TestTableServesLateServiceOnceRotationExhausted checks the one
+// registry query of the table path: when no alternate of the rotation
+// is left, the best eligible service published after selection is bound
+// — the reactive twin has nothing — and the displaced binding joins the
+// rotation.
+func TestTableServesLateServiceOnceRotationExhausted(t *testing.T) {
+	m, rt, reg, mon, tab := indexedFixture(t)
+	hub := obs.NewHub()
+	m.Obs = hub
+	twin := twinOf(rt)
+	reactive := &Manager{Registry: reg, Monitor: mon}
+
+	// order-sick outranks order-late but fails: the table skips it.
+	for id, ms := range map[registry.ServiceID]float64{"order-late": 30, "order-sick": 20} {
+		if err := reg.Publish(registry.Description{
+			ID: id, Concept: semantics.OrderItem, Offers: offers(ms, 5, 0.95, 0.9, 40),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if err := mon.Report(monitor.Observation{
+			Service: "order-sick", Vector: stdPS().NewVector(), Success: false,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab.Quiesce()
+	old := boundID(rt, "order")
+	exclude := map[registry.ServiceID]bool{old: true}
+	for _, id := range altIDs(rt, "order") {
+		exclude[id] = true
+	}
+	if _, err := reactive.Substitute(twin, "order", exclude); !errors.Is(err, ErrNoSubstitute) {
+		t.Fatalf("reactive twin: got %v, want ErrNoSubstitute", err)
+	}
+	sub, err := m.Substitute(rt, "order", exclude)
+	if err != nil {
+		t.Fatalf("table Substitute: %v", err)
+	}
+	if sub.Service.ID != "order-late" || boundID(rt, "order") != "order-late" {
+		t.Fatalf("table bound %s, want order-late", sub.Service.ID)
+	}
+	if alts := altIDs(rt, "order"); alts[len(alts)-1] != old {
+		t.Errorf("rotation %v should end with the displaced %s", alts, old)
+	}
+	if fs := rt.FailoverStats(); fs.IndexHits != 0 || fs.Fallbacks["exhausted"] != 1 {
+		t.Errorf("failover stats = %+v, want one exhausted fallback", fs)
+	}
+	if got := hub.Metrics.Counter(failoverRegistryChecksMetric, "").Value(); got != 1 {
+		t.Errorf("registry checks = %d, want the one candidate query", got)
 	}
 }
 
@@ -421,42 +499,36 @@ func TestResultIsDetachedCopy(t *testing.T) {
 	}
 }
 
-// TestStagedBehaviouralAdaptation verifies the staged fast path: after
-// the index pre-stages the match search, AdaptBehaviour consumes it
-// (Staged=true), picks the same alternative as the unstaged search, and
-// invalidates the index on switch.
-func TestStagedBehaviouralAdaptation(t *testing.T) {
-	m, rt, _, _, tr := indexedFixture(t)
+// TestTableSubstituteAfterBehaviourSwitchProbesNothing checks that the
+// table covers a new behaviour's services with no rebuild: right after a
+// behavioural switch to b2, a failover of bundle is a table hit with zero
+// registry or monitor probes.
+func TestTableSubstituteAfterBehaviourSwitchProbesNothing(t *testing.T) {
+	m, rt, _, _, _ := indexedFixture(t)
 	rt.MarkCompleted("browse", qos.Vector{80, 5, 0.95, 0.9, 40})
-	tr.Quiesce() // restage for the moved frontier
-
-	staged := rt.Index().Staged(m.FrontierKey(rt))
-	if staged == nil || len(staged.Matches) == 0 {
-		t.Fatal("expected staged behavioural alternates for the current frontier")
-	}
 	plan, err := m.AdaptBehaviour(rt)
 	if err != nil {
 		t.Fatalf("AdaptBehaviour: %v", err)
 	}
-	if !plan.Staged {
-		t.Error("plan should have consumed the staged matches")
-	}
 	if plan.Alternative.Name != "b2" {
-		t.Errorf("alternative = %s, want b2 (same as unstaged search)", plan.Alternative.Name)
+		t.Fatalf("alternative = %s, want b2", plan.Alternative.Name)
 	}
-	if ids := plan.NewTask.ActivityIDs(); len(ids) != 2 || ids[0] != "bundle" || ids[1] != "mpay" {
-		t.Errorf("new task activities = %v, want [bundle mpay]", ids)
+	hub := obs.NewHub()
+	m.Obs = hub
+	bound := boundID(rt, "bundle")
+	sub, err := m.Substitute(rt, "bundle", map[registry.ServiceID]bool{bound: true})
+	if err != nil {
+		t.Fatalf("Substitute(bundle): %v", err)
 	}
-	if rt.Behaviour.Name != "b2" {
-		t.Errorf("runtime behaviour = %s, want b2", rt.Behaviour.Name)
+	if sub.Service.ID == bound || boundID(rt, "bundle") != sub.Service.ID {
+		t.Fatalf("bundle not rebound: %s -> %s", bound, sub.Service.ID)
 	}
-	// The switch marked the index cold; a BuildNow re-indexes the new
-	// selection.
-	rt.Index().BuildNow()
-	if got := rt.Index().State(); got != subidx.StateBuilt {
-		t.Fatalf("index state after rebuild = %v", got)
+	for _, name := range []string{failoverRegistryChecksMetric, failoverMonitorChecksMetric} {
+		if got := hub.Metrics.Counter(name, "").Value(); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
 	}
-	if rt.Index().Replacements("bundle") == nil {
-		t.Error("rebuilt index should cover the new behaviour's activities")
+	if got := hub.Metrics.Counter(failoverHitMetric, "").Value(); got != 1 {
+		t.Errorf("table hits = %d, want 1", got)
 	}
 }

@@ -22,9 +22,9 @@ import (
 // alternate list, where the victim activity's alternates carry a "dead
 // prefix" — a withdrawn slice the registry no longer knows and an
 // unhealthy slice the monitor has seen failing — that every failover
-// must get past before it reaches a live candidate. That prefix is what
-// makes recovery cost scale with candidate-set size on the reactive
-// path and stay flat on the indexed one.
+// must get past before it reaches a live candidate. On the reactive path
+// every dead candidate costs a registry and a monitor probe; on the
+// table path it costs a map read and two atomic bit loads.
 type FailoverConfig struct {
 	// Services per capability (the paper's ℓ axis); 0 means 300.
 	Services int
@@ -36,8 +36,8 @@ type FailoverConfig struct {
 	// UnhealthyFrac of the victim's alternates fail below
 	// monitor.MinSuccessRate; 0 means 0.2.
 	UnhealthyFrac float64
-	// Indexed attaches a warm substitution index to the runtime;
-	// false measures the reactive alternate scan.
+	// Indexed gives the manager a started eligibility table; false
+	// measures the reactive alternate scan.
 	Indexed bool
 	// Seed drives the simulated environment; 0 means 1.
 	Seed int64
@@ -75,7 +75,7 @@ type FailoverRig struct {
 	mon     *monitor.Monitor
 	manager *adapt.Manager
 	rt      *adapt.Runtime
-	tracker *subidx.Tracker
+	table   *subidx.Table
 	ps      *qos.PropertySet
 	victim  string
 	descs   map[registry.ServiceID]registry.Description
@@ -94,8 +94,8 @@ type FailoverResult struct {
 
 // NewFailoverRig builds the environment, selects the composition and
 // poisons the victim's alternate prefix. The returned rig is ready to
-// measure: with Indexed set the tracker has built and quiesced, so the
-// first round is already an index hit.
+// measure: with Indexed set the table has started and quiesced, so the
+// first round is already a table hit.
 func NewFailoverRig(cfg FailoverConfig) (*FailoverRig, error) {
 	cfg = cfg.withDefaults()
 	onto := semantics.PervasiveWithScenarios()
@@ -161,17 +161,9 @@ func NewFailoverRig(cfg FailoverConfig) (*FailoverRig, error) {
 	r.rt = adapt.NewRuntime(req, res)
 	r.manager = &adapt.Manager{Registry: reg, Selector: sel, Monitor: r.mon}
 	if cfg.Indexed {
-		// The periodic resync is a backstop against dropped watch
-		// events; at the default 250ms it would rebuild mid-measurement
-		// (each rebuild snapshots the selection under rt.mu, colliding
-		// with commits). The rig's freshness comes from the watch and
-		// health subscriptions, so the backstop can be slow.
-		r.tracker = subidx.NewTracker(reg, r.mon, subidx.Options{
-			RefreshInterval: 5 * time.Second,
-		})
-		r.rt.AttachIndex(r.tracker.Track(r.rt))
-		r.rt.Index().BuildNow()
-		r.tracker.Quiesce()
+		r.table = subidx.NewTable(reg, r.mon, nil)
+		r.manager.Table = r.table
+		r.table.Start()
 	}
 	if err := r.poison(); err != nil {
 		r.Close()
@@ -206,8 +198,8 @@ func (r *FailoverRig) poison() error {
 			}
 		}
 	}
-	if r.tracker != nil {
-		r.tracker.Quiesce()
+	if r.table != nil {
+		r.table.Quiesce()
 	}
 	return nil
 }
@@ -231,7 +223,7 @@ func (r *FailoverRig) alternates() []registry.ServiceID {
 // Rounds performs n failover rounds and returns the Substitute latency
 // quantiles. Each round: the bound service dies (registry withdrawal —
 // the signal both the reactive scan's Registry.Get probe and the
-// index's watch subscription observe), Substitute picks the best live
+// table's watch subscription observe), Substitute picks the best live
 // alternate past the dead prefix, and the dead service redeploys so the
 // pool is back to steady state before the next round.
 func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
@@ -246,7 +238,7 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 		if !r.env.Leave(victim) {
 			return nil, fmt.Errorf("failover rig: %s did not leave", victim)
 		}
-		// No quiesce here: the tracker drains the watch stream
+		// No quiesce here: the table folds the watch stream
 		// continuously, exactly as in production. The failed binding is
 		// in the exclude set either way, and the dead prefix the
 		// measurement depends on was poisoned (and synced) up front.
@@ -265,12 +257,6 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 
 		if err := r.env.Deploy(simenv.Service{Desc: desc, Noise: 0.05}); err != nil {
 			return nil, err
-		}
-		// Drain the watch backlog on our schedule (cheap now that a
-		// same-offers flap no longer dirties the index) instead of
-		// letting the buffer fill and force a bulk drain mid-window.
-		if r.tracker != nil && (i+1)%128 == 0 {
-			r.tracker.Quiesce()
 		}
 	}
 	sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
@@ -298,27 +284,27 @@ func medianOf(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// Close stops the tracker goroutine (a no-op for reactive rigs).
+// Close stops the table goroutine (a no-op for reactive rigs).
 func (r *FailoverRig) Close() {
-	if r.tracker != nil {
-		r.tracker.Close()
+	if r.table != nil {
+		r.table.Close()
 	}
 }
 
-// expFailover measures the tentpole claim of the substitution index:
-// p50/p99 time-to-recover on service death at ℓ=300 with 50-candidate
-// alternate sets, reactive scan vs index lookup, under the simenv fault
-// injector's dead-prefix regime.
+// expFailover measures what the eligibility table buys failover: p50/p99
+// time-to-recover on service death at ℓ=300 with 50-candidate alternate
+// sets, reactive scan vs table-backed rotation walk, under the simenv
+// fault injector's dead-prefix regime.
 func expFailover() *Experiment {
 	return &Experiment{
 		ID:    "failover",
 		Paper: "Ch. V substitution (time-to-recover)",
-		Title: "Time-to-recover: reactive alternate scan vs substitution index",
+		Title: "Time-to-recover: reactive alternate scan vs eligibility table",
 		Expected: "The reactive scan pays per-candidate Registry.Get and " +
 			"Monitor.SuccessRate probes to get past the dead prefix, so " +
-			"recovery latency scales with the alternate-set size; the index " +
-			"resolves the same decision from an immutable snapshot in one " +
-			"lock-free lookup, flooring p99 well over 5x below the scan.",
+			"recovery latency scales with the alternate-set size; the " +
+			"table-backed walk reaches the same decision with two atomic " +
+			"bit reads per candidate and no registry or monitor lock.",
 		Run: func(cfg Config) (*Table, error) {
 			cfg = cfg.withDefaults()
 			services, alternates, rounds := 300, 50, 2000

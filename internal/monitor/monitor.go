@@ -33,8 +33,8 @@ type Observation struct {
 
 // MinSuccessRate is the health threshold of QoS-driven adaptation: a
 // service whose observed success rate falls below it is no substitute.
-// The adaptation manager's reactive failover scan and the substitution
-// index both filter by it, so an index hit and the scan agree.
+// The adaptation manager's reactive failover scan and the failover
+// eligibility table both filter by it, so a table hit and the scan agree.
 const MinSuccessRate = 0.5
 
 // Options tune the monitor.
@@ -128,8 +128,8 @@ func New(ps *qos.PropertySet, opts Options) *Monitor {
 
 // SubscribeHealth registers a callback fired whenever a service's
 // observed success rate crosses the threshold in either direction
-// (healthy ⇔ rate ≥ threshold; the substitution index subscribes
-// with MinSuccessRate). The unobserved prior counts as healthy, so the
+// (healthy ⇔ rate ≥ threshold; the failover eligibility table
+// subscribes with MinSuccessRate). The unobserved prior counts as healthy, so the
 // very first failing observations of a service do notify. Callbacks run
 // synchronously on the Report goroutine but outside the monitor's lock —
 // they may call back into the monitor, but should return quickly. The

@@ -70,6 +70,10 @@ func (c *Class) Alternatives(currentName string) []*Task {
 type Repository struct {
 	mu      sync.RWMutex
 	classes map[string]*Class
+	// byBehaviour maps a behaviour name to its class, the first in
+	// sorted class-name order when several classes share the name.
+	// Rebuilt by Register.
+	byBehaviour map[string]*Class
 	// ontology, when set, enables subsumption-aware concept lookups.
 	ontology *semantics.Ontology
 }
@@ -92,6 +96,20 @@ func (r *Repository) Register(c *Class) error {
 		r.classes = make(map[string]*Class)
 	}
 	r.classes[c.Name] = c
+	// Replacing a class may drop behaviour names, so rebuild the map
+	// rather than patch it; walking classes in reverse name order lets
+	// the first class in sorted order win a shared behaviour name.
+	names := make([]string, 0, len(r.classes))
+	for name := range r.classes {
+		names = append(names, name)
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	r.byBehaviour = make(map[string]*Class)
+	for _, name := range names {
+		for _, b := range r.classes[name].Behaviours {
+			r.byBehaviour[b.Name] = r.classes[name]
+		}
+	}
 	return nil
 }
 
@@ -124,22 +142,12 @@ func (r *Repository) ByConcept(required semantics.ConceptID) []*Class {
 
 // ClassOf returns the class containing a behaviour with the given task
 // name, or nil. Adaptation uses it to find the class of the running task.
+// When several classes share the behaviour name, the first in sorted
+// class-name order wins.
 func (r *Repository) ClassOf(taskName string) *Class {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.classes))
-	for name := range r.classes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for _, b := range r.classes[name].Behaviours {
-			if b.Name == taskName {
-				return r.classes[name]
-			}
-		}
-	}
-	return nil
+	return r.byBehaviour[taskName]
 }
 
 // Names returns the sorted names of all registered classes.

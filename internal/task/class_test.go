@@ -137,6 +137,43 @@ func TestRepositoryClassOf(t *testing.T) {
 	}
 }
 
+// TestRepositoryClassOfSharedAndReregistered pins ClassOf's tie rule —
+// the first class in sorted class-name order owns a shared behaviour
+// name, whatever the registration order — and that re-registering a
+// class without a behaviour hands the name to the next owner.
+func TestRepositoryClassOfSharedAndReregistered(t *testing.T) {
+	repo := NewRepository(nil)
+	mk := func(name string, behaviours ...*Task) *Class {
+		return &Class{Name: name, Concept: semantics.ShoppingService, Behaviours: behaviours}
+	}
+	for _, c := range []*Class{
+		mk("zeta", behaviour("shared", "a"), behaviour("z-only", "z")),
+		mk("alpha", behaviour("shared", "b"), behaviour("a-only", "x")),
+	} {
+		if err := repo.Register(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]string{"shared": "alpha", "a-only": "alpha", "z-only": "zeta"} {
+		if c := repo.ClassOf(name); c == nil || c.Name != want {
+			t.Errorf("ClassOf(%s) = %v, want %s", name, c, want)
+		}
+	}
+	// alpha re-registered without the shared behaviour: zeta owns it now,
+	// and alpha's dropped behaviour name resolves to nothing.
+	if err := repo.Register(mk("alpha", behaviour("a-new", "x"))); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"shared": "zeta", "a-new": "alpha", "z-only": "zeta"} {
+		if c := repo.ClassOf(name); c == nil || c.Name != want {
+			t.Errorf("after re-registration ClassOf(%s) = %v, want %s", name, c, want)
+		}
+	}
+	if c := repo.ClassOf("a-only"); c != nil {
+		t.Errorf("ClassOf(a-only) = %s after re-registration, want nil", c.Name)
+	}
+}
+
 func TestRepositoryZeroValue(t *testing.T) {
 	var repo Repository
 	if err := repo.Register(shoppingClass()); err != nil {

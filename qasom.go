@@ -200,8 +200,8 @@ type Middleware struct {
 	obs       *obs.Hub
 	met       composeMetrics
 	plans     *planCache
-	manager   *adapt.Manager  // the one adaptation manager every composition shares
-	subst     *subidx.Tracker // substitution indexes of executing compositions
+	manager   *adapt.Manager // the one adaptation manager every composition shares
+	table     *subidx.Table  // failover eligibility table, started at the first Execute
 	opts      Options
 	tenant    string // tenant label on metrics and flight records ("default" for the zero tenant)
 }
@@ -310,16 +310,17 @@ func New(opts ...Options) (*Middleware, error) {
 		opts:     o,
 		tenant:   tenantLabel(o.TenantID),
 	}
+	m.table = subidx.NewTable(reg, m.mon, o.Obs.Metrics)
 	m.manager = &adapt.Manager{
 		Registry: reg,
 		Repo:     m.repo,
 		Selector: m.selector,
 		Monitor:  m.mon,
 		Obs:      o.Obs,
+		Table:    m.table,
 	}
 	m.manager.Options.Match.AllowSubsume = true
 	m.manager.Options.Match.AllowMerge = true
-	m.subst = subidx.NewTracker(reg, m.mon, subidx.Options{Metrics: o.Obs.Metrics})
 	obs.RegisterBuildInfo(o.Obs.Metrics)
 	o.Obs.Metrics.Func("qasom_plan_cache_entries",
 		"Live entries in the selection-plan cache.",
@@ -354,11 +355,13 @@ func New(opts ...Options) (*Middleware, error) {
 	return m, nil
 }
 
-// Close releases the middleware's background resources: the substitution
-// index tracker's maintenance goroutine and its registry/monitor
-// subscriptions. The instance stays usable afterwards — failover simply
-// reverts to the reactive scan. Safe to call more than once.
-func (m *Middleware) Close() { m.subst.Close() }
+// Close releases the middleware's background resources: the failover
+// eligibility table's maintenance goroutine and its registry/monitor
+// subscriptions. The instance stays usable afterwards: failover reverts
+// to the reactive scan, which probes the registry and monitor itself, so
+// it never hands out a service withdrawn after Close. Safe to call more
+// than once.
+func (m *Middleware) Close() { m.table.Close() }
 
 // Observability returns the middleware's telemetry hub: the metrics
 // registry behind /metrics and the tracer whose Snapshot holds the most

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qasom"
+	"qasom/internal/obs"
 )
 
 const behaviourA = `<process name="shopA" concept="Shopping">
@@ -242,6 +243,37 @@ func TestExecuteWithSubstitution(t *testing.T) {
 	}
 	if report.BehaviourSwitches != 0 {
 		t.Errorf("no behaviour switch expected: %+v", report)
+	}
+}
+
+// TestCloseRevertsFailoverToReactive pins the Close contract: once the
+// middleware is closed, failover stops trusting the eligibility table
+// (which no longer hears registry events) and probes the registry again,
+// so a service withdrawn after Close is never handed out.
+func TestCloseRevertsFailoverToReactive(t *testing.T) {
+	mw, err := qasom.New(qasom.Options{Obs: obs.NewHub()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedMall(t, mw)
+	comp, err := mw.Compose(qasom.Request{Task: behaviourA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mw.Execute(context.Background(), comp); err != nil {
+		t.Fatal(err)
+	}
+	mw.Close()
+	head := comp.Alternates("order")[0]
+	if !mw.Withdraw(head) {
+		t.Fatalf("withdraw %s failed", head)
+	}
+	sub, err := comp.Substitute("order")
+	if err != nil {
+		t.Fatalf("Substitute after Close: %v", err)
+	}
+	if sub == head {
+		t.Fatalf("Substitute after Close returned withdrawn %s", head)
 	}
 }
 
