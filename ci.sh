@@ -38,9 +38,10 @@ if [ "${1:-}" = "quick" ]; then
 	echo "== go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core (quick)"
 	go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core
 	# Quick still races the telemetry layer: its lock-free counters,
-	# span ring, flight-recorder ring and SLO bucket ring are the code
-	# most likely to regress under concurrency, and these packages
-	# race-test in a couple of seconds.
+	# function-backed gauges, span ring, flight-recorder ring and SLO
+	# bucket ring (with its differential against the raw observation
+	# log) are the code most likely to regress under concurrency, and
+	# these packages race-test in a couple of seconds.
 	echo "== go test -race ./internal/obs (quick)"
 	go test -race ./internal/obs
 	# The evaluator differential suite is the correctness gate for the
@@ -67,11 +68,12 @@ if [ "${1:-}" = "quick" ]; then
 	# (torn-read check, nil-before-bump ordering), raced eviction + epoch
 	# invalidation in the copy-on-write plan cache, the shared-plan leak
 	# check (substitutions copy, never write the cached Result), the
-	# first-Execute table start racing a manual Substitute, and the
+	# first-Execute table start racing a manual Substitute, behaviour
+	# reads racing a behavioural switch inside Execute, and the
 	# mutex-profile assertion that the warm read paths acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestHotPathsAcquireNoMutexes' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

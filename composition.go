@@ -47,10 +47,15 @@ func (m *Middleware) TaskClasses() []string { return m.repo.Names() }
 type Composition struct {
 	mw      *Middleware
 	runtime *adapt.Runtime
-	// cacheHit reports that the selection was replayed from the plan
-	// cache (the shared Result itself carries no per-request marks).
-	cacheHit bool
+	// stats describes the Compose request that produced the composition
+	// (the shared Result carries no per-request telemetry); every
+	// plan-cache hit points at the read-only hitStats.
+	stats *SelectionStats
 }
+
+// hitStats is the SelectionStats of every plan-cache hit: no selection
+// work ran. Shared and never written.
+var hitStats = SelectionStats{CacheHit: true}
 
 // Compose resolves the request: it parses the task, gathers candidate
 // services from the registry (semantic matching) and runs QASSA under
@@ -110,7 +115,7 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	resolveSpan.End()
 	resolveDur := time.Since(resolveStart)
 	rec.Phases.Resolve = resolveDur
-	m.met.phaseSeconds.With("resolve").ObserveDuration(resolveDur)
+	m.met.phaseResolve.ObserveDuration(resolveDur)
 	if err != nil {
 		return nil, err
 	}
@@ -181,9 +186,7 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		if res != nil {
 			rec.CacheHit = true
 			fillSelectionRecord(rec, res)
-			comp := m.wrapComposition(coreReq, res)
-			comp.cacheHit = true
-			return comp, nil
+			return m.wrapComposition(coreReq, res, &hitStats), nil
 		}
 		rec.CacheMiss = outcome.missCause()
 	}
@@ -201,7 +204,7 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	}
 	lookupDur := time.Since(lookupStart)
 	cacheDelta := m.ontology.Stats().Delta(cacheBefore)
-	m.met.phaseSeconds.With("lookup").ObserveDuration(lookupDur)
+	m.met.phaseLookup.ObserveDuration(lookupDur)
 
 	var res *core.Result
 	if req.Distributed {
@@ -226,11 +229,8 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	if err != nil {
 		return nil, err
 	}
-	res.Stats.CandidateLookup = lookupDur
-	res.Stats.MatchCacheHits = cacheDelta.MatchHits
-	res.Stats.MatchCacheMisses = cacheDelta.MatchMisses
-	m.met.phaseSeconds.With("local").ObserveDuration(res.Stats.LocalDuration)
-	m.met.phaseSeconds.With("global").ObserveDuration(res.Stats.GlobalDuration)
+	m.met.phaseLocal.ObserveDuration(res.Stats.LocalDuration)
+	m.met.phaseGlobal.ObserveDuration(res.Stats.GlobalDuration)
 	// Phase timings describe this request only, so they are recorded on
 	// the miss path: a hit ran none of these phases.
 	rec.Phases.Lookup = lookupDur
@@ -244,7 +244,25 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	if cacheable {
 		m.plans.put(planKey, planEpochSnap, res)
 	}
-	return m.wrapComposition(coreReq, res), nil
+	st := res.Stats
+	return m.wrapComposition(coreReq, res, &SelectionStats{
+		CandidateLookup:  lookupDur,
+		LocalPhase:       st.LocalDuration,
+		GlobalPhase:      st.GlobalDuration,
+		Workers:          st.Workers,
+		PeakWorkersBusy:  st.PeakWorkersBusy,
+		LevelsExplored:   st.LevelsExplored,
+		Evaluations:      st.Evaluations,
+		RepairSwaps:      st.RepairSwaps,
+		MatchCacheHits:   cacheDelta.MatchHits,
+		MatchCacheMisses: cacheDelta.MatchMisses,
+		Retries:          st.Retries,
+		Hedges:           st.Hedges,
+		BreakerSkips:     st.BreakerSkips,
+		Fallbacks:        st.Fallbacks,
+		Degraded:         res.Degraded,
+		FrontSize:        st.FrontSize,
+	}), nil
 }
 
 // fillSelectionRecord copies the selection outcome into the flight
@@ -263,10 +281,11 @@ func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result) {
 }
 
 // wrapComposition attaches an adaptation runtime to a selection result
-// (freshly computed or replayed from the plan cache); the middleware's
-// one adaptation manager serves it.
-func (m *Middleware) wrapComposition(coreReq *core.Request, res *core.Result) *Composition {
-	return &Composition{mw: m, runtime: adapt.NewRuntime(coreReq, res)}
+// (freshly computed or replayed from the plan cache) and the stats of
+// the request that produced it; the middleware's one adaptation manager
+// serves it.
+func (m *Middleware) wrapComposition(coreReq *core.Request, res *core.Result, stats *SelectionStats) *Composition {
+	return &Composition{mw: m, runtime: adapt.NewRuntime(coreReq, res), stats: stats}
 }
 
 // resolveTask accepts an abstract-BPEL document or the name of a
@@ -286,12 +305,14 @@ func (m *Middleware) resolveTask(spec string) (*task.Task, error) {
 	return bpel.ParseString(spec)
 }
 
-// SelectionStats attributes the cost of the selection that produced
-// this composition: where the time went (candidate lookup vs. QASSA's
-// local and global phases), how parallel the local phase actually ran,
-// and how effective the semantic caches were. Cache counters are
-// per-ontology deltas sampled around the lookup, so under concurrent
-// Compose calls they are approximate attributions.
+// SelectionStats attributes the cost of the Compose request that
+// produced this composition: where the time went (candidate lookup vs.
+// QASSA's local and global phases), how parallel the local phase
+// actually ran, and how effective the semantic caches were. A plan-cache
+// hit ran none of that work and reports CacheHit with every other field
+// zero. Cache counters are per-ontology deltas sampled around the
+// lookup, so under concurrent Compose calls they are approximate
+// attributions.
 type SelectionStats struct {
 	// CandidateLookup is the time spent resolving candidates from the
 	// registry (semantic matching, vector alignment).
@@ -315,44 +336,16 @@ type SelectionStats struct {
 	Degraded bool
 	// CacheHit reports that this composition was served from the
 	// selection-plan cache: the bindings are bit-identical to a fresh
-	// selection at the same registry epoch, but the durations and work
-	// counters describe the original run that populated the cache.
+	// selection at the same registry epoch, and no selection work ran.
 	CacheHit bool
 	// FrontSize is the number of non-dominated compositions the
 	// Pareto-front mode returned (0 in scalar mode).
 	FrontSize int
 }
 
-// SelectionStats returns the work profile of this composition's
-// selection run.
-func (c *Composition) SelectionStats() SelectionStats {
-	var out SelectionStats
-	// View instead of Result: this accessor sits on the serving hot path
-	// and must not pay for a deep copy of the selection.
-	c.runtime.View(func(res *core.Result) {
-		s := res.Stats
-		out = SelectionStats{
-			CandidateLookup:  s.CandidateLookup,
-			LocalPhase:       s.LocalDuration,
-			GlobalPhase:      s.GlobalDuration,
-			Workers:          s.Workers,
-			PeakWorkersBusy:  s.PeakWorkersBusy,
-			LevelsExplored:   s.LevelsExplored,
-			Evaluations:      s.Evaluations,
-			RepairSwaps:      s.RepairSwaps,
-			MatchCacheHits:   s.MatchCacheHits,
-			MatchCacheMisses: s.MatchCacheMisses,
-			Retries:          s.Retries,
-			Hedges:           s.Hedges,
-			BreakerSkips:     s.BreakerSkips,
-			Fallbacks:        s.Fallbacks,
-			Degraded:         res.Degraded,
-			CacheHit:         c.cacheHit,
-			FrontSize:        s.FrontSize,
-		}
-	})
-	return out
-}
+// SelectionStats returns the work profile of the Compose request that
+// produced this composition; adaptation after Compose does not change it.
+func (c *Composition) SelectionStats() SelectionStats { return *c.stats }
 
 // Feasible reports whether the selection satisfies every constraint.
 func (c *Composition) Feasible() bool {
@@ -446,7 +439,7 @@ func (c *Composition) AggregatedQoS() map[string]float64 {
 }
 
 // Behaviour returns the name of the behaviour currently executing.
-func (c *Composition) Behaviour() string { return c.runtime.Behaviour.Name }
+func (c *Composition) Behaviour() string { return c.runtime.Behaviour().Name }
 
 // Report documents one execution.
 type Report struct {
@@ -485,7 +478,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 			Kind:     "execute",
 			TraceID:  span.TraceID(),
 			Tenant:   m.tenant,
-			Task:     fmt.Sprintf("%016x", c.runtime.Behaviour.Fingerprint()),
+			Task:     fmt.Sprintf("%016x", c.runtime.Behaviour().Fingerprint()),
 			Start:    start,
 			Duration: report.Duration,
 			Feasible: report.Completed,
@@ -527,7 +520,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 
 	// A previously completed composition re-executes from the start
 	// (repeated runs of the same task, e.g. streaming segments).
-	if _, ok := c.remainingTask(); !ok {
+	if _, ok := c.runtime.Remaining(); !ok {
 		c.runtime.ResetProgress()
 	}
 
@@ -537,7 +530,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 	m.table.Start()
 
 	for round := 0; round < 4; round++ {
-		remaining, ok := c.remainingTask()
+		remaining, ok := c.runtime.Remaining()
 		if !ok {
 			report.Completed = true
 			report.Substitutions = c.runtime.Substitutions()
@@ -582,6 +575,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 // service (Chapter VI §2.4).
 func (c *Composition) ExecutableBPEL() ([]byte, error) {
 	var bindings map[string]bpel.Binding
+	behaviour := c.runtime.Behaviour()
 	c.runtime.View(func(res *core.Result) {
 		bindings = make(map[string]bpel.Binding, len(res.Assignment))
 		for act, cand := range res.Assignment {
@@ -591,7 +585,7 @@ func (c *Composition) ExecutableBPEL() ([]byte, error) {
 			}
 		}
 	})
-	return bpel.MarshalExecutable(c.runtime.Behaviour, bindings)
+	return bpel.MarshalExecutable(behaviour, bindings)
 }
 
 // Assessment is a composition-level health check against the request's
@@ -627,7 +621,7 @@ func (c *Composition) Assess(horizon int) Assessment {
 			binding[act] = cand.Service.ID
 		}
 	})
-	cm := monitor.NewCompositionMonitor(c.runtime.Behaviour, c.mw.props,
+	cm := monitor.NewCompositionMonitor(c.runtime.Behaviour(), c.mw.props,
 		c.runtime.Req.Constraints, c.runtime.Req.EffectiveApproach(), advertised, binding)
 	a := cm.Assess(c.mw.mon, horizon)
 	out := Assessment{
@@ -698,7 +692,7 @@ func (c *Composition) Heal(horizon int) (*HealReport, error) {
 	}
 	// Substitution exhausted everywhere: behavioural adaptation. A
 	// fully-completed runtime re-plans from the start.
-	if _, done := c.remainingTask(); !done {
+	if _, done := c.runtime.Remaining(); !done {
 		c.runtime.ResetProgress()
 	}
 	if _, aerr := c.mw.manager.AdaptBehaviour(c.runtime); aerr == nil {
@@ -785,15 +779,4 @@ func (c *Composition) contributorsByImpact(a Assessment) []string {
 		out[i] = s.act
 	}
 	return out
-}
-
-// remainingTask computes the still-to-run part of the current behaviour.
-func (c *Composition) remainingTask() (*task.Task, bool) {
-	completed := make(map[string]bool)
-	for _, a := range c.runtime.Behaviour.Activities() {
-		if c.runtime.Completed(a.ID) {
-			completed[a.ID] = true
-		}
-	}
-	return c.runtime.Behaviour.Remaining(completed)
 }

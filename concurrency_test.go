@@ -212,3 +212,51 @@ func TestConcurrentExecuteAndSubstitute(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentBehaviourReadDuringSwitch reads the composition's
+// behaviour (and the accessors built on it) while Execute switches it:
+// every OrderItem provider is gone, so substitution is exhausted and
+// behavioural adaptation installs shopB mid-run. Under -race this pins
+// that the behaviour is only read under the runtime lock.
+func TestConcurrentBehaviourReadDuringSwitch(t *testing.T) {
+	for round := 0; round < 5; round++ {
+		mw := newMall(t)
+		comp, err := mw.Compose(qasom.Request{Task: behaviourA})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			mw.Withdraw(fmt.Sprintf("order-%d", i))
+		}
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if b := comp.Behaviour(); b != "shopA" && b != "shopB" {
+					t.Errorf("round %d: behaviour %q", round, b)
+				}
+				if _, err := comp.ExecutableBPEL(); err != nil {
+					t.Errorf("round %d: ExecutableBPEL: %v", round, err)
+				}
+				comp.Assess(1)
+			}
+		}()
+		report, err := mw.Execute(context.Background(), comp)
+		close(done)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("round %d: Execute: %v", round, err)
+		}
+		if report.BehaviourSwitches == 0 || comp.Behaviour() != "shopB" {
+			t.Fatalf("round %d: switches=%d behaviour=%s, want a switch to shopB",
+				round, report.BehaviourSwitches, comp.Behaviour())
+		}
+	}
+}

@@ -42,9 +42,6 @@ import (
 type Runtime struct {
 	// Req is the originating request.
 	Req *core.Request
-	// Behaviour is the currently executing behaviour (initially
-	// Req.Task; replaced by behavioural adaptation).
-	Behaviour *task.Task
 
 	// version counts selection mutations (substitution commits and
 	// behaviour switches), under mu. The reactive scan uses it to detect
@@ -58,6 +55,9 @@ type Runtime struct {
 	deps *core.DependencySet
 
 	mu sync.Mutex
+	// behaviour is the currently executing behaviour (initially
+	// Req.Task; replaced by behavioural adaptation).
+	behaviour *task.Task
 	// result is the current selection (assignment + alternates). It is
 	// shared read-only until owned is set: ownLocked replaces it with a
 	// private copy before the first write.
@@ -87,7 +87,7 @@ func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 	ds, _ := req.CompiledDependencies()
 	return &Runtime{
 		Req:       req,
-		Behaviour: req.Task,
+		behaviour: req.Task,
 		deps:      ds,
 		result:    res,
 		completed: make(map[string]bool),
@@ -136,6 +136,20 @@ func (rt *Runtime) View(f func(*core.Result)) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	f(rt.result)
+}
+
+// Behaviour returns the currently executing behaviour.
+func (rt *Runtime) Behaviour() *task.Task {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.behaviour
+}
+
+// Remaining returns the still-to-run part of the current behaviour,
+// false once every activity completed.
+func (rt *Runtime) Remaining() (*task.Task, bool) {
+	behaviour, completed := rt.progress()
+	return behaviour.Remaining(completed)
 }
 
 // Substitutions counts the service substitutions applied so far.
@@ -236,7 +250,7 @@ func (rt *Runtime) Consumed() qos.Vector {
 	for id, v := range rt.observed {
 		assign[id] = v
 	}
-	behaviour := rt.Behaviour
+	behaviour := rt.behaviour
 	rt.mu.Unlock()
 	return behaviour.AggregateQoS(rt.Req.Properties, assign, rt.Req.EffectiveApproach())
 }
@@ -247,7 +261,7 @@ func (rt *Runtime) Consumed() qos.Vector {
 func (rt *Runtime) switchBehaviour(newBehaviour *task.Task, sel *core.Result) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.Behaviour = newBehaviour
+	rt.behaviour = newBehaviour
 	rt.result = sel
 	rt.owned = true // a fresh re-selection, never a plan-cache entry
 	rt.version++
@@ -368,7 +382,7 @@ func (m *Manager) substituteTable(rt *Runtime, t *subidx.Table, activityID strin
 		m.counter(failoverHitMetric, failoverHitHelp).Inc()
 		return cand, nil
 	}
-	behaviour := rt.Behaviour
+	behaviour := rt.behaviour
 	rt.mu.Unlock()
 	rt.noteFallback("exhausted")
 	m.fallbackCounter("exhausted").Inc()
@@ -391,7 +405,7 @@ func (m *Manager) substituteLate(rt *Runtime, t *subidx.Table, behaviour *task.T
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	old, bound := rt.result.Assignment[activityID]
-	if rt.Behaviour != behaviour || !bound {
+	if rt.behaviour != behaviour || !bound {
 		// A behaviour switch replaced the activity while we queried.
 		return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 	}

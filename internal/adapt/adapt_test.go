@@ -306,8 +306,8 @@ func TestAdaptBehaviourSwitchesToAlternative(t *testing.T) {
 		t.Errorf("residual rt bound = %g, want 320", resRT)
 	}
 	// Runtime switched: behaviour replaced, promo marked completed.
-	if rt.Behaviour.Name != "b2" {
-		t.Errorf("runtime behaviour = %s, want b2", rt.Behaviour.Name)
+	if rt.Behaviour().Name != "b2" {
+		t.Errorf("runtime behaviour = %s, want b2", rt.Behaviour().Name)
 	}
 	if !rt.Completed("promo") {
 		t.Error("unscheduled activity promo should be marked completed")
@@ -341,8 +341,8 @@ func TestAdaptBehaviourFreshStart(t *testing.T) {
 	if plan.MatchSteps != 0 {
 		t.Errorf("fresh start should skip matching, steps = %d", plan.MatchSteps)
 	}
-	if rt.Behaviour.Name != "b2" {
-		t.Errorf("runtime behaviour = %s", rt.Behaviour.Name)
+	if rt.Behaviour().Name != "b2" {
+		t.Errorf("runtime behaviour = %s", rt.Behaviour().Name)
 	}
 }
 
@@ -402,8 +402,8 @@ func TestAdaptBehaviourClassByConceptFallback(t *testing.T) {
 	m, rt, _ := fixture(t)
 	// Rename the running behaviour so ClassOf misses and the concept
 	// lookup has to find the class.
-	rt.Behaviour = rt.Behaviour.Clone()
-	rt.Behaviour.Name = "renamed"
+	rt.behaviour = rt.behaviour.Clone()
+	rt.behaviour.Name = "renamed"
 	rt.MarkCompleted("browse", nil)
 	plan, err := m.AdaptBehaviour(rt)
 	if err != nil {

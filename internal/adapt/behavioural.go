@@ -123,7 +123,7 @@ func (rt *Runtime) progress() (*task.Task, map[string]bool) {
 	for k, v := range rt.completed {
 		completed[k] = v
 	}
-	return rt.Behaviour, completed
+	return rt.behaviour, completed
 }
 
 // classOf resolves the task class of a behaviour, falling back to the

@@ -11,6 +11,7 @@ import (
 	"qasom/internal/monitor"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
+	"qasom/internal/resilience"
 	"qasom/internal/semantics"
 	"qasom/internal/simenv"
 	"qasom/internal/task"
@@ -125,9 +126,9 @@ func (f *adaptFixture) run(ctx context.Context) (completed bool, switches int, e
 			Monitor:    f.mon,
 			OnFailure:  f.manager.FailureHandler(f.rt),
 			OnComplete: f.manager.CompletionHook(f.rt),
-			Options:    exec.Options{MaxAttempts: 5},
+			Options:    exec.Options{Policy: resilience.Policy{MaxAttempts: 5}},
 		}
-		remaining, ok := f.rt.Behaviour.Remaining(completedMap(f.rt))
+		remaining, ok := f.rt.Remaining()
 		if !ok {
 			return true, switches, nil
 		}
@@ -141,16 +142,6 @@ func (f *adaptFixture) run(ctx context.Context) (completed bool, switches int, e
 		switches++
 	}
 	return false, switches, fmt.Errorf("bench: did not converge after 3 rounds")
-}
-
-func completedMap(rt *adapt.Runtime) map[string]bool {
-	out := make(map[string]bool)
-	for _, a := range rt.Behaviour.Activities() {
-		if rt.Completed(a.ID) {
-			out[a.ID] = true
-		}
-	}
-	return out
 }
 
 func expAdapt() *Experiment {

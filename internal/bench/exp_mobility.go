@@ -7,6 +7,7 @@ import (
 	"qasom/internal/monitor"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
+	"qasom/internal/resilience"
 	"qasom/internal/semantics"
 	"qasom/internal/simenv"
 	"qasom/internal/task"
@@ -87,7 +88,7 @@ func expMobility() *Experiment {
 					v, err := d.VectorFor(ps, onto)
 					return registry.Candidate{Service: d, Vector: v}, err
 				}),
-				Options: exec.Options{MaxAttempts: 1},
+				Options: exec.Options{Policy: resilience.Policy{MaxAttempts: 1}},
 			}
 			if _, err := e.Run(benchCtx(), tk); err == nil {
 				return nil, fmt.Errorf("bench: out-of-range execution should fail")

@@ -118,19 +118,11 @@ type Stats struct {
 	// LocalDuration and GlobalDuration split the wall time per phase.
 	LocalDuration  time.Duration
 	GlobalDuration time.Duration
-	// CandidateLookup is the time the embedding layer spent resolving
-	// candidate services from the registry before selection started (the
-	// qasom façade fills it in; zero for direct core calls).
-	CandidateLookup time.Duration
 	// Workers is the local-phase worker pool size in force and
 	// PeakWorkersBusy the highest observed concurrent occupancy — together
 	// they attribute local-phase speedups to actual parallelism.
 	Workers         int
 	PeakWorkersBusy int
-	// MatchCacheHits and MatchCacheMisses snapshot the ontology's
-	// match-memo effectiveness over the candidate-lookup phase (filled in
-	// by the embedding layer alongside CandidateLookup).
-	MatchCacheHits, MatchCacheMisses uint64
 	// Resilience counters of a distributed selection (zero for
 	// centralized runs): exchanges retried after transient failures,
 	// hedged second requests fired, replicas skipped on an open breaker,

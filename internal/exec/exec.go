@@ -65,34 +65,23 @@ type FailureHandler func(act *task.Activity, failed registry.Candidate, attempt 
 
 // Options configure an executor.
 type Options struct {
-	// MaxAttempts bounds invocation attempts per activity (including the
-	// first); 0 means 3. It seeds Policy.MaxAttempts when the policy
-	// leaves it zero (kept for existing callers; Policy is the shared
-	// mechanism).
-	MaxAttempts int
 	// Seed drives branch and iteration draws (and backoff jitter); 0
 	// means 1.
 	Seed int64
 	// Policy is the shared resilience policy: retryable failures
 	// (transient link drops, per-attempt deadline expiry) back off and
 	// retry the same binding before substitution — the terminal-failure
-	// handler — is consulted. The zero value resolves to the resilience
-	// defaults with MaxAttempts carried over.
+	// handler — is consulted. Policy.MaxAttempts bounds invocation
+	// attempts per activity (including the first). The zero value
+	// resolves to the resilience defaults (3 attempts).
 	Policy resilience.Policy
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.Policy.MaxAttempts == 0 {
-		o.Policy.MaxAttempts = o.MaxAttempts
-	}
 	o.Policy = o.Policy.WithDefaults()
-	o.MaxAttempts = o.Policy.MaxAttempts
 	return o
 }
 
@@ -348,7 +337,7 @@ func (r *runState) activity(ctx context.Context, act *task.Activity) error {
 	substituted := false
 	retries := 0
 	var lastCause error
-	for attempt := 1; attempt <= r.opts.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= r.opts.Policy.MaxAttempts; attempt++ {
 		_, span := obs.StartSpan(ctx, "exec.invoke")
 		span.Annotate("activity", act.ID)
 		span.Annotate("service", string(cand.Service.ID))
@@ -402,7 +391,7 @@ func (r *runState) activity(ctx context.Context, act *task.Activity) error {
 		if cerr := resilience.CauseErr(ctx); cerr != nil {
 			return cerr
 		}
-		if class == resilience.Retryable && attempt < r.opts.MaxAttempts {
+		if class == resilience.Retryable && attempt < r.opts.Policy.MaxAttempts {
 			// Transient failure: back off and retry the same binding
 			// before burning an alternate on it.
 			r.met.retries.Inc()
@@ -423,7 +412,7 @@ func (r *runState) activity(ctx context.Context, act *task.Activity) error {
 		cand = next
 	}
 	return fmt.Errorf("exec: activity %q failed after %d attempts (last cause: %w)",
-		act.ID, r.opts.MaxAttempts, lastCause)
+		act.ID, r.opts.Policy.MaxAttempts, lastCause)
 }
 
 func errOrFailure(err error) error {

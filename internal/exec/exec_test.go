@@ -156,7 +156,7 @@ func TestRecordCarriesFailureCause(t *testing.T) {
 		OnFailure: func(_ *task.Activity, failed registry.Candidate, _ int, _ resilience.Class) (registry.Candidate, error) {
 			return failed, nil
 		},
-		Options: Options{MaxAttempts: 2},
+		Options: Options{Policy: resilience.Policy{MaxAttempts: 2}},
 	}
 	trace, err = boom.Run(context.Background(), simpleTask())
 	if err == nil {
@@ -220,7 +220,7 @@ func TestRunExhaustsAttempts(t *testing.T) {
 		OnFailure: func(act *task.Activity, failed registry.Candidate, attempt int, _ resilience.Class) (registry.Candidate, error) {
 			return failed, nil // keep retrying the same dead service
 		},
-		Options: Options{MaxAttempts: 2},
+		Options: Options{Policy: resilience.Policy{MaxAttempts: 2}},
 	}
 	_, err := e.Run(context.Background(), simpleTask())
 	if err == nil {
@@ -396,8 +396,7 @@ func TestRunRetryableFailureBacksOffSameBinding(t *testing.T) {
 			return failed, nil
 		},
 		Options: Options{
-			MaxAttempts: 3,
-			Policy:      resilience.Policy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
+			Policy: resilience.Policy{MaxAttempts: 3, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond},
 		},
 	}
 	trace, err := e.Run(obs.WithHub(context.Background(), hub), simpleTask())

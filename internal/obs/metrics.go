@@ -77,9 +77,12 @@ func (c *Counter) Value() uint64 {
 	return c.n.Load()
 }
 
-// Gauge is a value that can go up and down. A nil Gauge is a no-op.
+// Gauge is a value that can go up and down, either stored (Set/Add) or
+// computed by a function on every read (SetFunc). A nil Gauge is a
+// no-op.
 type Gauge struct {
-	v atomicFloat
+	v  atomicFloat
+	fn atomic.Pointer[func() float64]
 }
 
 // Set stores v.
@@ -90,6 +93,16 @@ func (g *Gauge) Set(v float64) {
 	g.v.Set(v)
 }
 
+// SetFunc makes the gauge read fn on every Value (and so on every
+// scrape) instead of its stored value; a later SetFunc replaces fn, and
+// a nil fn reverts to the stored value.
+func (g *Gauge) SetFunc(fn func() float64) {
+	if g == nil {
+		return
+	}
+	g.fn.Store(&fn)
+}
+
 // Add adds delta (negative to decrease).
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
@@ -98,10 +111,14 @@ func (g *Gauge) Add(delta float64) {
 	g.v.Add(delta)
 }
 
-// Value returns the current value.
+// Value returns the current value: fn's result for a function-backed
+// gauge, the stored value otherwise.
 func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
+	}
+	if fn := g.fn.Load(); fn != nil && *fn != nil {
+		return (*fn)()
 	}
 	return g.v.Load()
 }
@@ -264,7 +281,6 @@ const (
 	kindCounter = iota
 	kindGauge
 	kindHistogram
-	kindFunc
 )
 
 func kindName(k int) string {
@@ -289,7 +305,6 @@ type family struct {
 
 	mu       sync.RWMutex
 	children map[string]any // joined label values -> *Counter/*Gauge/*Histogram
-	fn       func() float64 // kindFunc only
 }
 
 // labelSep joins label values into a child key; it cannot occur in
@@ -319,10 +334,8 @@ func (f *family) child(values []string) any {
 		c = &Counter{}
 	case kindGauge:
 		c = &Gauge{}
-	case kindHistogram:
-		c = newHistogram(f.bounds)
 	default:
-		panic(fmt.Sprintf("obs: metric %q is a func metric and has no children", f.name))
+		c = newHistogram(f.bounds)
 	}
 	f.children[key] = c
 	return c
@@ -458,19 +471,13 @@ func (v *HistogramVec) With(labelValues ...string) *Histogram {
 	return v.f.child(labelValues).(*Histogram)
 }
 
-// Func registers a callback rendered as a gauge on every scrape (live
-// state such as registry size or cache counters owned elsewhere).
-// Re-registering the same name replaces the callback: several
-// middleware instances may share one registry and the freshest
+// Func registers a label-less gauge whose value is fn, evaluated on
+// every scrape (live state such as registry size or cache counters owned
+// elsewhere). Re-registering the same name replaces the callback:
+// several middleware instances may share one registry and the freshest
 // instance's view wins.
 func (r *Registry) Func(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	f := r.lookup(name, help, kindFunc, nil, nil)
-	f.mu.Lock()
-	f.fn = fn
-	f.mu.Unlock()
+	r.Gauge(name, help).SetFunc(fn)
 }
 
 // SeriesSnapshot is one (label values, value) pair of a metric.
@@ -498,44 +505,21 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
+	fams := r.sortedFamilies()
 	out := make([]MetricSnapshot, 0, len(fams))
 	for _, f := range fams {
 		ms := MetricSnapshot{Name: f.name, Help: f.help, Kind: kindName(f.kind)}
-		if f.kind == kindFunc {
-			f.mu.RLock()
-			fn := f.fn
-			f.mu.RUnlock()
-			if fn == nil {
-				continue
-			}
-			ms.Series = []SeriesSnapshot{{Value: fn()}}
-			out = append(out, ms)
-			continue
-		}
-		f.mu.RLock()
-		keys := make([]string, 0, len(f.children))
-		for k := range f.children {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		keys, children := f.series()
+		for i, k := range keys {
 			var ss SeriesSnapshot
 			if len(f.labels) > 0 {
 				vals := strings.Split(k, labelSep)
 				ss.Labels = make(map[string]string, len(f.labels))
-				for i, name := range f.labels {
-					ss.Labels[name] = vals[i]
+				for j, name := range f.labels {
+					ss.Labels[name] = vals[j]
 				}
 			}
-			switch c := f.children[k].(type) {
+			switch c := children[i].(type) {
 			case *Counter:
 				ss.Value = float64(c.Value())
 			case *Gauge:
@@ -546,8 +530,37 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			}
 			ms.Series = append(ms.Series, ss)
 		}
-		f.mu.RUnlock()
 		out = append(out, ms)
 	}
 	return out
+}
+
+// sortedFamilies returns the registered families sorted by name.
+func (r *Registry) sortedFamilies() []*family {
+	r.mu.RLock()
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+	}
+	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	return fams
+}
+
+// series returns the family's children sorted by joined label values,
+// copied out of f.mu so values are read (and gauge functions run)
+// without holding the family lock.
+func (f *family) series() (keys []string, children []any) {
+	f.mu.RLock()
+	keys = make([]string, 0, len(f.children))
+	for k := range f.children {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	children = make([]any, len(keys))
+	for i, k := range keys {
+		children[i] = f.children[k]
+	}
+	f.mu.RUnlock()
+	return keys, children
 }

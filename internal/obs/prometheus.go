@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -11,21 +10,13 @@ import (
 // WritePrometheus renders every registered metric in the Prometheus
 // text exposition format (version 0.0.4): families sorted by name, one
 // HELP/TYPE pair per family, histogram series expanded to cumulative
-// `_bucket{le=...}` lines plus `_sum` and `_count`. Func metrics render
-// as gauges evaluated at scrape time.
+// `_bucket{le=...}` lines plus `_sum` and `_count`. Function-backed
+// gauges are evaluated at scrape time.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	for _, f := range fams {
+	for _, f := range r.sortedFamilies() {
 		if err := f.write(w); err != nil {
 			return err
 		}
@@ -34,44 +25,19 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func (f *family) write(w io.Writer) error {
-	if f.kind == kindFunc {
-		f.mu.RLock()
-		fn := f.fn
-		f.mu.RUnlock()
-		if fn == nil {
-			return nil
-		}
-		if err := writeHeader(w, f.name, f.help, "gauge"); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(fn()))
-		return err
-	}
-
-	f.mu.RLock()
-	keys := make([]string, 0, len(f.children))
-	for k := range f.children {
-		keys = append(keys, k)
-	}
-	children := make(map[string]any, len(f.children))
-	for k, v := range f.children {
-		children[k] = v
-	}
-	f.mu.RUnlock()
+	keys, children := f.series()
 	if len(keys) == 0 {
 		return nil
 	}
-	sort.Strings(keys)
-
 	if err := writeHeader(w, f.name, f.help, kindName(f.kind)); err != nil {
 		return err
 	}
-	for _, k := range keys {
+	for i, k := range keys {
 		var values []string
 		if len(f.labels) > 0 {
 			values = strings.Split(k, labelSep)
 		}
-		switch c := children[k].(type) {
+		switch c := children[i].(type) {
 		case *Counter:
 			if _, err := fmt.Fprintf(w, "%s%s %d\n",
 				f.name, labelString(f.labels, values, "", ""), c.Value()); err != nil {

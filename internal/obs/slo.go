@@ -53,10 +53,18 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	return c
 }
 
-type sloBucket struct{ total, bad uint64 }
+// sloBucket counts the requests of one wall-clock second. sec stamps
+// the second the slot holds, so a slot left over from an earlier lap of
+// the ring reads as empty without anything having to zero it.
+type sloBucket struct {
+	sec        int64
+	total, bad uint64
+}
 
-// SLOEngine tracks one SLO over per-second buckets sized to the
-// longest window, computing multi-window burn rates:
+// SLOEngine tracks one SLO over a ring of per-second buckets sized to
+// the longest window. Observe only bumps the current second's bucket;
+// burn rates are computed when read (BurnRate, FastBurn, Status and the
+// qasom_slo_burn_rate gauges at scrape time):
 //
 //	burn = (bad requests / total requests in window) / (1 − target)
 //
@@ -69,13 +77,10 @@ type SLOEngine struct {
 	budget float64
 
 	mu      sync.Mutex
-	buckets []sloBucket
-	head    int   // index of the bucket for headSec
-	headSec int64 // unix second the head bucket covers (0 = no data yet)
+	buckets []sloBucket // slot sec % len(buckets) holds second sec
 	total   uint64
 	bad     uint64
 
-	burn []*Gauge // per cfg.Windows, resolved once (hot-path: no name lookups)
 	reqs *Counter
 	bads *Counter
 }
@@ -83,7 +88,7 @@ type SLOEngine struct {
 // NewSLOEngine creates an engine for cfg, registering its gauges and
 // counters in r (nil r skips metrics):
 //
-//	qasom_slo_burn_rate{slo,window}  multi-window burn-rate gauges
+//	qasom_slo_burn_rate{slo,window}  multi-window burn rates, computed per scrape
 //	qasom_slo_requests_total{slo}    requests observed
 //	qasom_slo_bad_total{slo}         requests outside the objective
 func NewSLOEngine(cfg SLOConfig, r *Registry) *SLOEngine {
@@ -94,22 +99,17 @@ func NewSLOEngine(cfg SLOConfig, r *Registry) *SLOEngine {
 			longest = w
 		}
 	}
-	size := int((longest + time.Second - 1) / time.Second)
-	if size < 1 {
-		size = 1
-	}
 	e := &SLOEngine{
 		cfg:     cfg,
 		budget:  1 - cfg.Availability,
-		buckets: make([]sloBucket, size),
+		buckets: make([]sloBucket, max(windowSeconds(longest), 1)),
 	}
 	if r != nil {
 		burn := r.GaugeVec("qasom_slo_burn_rate",
 			"Error-budget burn rate per rolling window (1 = burning exactly at the objective's rate).",
 			"slo", "window")
-		e.burn = make([]*Gauge, len(cfg.Windows))
-		for i, w := range cfg.Windows {
-			e.burn[i] = burn.With(cfg.Name, w.String())
+		for _, w := range cfg.Windows {
+			burn.With(cfg.Name, w.String()).SetFunc(func() float64 { return e.BurnRate(w) })
 		}
 		e.reqs = r.CounterVec("qasom_slo_requests_total",
 			"Requests observed by the SLO engine.", "slo").With(cfg.Name)
@@ -122,40 +122,15 @@ func NewSLOEngine(cfg SLOConfig, r *Registry) *SLOEngine {
 // Config returns the engine's effective (defaulted) configuration.
 func (e *SLOEngine) Config() SLOConfig { return e.cfg }
 
-// advance rolls the ring forward to nowSec, zeroing skipped seconds.
-// Caller holds e.mu.
-func (e *SLOEngine) advance(nowSec int64) {
-	if e.headSec == 0 {
-		e.headSec = nowSec
-		return
-	}
-	if gap := nowSec - e.headSec; gap >= int64(len(e.buckets)) {
-		for i := range e.buckets {
-			e.buckets[i] = sloBucket{}
-		}
-		e.headSec = nowSec
-		return
-	}
-	for e.headSec < nowSec {
-		e.headSec++
-		e.head = (e.head + 1) % len(e.buckets)
-		e.buckets[e.head] = sloBucket{}
-	}
+// windowSeconds is w in whole seconds, rounded up.
+func windowSeconds(w time.Duration) int {
+	return int((w + time.Second - 1) / time.Second)
 }
 
-// windowCounts sums the buckets covering the trailing window. Caller
-// holds e.mu.
-func (e *SLOEngine) windowCounts(w time.Duration) (total, bad uint64) {
-	n := int((w + time.Second - 1) / time.Second)
-	if n > len(e.buckets) {
-		n = len(e.buckets)
-	}
-	for i := 0; i < n; i++ {
-		b := e.buckets[(e.head-i+len(e.buckets))%len(e.buckets)]
-		total += b.total
-		bad += b.bad
-	}
-	return total, bad
+// slot returns the ring bucket for unix second sec. Caller holds e.mu.
+func (e *SLOEngine) slot(sec int64) *sloBucket {
+	n := int64(len(e.buckets))
+	return &e.buckets[(sec%n+n)%n]
 }
 
 // Observe records one request outcome: err non-nil, or a duration over
@@ -167,22 +142,15 @@ func (e *SLOEngine) Observe(d time.Duration, err error) {
 	isBad := err != nil || (e.cfg.LatencyObjective > 0 && d > e.cfg.LatencyObjective)
 	now := e.cfg.Clock().Unix()
 	e.mu.Lock()
-	e.advance(now)
-	e.buckets[e.head].total++
+	b := e.slot(now)
+	if b.sec != now {
+		*b = sloBucket{sec: now}
+	}
+	b.total++
 	e.total++
 	if isBad {
-		e.buckets[e.head].bad++
+		b.bad++
 		e.bad++
-	}
-	for i, w := range e.cfg.Windows {
-		total, bad := e.windowCounts(w)
-		rate := 0.0
-		if total > 0 {
-			rate = (float64(bad) / float64(total)) / e.budget
-		}
-		if e.burn != nil {
-			e.burn[i].Set(rate)
-		}
 	}
 	e.mu.Unlock()
 	e.reqs.Inc()
@@ -197,10 +165,17 @@ func (e *SLOEngine) BurnRate(w time.Duration) float64 {
 	if e == nil {
 		return 0
 	}
+	now := e.cfg.Clock().Unix()
+	n := min(windowSeconds(w), len(e.buckets))
+	var total, bad uint64
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.advance(e.cfg.Clock().Unix())
-	total, bad := e.windowCounts(w)
+	for sec := now - int64(n) + 1; sec <= now; sec++ {
+		if b := e.slot(sec); b.sec == sec {
+			total += b.total
+			bad += b.bad
+		}
+	}
+	e.mu.Unlock()
 	if total == 0 {
 		return 0
 	}

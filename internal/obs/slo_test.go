@@ -2,8 +2,10 @@ package obs
 
 import (
 	"errors"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -177,4 +179,129 @@ func TestSLOFastBurnTripsHealthz(t *testing.T) {
 	if !sawBurn {
 		t.Fatal("qasom_slo_burn_rate not registered")
 	}
+}
+
+// sloRef is the brute-force reference for the bucket ring: it keeps
+// every observation's unix second and recounts the raw log per read.
+type sloRef struct {
+	secs []int64
+	bad  []bool
+}
+
+func (r *sloRef) burn(now int64, w time.Duration, ringSecs int, budget float64) float64 {
+	n := int64(min(windowSeconds(w), ringSecs))
+	var total, bad uint64
+	for i, sec := range r.secs {
+		if sec > now-n && sec <= now {
+			total++
+			if r.bad[i] {
+				bad++
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return (float64(bad) / float64(total)) / budget
+}
+
+// scrapedBurn reads qasom_slo_burn_rate{slo,window} from the Prometheus
+// exposition, the way a scraper sees it.
+func scrapedBurn(t *testing.T, r *Registry, slo string, w time.Duration) float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	prefix := `qasom_slo_burn_rate{slo="` + slo + `",window="` + w.String() + `"} `
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s series in exposition", prefix)
+	return 0
+}
+
+// TestSLODifferentialAgainstLog drives random observation streams (with
+// sub-second steps, multi-second pauses and gaps longer than the whole
+// ring) and checks every window's BurnRate and scraped gauge against a
+// recount of the raw observation log.
+func TestSLODifferentialAgainstLog(t *testing.T) {
+	windows := []time.Duration{1500 * time.Millisecond, 7 * time.Second, 30 * time.Second}
+	const ringSecs = 30
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		reg := NewRegistry()
+		e, clk := newTestSLO(t, SLOConfig{Name: "diff", Availability: 0.9, Windows: windows}, reg)
+		var ref sloRef
+		check := func(step int) {
+			now := clk.now.Unix()
+			for _, w := range windows {
+				want := ref.burn(now, w, ringSecs, 1-e.Config().Availability)
+				if got := e.BurnRate(w); got != want {
+					t.Fatalf("seed %d step %d window %v: BurnRate = %g, log says %g", seed, step, w, got, want)
+				}
+				if got := scrapedBurn(t, reg, "diff", w); got != want {
+					t.Fatalf("seed %d step %d window %v: scraped burn = %g, log says %g", seed, step, w, got, want)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			switch p := rng.Intn(100); {
+			case p < 70:
+				clk.advance(time.Duration(rng.Intn(300)) * time.Millisecond)
+			case p < 95:
+				clk.advance(time.Duration(1+rng.Intn(12)) * time.Second)
+			default:
+				clk.advance(time.Duration(ringSecs+rng.Intn(3*ringSecs)) * time.Second)
+			}
+			for i := rng.Intn(5); i > 0; i-- {
+				bad := rng.Intn(4) == 0
+				var err error
+				if bad {
+					err = errors.New("bad")
+				}
+				e.Observe(time.Millisecond, err)
+				ref.secs = append(ref.secs, clk.now.Unix())
+				ref.bad = append(ref.bad, bad)
+			}
+			if step%7 == 0 {
+				check(step)
+			}
+		}
+		check(-1)
+		// With the traffic stopped, every window empties and the scraped
+		// gauges read 0 instead of holding their last value.
+		clk.advance(ringSecs * time.Second)
+		for _, w := range windows {
+			if got := scrapedBurn(t, reg, "diff", w); got != 0 {
+				t.Fatalf("seed %d window %v: scraped burn %g after the window emptied, want 0", seed, w, got)
+			}
+		}
+	}
+}
+
+// BenchmarkSLOObserve measures the per-request cost of the SLO engine
+// under the default 1m/5m/1h windows with metrics attached, from every
+// benchmark goroutine at once (-cpu 1,2 shows the contended cost).
+func BenchmarkSLOObserve(b *testing.B) {
+	e := NewSLOEngine(SLOConfig{}, NewRegistry())
+	boom := errors.New("boom")
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			var err error
+			if i%100 == 0 {
+				err = boom
+			}
+			e.Observe(time.Millisecond, err)
+			i++
+		}
+	})
 }

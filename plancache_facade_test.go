@@ -87,9 +87,13 @@ func TestComposeCacheHitBitIdentical(t *testing.T) {
 		t.Errorf("cached composition differs from original:\n%+v\nvs\n%+v",
 			viewOf(first), viewOf(second))
 	}
-	// The replayed stats describe the original run's work profile.
-	if second.SelectionStats().Evaluations != first.SelectionStats().Evaluations {
-		t.Errorf("cached stats should carry the original work counters")
+	// Stats describe this request: the miss did the selection work, the
+	// hit did none.
+	if first.SelectionStats().Evaluations == 0 {
+		t.Errorf("the miss should report its evaluations")
+	}
+	if hit := second.SelectionStats(); hit != (qasom.SelectionStats{CacheHit: true}) {
+		t.Errorf("a hit reports zero evaluations and no selection work, got %+v", hit)
 	}
 	for name, want := range map[string]float64{
 		"qasom_plan_cache_hits_total":   1,

@@ -213,16 +213,21 @@ type composeMetrics struct {
 	composeErrors     *obs.Counter
 	composeInfeasible *obs.Counter
 	composeSeconds    *obs.Histogram
-	phaseSeconds      *obs.HistogramVec
 	executeTotal      *obs.Counter
 	executeErrors     *obs.Counter
 	executeSeconds    *obs.Histogram
 	tenantRequests    *obs.Counter
 	paretoFrontSize   *obs.Histogram
+
+	// Children of qasom_compose_phase_seconds, resolved once.
+	phaseResolve, phaseLookup, phaseLocal, phaseGlobal *obs.Histogram
 }
 
 func composeMetricsFor(hub *obs.Hub, tenant string) composeMetrics {
 	r := hub.Metrics
+	phase := r.HistogramVec("qasom_compose_phase_seconds",
+		"Compose latency split by pipeline phase (resolve|lookup|local|global).",
+		nil, "phase")
 	return composeMetrics{
 		composeTotal: r.Counter("qasom_compose_total",
 			"Compose/ComposeContext calls."),
@@ -232,9 +237,10 @@ func composeMetricsFor(hub *obs.Hub, tenant string) composeMetrics {
 			"Compositions returned best-effort (some global constraint unsatisfied)."),
 		composeSeconds: r.Histogram("qasom_compose_seconds",
 			"End-to-end Compose latency.", nil),
-		phaseSeconds: r.HistogramVec("qasom_compose_phase_seconds",
-			"Compose latency split by pipeline phase (resolve|lookup|local|global).",
-			nil, "phase"),
+		phaseResolve: phase.With("resolve"),
+		phaseLookup:  phase.With("lookup"),
+		phaseLocal:   phase.With("local"),
+		phaseGlobal:  phase.With("global"),
 		executeTotal: r.Counter("qasom_execute_total",
 			"Execute calls."),
 		executeErrors: r.Counter("qasom_execute_errors_total",

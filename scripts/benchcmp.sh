@@ -26,8 +26,9 @@ cd "$(dirname "$0")/.."
 BASE="${BASE:-BENCH_qassa.json}"
 # BenchmarkThroughput rides the gate as the tracing-overhead check: the
 # serving hot path carries a span, a flight record and an SLO
-# observation per composition, and the alloc/byte budgets keep that
-# instrumentation honest. BenchmarkFailover gates the recovery path the
+# observation per composition (one per-second bucket bump; burn rates
+# are computed when read, not per request), and the alloc/byte budgets
+# keep that instrumentation honest. BenchmarkFailover gates the recovery path the
 # same way: mode=index must stay a lock-free lookup (its ns/op and
 # alloc budgets are the index-hit fast path plus the steady-state round
 # overhead), mode=reactive keeps the fallback scan honest.
