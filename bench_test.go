@@ -723,8 +723,10 @@ func BenchmarkOpenLoop(b *testing.B) {
 	b.ReportMetric(float64(res.P999)/float64(time.Microsecond), "ol-p999-us")
 }
 
-// BenchmarkComposeFacade measures the full public-API composition path
-// (registry resolution + QASSA).
+// BenchmarkComposeFacade measures the public-API composition path for
+// one inline document composed over and over: after the first call
+// (parse, registry resolution, QASSA) every iteration is the warm hit
+// path of intern lookup, plan key, epoch probe, cache probe and wrap.
 func BenchmarkComposeFacade(b *testing.B) {
 	mw := newBenchMall(b)
 	b.ReportAllocs()

@@ -69,11 +69,13 @@ if [ "${1:-}" = "quick" ]; then
 	# invalidation in the copy-on-write plan cache, the shared-plan leak
 	# check (substitutions copy, never write the cached Result), the
 	# first-Execute table start racing a manual Substitute, behaviour
-	# reads racing a behavioural switch inside Execute, and the
-	# mutex-profile assertion that the warm read paths acquire zero locks.
+	# reads racing a behavioural switch inside Execute, concurrent
+	# Compose of one interned document while other inserts rotate the
+	# intern table's generations, and the mutex-profile assertion that
+	# the warm read paths acquire zero locks.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

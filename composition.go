@@ -47,6 +47,9 @@ func (m *Middleware) TaskClasses() []string { return m.repo.Names() }
 type Composition struct {
 	mw      *Middleware
 	runtime *adapt.Runtime
+	// task is the resolved task the composition was selected for (its
+	// initial behaviour).
+	task *taskEntry
 	// stats describes the Compose request that produced the composition
 	// (the shared Result carries no per-request telemetry); every
 	// plan-cache hit points at the read-only hitStats.
@@ -111,7 +114,7 @@ func (m *Middleware) ComposeContext(ctx context.Context, req Request) (*Composit
 func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestRecord) (*Composition, error) {
 	resolveStart := time.Now()
 	_, resolveSpan := obs.StartSpan(ctx, "compose.resolve")
-	t, err := m.resolveTask(req.Task)
+	te, err := m.resolveTask(req.Task)
 	resolveSpan.End()
 	resolveDur := time.Since(resolveStart)
 	rec.Phases.Resolve = resolveDur
@@ -119,7 +122,8 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	if err != nil {
 		return nil, err
 	}
-	rec.Task = fmt.Sprintf("%016x", t.Fingerprint())
+	rec.Task = te.id
+	t := te.task
 	if m.opts.ParetoMode && req.Distributed {
 		return nil, fmt.Errorf("qasom: ParetoMode selections are centralized-only: per-coordinator fronts cannot be merged by the distributed protocol")
 	}
@@ -180,13 +184,13 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		planKey = planCacheKey(t, coreReq)
-		planEpochSnap = m.planEpochs(nil, t)
-		res, outcome := m.plans.lookup(planKey, planEpochSnap)
-		if res != nil {
+		planKey = planCacheKey(te, coreReq)
+		planEpochSnap = m.planEpochs(nil, te)
+		e, outcome := m.plans.lookup(planKey, planEpochSnap)
+		if e != nil {
 			rec.CacheHit = true
-			fillSelectionRecord(rec, res)
-			return m.wrapComposition(coreReq, res, &hitStats), nil
+			fillSelectionRecord(rec, e.res, e.bindings)
+			return m.wrapComposition(te, coreReq, e.res, &hitStats), nil
 		}
 		rec.CacheMiss = outcome.missCause()
 	}
@@ -236,7 +240,7 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 	rec.Phases.Lookup = lookupDur
 	rec.Phases.Local = res.Stats.LocalDuration
 	rec.Phases.Global = res.Stats.GlobalDuration
-	fillSelectionRecord(rec, res)
+	fillSelectionRecord(rec, res, res.BindingRecords())
 	if m.opts.ParetoMode {
 		m.met.paretoFrontSize.Observe(float64(res.Stats.FrontSize))
 		rec.Events = append(rec.Events, fmt.Sprintf("pareto-front-size=%d", res.Stats.FrontSize))
@@ -245,7 +249,7 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 		m.plans.put(planKey, planEpochSnap, res)
 	}
 	st := res.Stats
-	return m.wrapComposition(coreReq, res, &SelectionStats{
+	return m.wrapComposition(te, coreReq, res, &SelectionStats{
 		CandidateLookup:  lookupDur,
 		LocalPhase:       st.LocalDuration,
 		GlobalPhase:      st.GlobalDuration,
@@ -267,8 +271,9 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 
 // fillSelectionRecord copies the selection outcome into the flight
 // record: resilience/degradation counters and the final bindings with
-// their per-activity utility contributions.
-func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result) {
+// their per-activity utility contributions (res.BindingRecords(); a hit
+// passes the plan entry's shared copy, which Record clones).
+func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result, bindings []obs.BindingRecord) {
 	rec.Degraded = res.Degraded
 	rec.DegradedCauses = res.Stats.DegradedCauses
 	rec.Retries = res.Stats.Retries
@@ -277,32 +282,52 @@ func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result) {
 	rec.Fallbacks = res.Stats.Fallbacks
 	rec.Feasible = res.Feasible
 	rec.Utility = res.Utility
-	rec.Bindings = res.BindingRecords()
+	rec.Bindings = bindings
 }
 
 // wrapComposition attaches an adaptation runtime to a selection result
 // (freshly computed or replayed from the plan cache) and the stats of
 // the request that produced it; the middleware's one adaptation manager
 // serves it.
-func (m *Middleware) wrapComposition(coreReq *core.Request, res *core.Result, stats *SelectionStats) *Composition {
-	return &Composition{mw: m, runtime: adapt.NewRuntime(coreReq, res), stats: stats}
+func (m *Middleware) wrapComposition(te *taskEntry, coreReq *core.Request, res *core.Result, stats *SelectionStats) *Composition {
+	return &Composition{mw: m, runtime: adapt.NewRuntime(coreReq, res), task: te, stats: stats}
 }
 
 // resolveTask accepts an abstract-BPEL document or the name of a
-// registered task-class behaviour.
-func (m *Middleware) resolveTask(spec string) (*task.Task, error) {
+// registered task-class behaviour. Names resolve through the task-class
+// repository on every call, and their interned entry is reused only
+// while it still holds the registered behaviour (re-registering a class
+// replaces its behaviours). Documents are parsed once and then served
+// from the intern table. A malformed document is never interned, so it
+// fails with the same parse error every time.
+func (m *Middleware) resolveTask(spec string) (*taskEntry, error) {
 	if spec == "" {
 		return nil, fmt.Errorf("qasom: empty task")
 	}
+	var t *task.Task
 	// A registered behaviour name?
 	if class := m.repo.ClassOf(spec); class != nil {
 		for _, b := range class.Behaviours {
 			if b.Name == spec {
-				return b, nil
+				t = b
+				break
 			}
 		}
 	}
-	return bpel.ParseString(spec)
+	if te := m.tasks.lookup(spec); te != nil && (te.task == t || t == nil && !te.named) {
+		return te, nil
+	}
+	named := t != nil
+	if !named {
+		var err error
+		if t, err = bpel.ParseString(spec); err != nil {
+			return nil, err
+		}
+	}
+	te := newTaskEntry(t)
+	te.named = named
+	m.tasks.store(spec, te)
+	return te, nil
 }
 
 // SelectionStats attributes the cost of the Compose request that
@@ -441,6 +466,15 @@ func (c *Composition) AggregatedQoS() map[string]float64 {
 // Behaviour returns the name of the behaviour currently executing.
 func (c *Composition) Behaviour() string { return c.runtime.Behaviour().Name }
 
+// behaviourID is the flight-record task ID of the running behaviour:
+// the resolved task's precomputed ID until a behavioural switch.
+func (c *Composition) behaviourID() string {
+	if b := c.runtime.Behaviour(); b != c.task.task {
+		return obs.HexID(b.Fingerprint())
+	}
+	return c.task.id
+}
+
 // Report documents one execution.
 type Report struct {
 	// Completed reports whether the whole task finished.
@@ -478,7 +512,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 			Kind:     "execute",
 			TraceID:  span.TraceID(),
 			Tenant:   m.tenant,
-			Task:     fmt.Sprintf("%016x", c.runtime.Behaviour().Fingerprint()),
+			Task:     c.behaviourID(),
 			Start:    start,
 			Duration: report.Duration,
 			Feasible: report.Completed,

@@ -31,6 +31,7 @@ var forbiddenHotPathFrames = []string{
 	"registry.(*Store).capabilityEpochs",
 	"qasom.(*planCache).get",
 	"qasom.(*planCache).lookup",
+	"qasom.(*taskIntern).lookup",
 }
 
 func TestHotPathsAcquireNoMutexes(t *testing.T) {

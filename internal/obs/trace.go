@@ -112,7 +112,20 @@ func (sc SpanContext) TraceIDString() string {
 	if sc.TraceID == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%016x", sc.TraceID)
+	return HexID(sc.TraceID)
+}
+
+// HexID renders v as 16 zero-padded lowercase hex digits (what "%016x"
+// prints) without going through fmt: trace IDs and task fingerprints
+// are rendered on every request.
+func HexID(v uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 // WithRemoteParent marks the context as the continuation of a trace

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -186,5 +187,13 @@ func TestTraceIDString(t *testing.T) {
 	var nilSpan *Span
 	if got := nilSpan.TraceID(); got != "" {
 		t.Fatalf("nil span TraceID = %q", got)
+	}
+}
+
+func TestHexIDMatchesFormat(t *testing.T) {
+	for _, v := range []uint64{0, 1, 0xabc, 0xdeadbeef, 1 << 63, ^uint64(0), 0x0123456789abcdef} {
+		if got, want := HexID(v), fmt.Sprintf("%016x", v); got != want {
+			t.Errorf("HexID(%#x) = %q, want %q", v, got, want)
+		}
 	}
 }

@@ -76,7 +76,7 @@ func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	coreReq := &core.Request{
-		Task:        tk,
+		Task:        tk.task,
 		Properties:  mwA.props,
 		Constraints: []qos.Constraint{{Property: "responseTime", Bound: 500}},
 		Approach:    qos.Pessimistic,
@@ -150,7 +150,7 @@ func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
 				}
 				// Every hit must be bit-identical to a fresh recomputation —
 				// guaranteed comparable because A's epochs are pinned.
-				candidates, err := core.GatherCandidates(t.Context(), tk, mwA.reg, mwA.props)
+				candidates, err := core.GatherCandidates(t.Context(), tk.task, mwA.reg, mwA.props)
 				if err != nil {
 					errc <- err
 					return

@@ -1,16 +1,13 @@
 package qasom
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"qasom/internal/core"
 	"qasom/internal/obs"
-	"qasom/internal/semantics"
-	"qasom/internal/task"
 )
 
 // planCache is the bounded selection-plan cache of the serving engine:
@@ -53,7 +50,11 @@ type planCache struct {
 type planEntry struct {
 	epochs []uint64
 	res    *core.Result
-	touch  atomic.Uint64
+	// bindings is res.BindingRecords(), computed once at put so hits
+	// fill their flight record without walking and sorting the
+	// assignment. Shared read-only.
+	bindings []obs.BindingRecord
+	touch    atomic.Uint64
 }
 
 // defaultPlanCacheSize bounds the cache when Options.SelectionCacheSize
@@ -120,14 +121,16 @@ func (o planOutcome) missCause() string {
 // snapshot equals now, and nil otherwise. The Result is shared: callers
 // must not write it.
 func (c *planCache) get(key string, now []uint64) *core.Result {
-	res, _ := c.lookup(key, now)
-	return res
+	if e, _ := c.lookup(key, now); e != nil {
+		return e.res
+	}
+	return nil
 }
 
-// lookup is get with the probe outcome attached. A stale entry (epoch
-// mismatch) is removed on sight and reported as planMissEpoch. The hit
-// path takes no locks.
-func (c *planCache) lookup(key string, now []uint64) (*core.Result, planOutcome) {
+// lookup is get returning the whole entry, with the probe outcome
+// attached. A stale entry (epoch mismatch) is removed on sight and
+// reported as planMissEpoch. The hit path takes no locks.
+func (c *planCache) lookup(key string, now []uint64) (*planEntry, planOutcome) {
 	if c == nil {
 		return nil, planMissCold
 	}
@@ -144,7 +147,7 @@ func (c *planCache) lookup(key string, now []uint64) (*core.Result, planOutcome)
 	}
 	e.touch.Store(c.tick.Add(1))
 	c.hits.Inc()
-	return e.res, planHit
+	return e, planHit
 }
 
 // remove drops the entry under key, but only if it still is victim (a
@@ -164,14 +167,15 @@ func (c *planCache) remove(key string, victim *planEntry) {
 	c.mu.Unlock()
 }
 
-// put stores res under key with its epoch snapshot, evicting the
-// least-recently-touched entry beyond capacity. res is shared from here
-// on: neither the caller nor the cache may write it afterwards.
+// put stores res under key with its epoch snapshot and flight-record
+// bindings, evicting the least-recently-touched entry beyond capacity.
+// res is shared from here on: neither the caller nor the cache may write
+// it afterwards.
 func (c *planCache) put(key string, epochs []uint64, res *core.Result) {
 	if c == nil {
 		return
 	}
-	e := &planEntry{epochs: epochs, res: res}
+	e := &planEntry{epochs: epochs, res: res, bindings: res.BindingRecords()}
 	e.touch.Store(c.tick.Add(1))
 	evicted := false
 	c.mu.Lock()
@@ -220,19 +224,27 @@ func equalEpochs(a, b []uint64) bool {
 
 // planCacheKey derives the cache key of a prepared selection request:
 // the task-tree fingerprint plus every input that steers the selection
-// (approach, constraints in request order, the effective weight vector).
-// Selector options and the seed are fixed per Middleware and the cache
-// is per Middleware, so they need no key component.
-func planCacheKey(t *task.Task, req *core.Request) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%016x|a%d", t.Fingerprint(), req.Approach)
+// (approach, constraints in request order, the effective weight vector),
+// rendered as "%016x|a%d", then "|c:%s=%x" per constraint bound's bits
+// and "|w:%x" per weight's bits. Selector options and the seed are fixed
+// per Middleware and the cache is per Middleware, so they need no key
+// component.
+func planCacheKey(te *taskEntry, req *core.Request) string {
+	var buf [128]byte
+	b := append(buf[:0], te.id...)
+	b = append(b, "|a"...)
+	b = strconv.AppendInt(b, int64(req.Approach), 10)
 	for _, c := range req.Constraints {
-		fmt.Fprintf(&b, "|c:%s=%x", c.Property, math.Float64bits(c.Bound))
+		b = append(b, "|c:"...)
+		b = append(b, c.Property...)
+		b = append(b, '=')
+		b = strconv.AppendUint(b, math.Float64bits(c.Bound), 16)
 	}
 	for _, w := range req.Weights {
-		fmt.Fprintf(&b, "|w:%x", math.Float64bits(w))
+		b = append(b, "|w:"...)
+		b = strconv.AppendUint(b, math.Float64bits(w), 16)
 	}
-	return b.String()
+	return string(b)
 }
 
 // planEpochs snapshots, in task order, the registry epoch of every
@@ -246,11 +258,9 @@ func planCacheKey(t *task.Task, req *core.Request) string {
 // shards had landed their updates at snapshot time — the stored
 // snapshot is already stale and the next lookup recomputes —
 // conservative, never incorrect.
-func (m *Middleware) planEpochs(dst []uint64, t *task.Task) []uint64 {
-	acts := t.Activities()
-	concepts := make([]semantics.ConceptID, len(acts))
-	for i, a := range acts {
-		concepts[i] = a.Concept
+func (m *Middleware) planEpochs(dst []uint64, te *taskEntry) []uint64 {
+	if dst == nil {
+		dst = make([]uint64, 0, len(te.concepts)+1) // +1: the ontology version
 	}
-	return m.reg.CapabilityEpochs(dst, concepts...)
+	return m.reg.CapabilityEpochs(dst, te.concepts...)
 }

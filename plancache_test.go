@@ -7,10 +7,12 @@ package qasom
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"qasom/internal/bpel"
 	"qasom/internal/core"
 	"qasom/internal/obs"
 	"qasom/internal/qos"
@@ -233,7 +235,7 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 	}
 	// The verifier must key and recompute exactly as compose() does.
 	coreReq := &core.Request{
-		Task:        tk,
+		Task:        tk.task,
 		Properties:  mw.props,
 		Constraints: []qos.Constraint{{Property: "responseTime", Bound: 500}},
 		Approach:    qos.Pessimistic,
@@ -302,9 +304,9 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 			localHits++
 			// Fresh recomputation through the same pipeline the cache
 			// bypassed.
-			candidates := make(map[string][]registry.Candidate, tk.Size())
+			candidates := make(map[string][]registry.Candidate, tk.task.Size())
 			ok := true
-			for _, a := range tk.Activities() {
+			for _, a := range tk.task.Activities() {
 				cands := mw.reg.CandidatesForActivity(a, mw.props)
 				if len(cands) == 0 {
 					ok = false
@@ -359,4 +361,40 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 		t.Fatalf("differential never pinned a hit (hits=%d compared=%d)", hits, compared)
 	}
 	t.Logf("plan-cache differential: %d hits, %d compared at pinned epochs", hits, compared)
+}
+
+// TestPlanCacheKeyBytes pins the plan key's bytes to its "%016x|a%d",
+// "|c:%s=%x", "|w:%x" rendering across approaches, constraint lists and
+// weight vectors, including zero, negative and non-finite values.
+func TestPlanCacheKeyBytes(t *testing.T) {
+	reference := func(fp uint64, req *core.Request) string {
+		s := fmt.Sprintf("%016x|a%d", fp, req.Approach)
+		for _, c := range req.Constraints {
+			s += fmt.Sprintf("|c:%s=%x", c.Property, math.Float64bits(c.Bound))
+		}
+		for _, w := range req.Weights {
+			s += fmt.Sprintf("|w:%x", math.Float64bits(w))
+		}
+		return s
+	}
+	tk, err := bpel.ParseString(`<process name="k" concept="Shopping"><invoke activity="a" concept="Payment"/></process>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	te := newTaskEntry(tk)
+	values := []float64{0, 1, -1, 0.5, 300, 1e-300, math.MaxFloat64, math.Inf(1), math.NaN()}
+	for i, a := range []qos.Approach{qos.Pessimistic, qos.Optimistic, qos.MeanValue} {
+		for n := 0; n <= len(values); n++ {
+			req := &core.Request{Task: tk, Approach: a}
+			for j := 0; j < n; j++ {
+				req.Constraints = append(req.Constraints, qos.Constraint{Property: fmt.Sprintf("p%d", j), Bound: values[(i+j)%len(values)]})
+			}
+			if n%2 == 1 {
+				req.Weights = append(qos.Weights(nil), values[:n]...)
+			}
+			if got, want := planCacheKey(te, req), reference(tk.Fingerprint(), req); got != want {
+				t.Errorf("key %q, want %q", got, want)
+			}
+		}
+	}
 }

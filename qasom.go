@@ -200,6 +200,7 @@ type Middleware struct {
 	obs       *obs.Hub
 	met       composeMetrics
 	plans     *planCache
+	tasks     *taskIntern    // resolved task specs (documents, behaviour names), keyed by content
 	manager   *adapt.Manager // the one adaptation manager every composition shares
 	table     *subidx.Table  // failover eligibility table, started at the first Execute
 	opts      Options
@@ -313,6 +314,7 @@ func New(opts ...Options) (*Middleware, error) {
 		obs:      o.Obs,
 		met:      composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
 		plans:    newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
+		tasks:    newTaskIntern(),
 		opts:     o,
 		tenant:   tenantLabel(o.TenantID),
 	}

@@ -38,8 +38,10 @@ BASE="${BASE:-BENCH_qassa.json}"
 # BenchmarkOpenLoop gates the open-loop serving path (dispatcher + queue
 # + workers + coordinated-omission-safe capture): its ns/op is per
 # arrival at a fixed offered rate, so the alloc/byte budgets guard the
-# harness overhead rather than the wall clock.
-BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop}"
+# harness overhead rather than the wall clock. BenchmarkComposeFacade is
+# the single-client warm hit of an inline document: its alloc/byte
+# budgets catch a return to per-request BPEL parsing.
+BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkComposeFacade}"
 # The sharded-registry benchmarks are gated at the 100k population only:
 # the 1M rigs exist for the recorded scale-out table, not for a quick
 # regression pass (component-wise -bench regex, hence a separate run).
