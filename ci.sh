@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repository's verification gate.
 #
-#   ./ci.sh          # gofmt + vet + build + tests + race detector
+#   ./ci.sh          # gofmt + vet + build + tests + race detector +
+#                    # results/*.csv decision check
 #   ./ci.sh quick    # gofmt + vet + build + tests + race on the
 #                    # telemetry packages only (skips the slow full pass)
 #
@@ -35,8 +36,12 @@ if [ "${1:-}" = "quick" ]; then
 	# Selection decisions must not depend on scheduling: rerun the core
 	# differentials at several GOMAXPROCS values, repeatedly, so any
 	# telemetry field leaking into a compared decision shows up here.
-	echo "== go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core (quick)"
-	go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core
+	# The miss-path differentials ride along: the once-per-lookup offer
+	# matching against VectorFor, the permutation sorts against
+	# sort.SliceStable, the flat-centroid assign1D against assignPoints
+	# and the taped random source against math/rand.
+	echo "== go test -cpu 1,2,4 -count 3 -run TestDifferential core, registry, sortx, cluster, randx (quick)"
+	go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core ./internal/registry ./internal/sortx ./internal/cluster ./internal/randx
 	# Quick still races the telemetry layer: its lock-free counters,
 	# function-backed gauges, span ring, flight-recorder ring and SLO
 	# bucket ring (with its differential against the raw observation
@@ -89,6 +94,10 @@ if [ "${1:-}" = "quick" ]; then
 else
 	echo "== go test -race ./..."
 	go test -race ./...
+	# Decision identity of the checked-in results: regenerate every
+	# results/*.csv experiment and diff its non-timing columns.
+	echo "== scripts/resultscheck.sh"
+	sh scripts/resultscheck.sh
 	# Shuffled pass over the distributed failure matrix: breaker and
 	# fault-injection state must not depend on test order.
 	echo "== go test -race -shuffle=on distributed failure matrix"

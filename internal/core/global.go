@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"qasom/internal/registry"
 )
@@ -483,15 +484,7 @@ func (g *globalState) alternatesFor(a int) []registry.Candidate {
 		})
 	}
 	g.eng.Assign(a, prev)
-	sort.SliceStable(alts, func(a, b int) bool {
-		if alts[a].keepsOK != alts[b].keepsOK {
-			return alts[a].keepsOK
-		}
-		if alts[a].utility != alts[b].utility {
-			return alts[a].utility > alts[b].utility
-		}
-		return pool[alts[a].idx].Service.ID < pool[alts[b].idx].Service.ID
-	})
+	sortAlternates(alts, pool)
 	limit := g.opts.MaxAlternates
 	if limit > len(alts) {
 		limit = len(alts)
@@ -501,6 +494,26 @@ func (g *globalState) alternatesFor(a int) []registry.Candidate {
 		out[i] = pool[alts[i].idx].Candidate()
 	}
 	return out
+}
+
+// sortAlternates orders substitution candidates stably: feasibility
+// keepers first, then by utility (higher first), then by service ID.
+func sortAlternates(alts []altEntry, pool []RankedCandidate) {
+	slices.SortStableFunc(alts, func(a, b altEntry) int {
+		if a.keepsOK != b.keepsOK {
+			if a.keepsOK {
+				return -1
+			}
+			return 1
+		}
+		if a.utility != b.utility {
+			if a.utility > b.utility {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(pool[a.idx].Service.ID, pool[b.idx].Service.ID)
+	})
 }
 
 func cloneAssignment(a Assignment) Assignment {

@@ -1,28 +1,31 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"qasom/internal/cluster"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
+	"qasom/internal/sortx"
 )
 
 // localScratch bundles the transient working buffers of one localSelect
 // run — the clustering scratch, the normalizer population view, the
-// per-property score column, and the rank matrix. Everything in it is
-// fully overwritten before use and nothing escapes the call, so pooled
-// reuse cannot change results; only Scores (retained by the returned
-// RankedCandidates) is allocated fresh, as a single backing array.
+// per-property score column, the rank matrix and the sort permutation.
+// Everything in it is fully overwritten before use and nothing escapes
+// the call, so pooled reuse cannot change results; only Scores (retained
+// by the returned RankedCandidates) is allocated fresh, as a single
+// backing array.
 type localScratch struct {
 	cl        cluster.Scratch
 	vecs      []qos.Vector
 	values    []float64
 	ranks     [][]int
 	ranksBack []int
+	perm      []int32
 }
 
 var localScratchPool = sync.Pool{New: func() any { return new(localScratch) }}
@@ -151,19 +154,25 @@ func localSelect(activityID string, cands []registry.Candidate, ps *qos.Property
 		ranked[i].ClassSize = e
 	}
 
-	sort.SliceStable(ranked, func(a, b int) bool {
-		ra, rb := &ranked[a], &ranked[b]
-		if ra.Level != rb.Level {
-			return ra.Level < rb.Level
-		}
-		if ra.ClassSize != rb.ClassSize {
-			return ra.ClassSize > rb.ClassSize
-		}
-		if ra.Utility != rb.Utility {
-			return ra.Utility > rb.Utility
-		}
-		return ra.Service.ID < rb.Service.ID
-	})
+	scr.perm = sortx.SortStable(ranked, scr.perm, compareRanked)
 
 	return &LocalResult{ActivityID: activityID, Ranked: ranked, Levels: levels}, nil
+}
+
+// compareRanked is the local phase's best-first order: level asc, class
+// size desc, utility desc, then service ID.
+func compareRanked(ra, rb *RankedCandidate) int {
+	if ra.Level != rb.Level {
+		return cmp.Compare(ra.Level, rb.Level)
+	}
+	if ra.ClassSize != rb.ClassSize {
+		return cmp.Compare(rb.ClassSize, ra.ClassSize)
+	}
+	if ra.Utility != rb.Utility {
+		if ra.Utility > rb.Utility {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(ra.Service.ID, rb.Service.ID)
 }
