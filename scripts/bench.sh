@@ -22,7 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkComposeFacade|BenchmarkRegistryOps}"
+BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkComposeFacade|BenchmarkRegistryOps|BenchmarkRegistryCandidates}"
 OUT="${OUT:-BENCH_qassa.json}"
 CPUS="${CPUS:-1,2}"
 PROFDIR="${PROFDIR:-bench-profiles}"
@@ -33,7 +33,9 @@ PROFDIR="${PROFDIR:-bench-profiles}"
 # alongside recording the numbers.
 go test -run 'TestHotPathsAcquireNoMutexes' -count=1 .
 
-raw=$(go test -run '^$' -bench "$BENCH" -benchmem .)
+# The 1-D K-means kernel of the local phase lives in its own package.
+raw=$(go test -run '^$' -bench "$BENCH" -benchmem .
+	go test -run '^$' -bench 'BenchmarkScratchKMeans1D' -benchmem ./internal/cluster)
 echo "$raw"
 
 # GOMAXPROCS sweep over the serving benchmarks, with contention
