@@ -38,8 +38,9 @@ if [ "${1:-}" = "quick" ]; then
 	# telemetry field leaking into a compared decision shows up here.
 	# The miss-path differentials ride along: the once-per-lookup offer
 	# matching against VectorFor, the permutation sorts against
-	# sort.SliceStable, the flat-centroid assign1D against assignPoints
-	# and the taped random source against math/rand.
+	# sort.SliceStable, the flat-centroid assign1D against assignPoints,
+	# the taped random source against math/rand and the plan cache's
+	# pre-resolved epoch probe against CapabilityEpochs.
 	echo "== go test -cpu 1,2,4 -count 3 -run TestDifferential core, registry, sortx, cluster, randx (quick)"
 	go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core ./internal/registry ./internal/sortx ./internal/cluster ./internal/randx
 	# Quick still races the telemetry layer: its lock-free counters,
@@ -76,11 +77,13 @@ if [ "${1:-}" = "quick" ]; then
 	# first-Execute table start racing a manual Substitute, behaviour
 	# reads racing a behavioural switch inside Execute, concurrent
 	# Compose of one interned document while other inserts rotate the
-	# intern table's generations, and the mutex-profile assertion that
-	# the warm read paths acquire zero locks.
+	# intern table's generations, the mutex-profile assertion that
+	# the warm read paths acquire zero locks, and the warm hit's
+	# allocation ceiling and telemetry (spans, flight record and
+	# exemplar sharing the hit's clock readings).
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

@@ -66,7 +66,7 @@ var hitStats = SelectionStats{CacheHit: true}
 // infeasible (best-effort, Feasible reports false). It is ComposeContext
 // with a background context.
 func (m *Middleware) Compose(req Request) (*Composition, error) {
-	return m.ComposeContext(context.Background(), req)
+	return m.ComposeContext(m.bgCtx, req)
 }
 
 // ComposeContext is Compose under a cancellable context. The context
@@ -77,46 +77,53 @@ func (m *Middleware) Compose(req Request) (*Composition, error) {
 // registry and the ontology unmutated. ComposeContext is safe to call
 // from many goroutines against one Middleware, concurrently with
 // Publish/Withdraw.
+//
+// A plan-cache hit reads the clock three times: the start (root span,
+// flight record and resolve phase), the end of task resolution, and the
+// end of the request (root span, flight-record duration and latency
+// exemplar).
 func (m *Middleware) ComposeContext(ctx context.Context, req Request) (*Composition, error) {
-	ctx = obs.EnsureHub(ctx, m.obs)
-	ctx, span := obs.StartSpan(ctx, "compose")
-	defer span.End()
+	if ctx != m.bgCtx {
+		ctx = obs.EnsureHub(ctx, m.obs)
+	}
+	start := time.Now()
+	ctx, span := obs.StartSpanAt(ctx, "compose", start)
 	m.met.composeTotal.Inc()
 	m.met.tenantRequests.Inc()
-	start := time.Now()
 	rec := obs.RequestRecord{
 		Kind:    "compose",
 		TraceID: span.TraceID(),
 		Tenant:  m.tenant,
 		Start:   start,
 	}
-	comp, err := m.compose(ctx, req, &rec)
-	rec.Duration = time.Since(start)
-	m.met.composeSeconds.ObserveExemplar(rec.Duration.Seconds(), rec.TraceID)
+	comp, err := m.compose(ctx, span, req, &rec)
+	end := time.Now()
+	rec.Duration = end.Sub(start)
+	m.met.composeSeconds.ObserveExemplarAt(rec.Duration.Seconds(), rec.TraceID, end)
 	if err != nil {
 		m.met.composeErrors.Inc()
 		span.Annotate("error", err.Error())
 		rec.Err = err.Error()
-		m.obs.Flight.Record(rec)
-		return nil, err
-	}
-	if !comp.Feasible() {
+	} else if !comp.Feasible() {
 		m.met.composeInfeasible.Inc()
 	}
-	m.obs.Flight.Record(rec)
-	return comp, nil
+	m.obs.Flight.Record(&rec)
+	span.EndAt(end)
+	return comp, err
 }
 
 // compose is the body of ComposeContext, with the per-call telemetry
 // (root span, outcome counters, end-to-end latency, flight record)
 // applied around it. rec is filled in as the pipeline progresses so a
-// failed call still documents how far it got.
-func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestRecord) (*Composition, error) {
-	resolveStart := time.Now()
-	_, resolveSpan := obs.StartSpan(ctx, "compose.resolve")
+// failed call still documents how far it got; rec.Start is the start of
+// task resolution.
+func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, rec *obs.RequestRecord) (*Composition, error) {
+	// Nothing reads the resolve span from a context: a leaf child suffices.
+	resolveSpan := root.StartChild("compose.resolve", rec.Start)
 	te, err := m.resolveTask(req.Task)
-	resolveSpan.End()
-	resolveDur := time.Since(resolveStart)
+	resolveEnd := time.Now()
+	resolveSpan.EndAt(resolveEnd)
+	resolveDur := resolveEnd.Sub(rec.Start)
 	rec.Phases.Resolve = resolveDur
 	m.met.phaseResolve.ObserveDuration(resolveDur)
 	if err != nil {
@@ -185,7 +192,8 @@ func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestR
 			return nil, err
 		}
 		planKey = planCacheKey(te, coreReq)
-		planEpochSnap = m.planEpochs(nil, te)
+		var epochBuf [16]uint64 // put copies it on a miss
+		planEpochSnap = m.planEpochs(epochBuf[:0], te)
 		e, outcome := m.plans.lookup(planKey, planEpochSnap)
 		if e != nil {
 			rec.CacheHit = true
@@ -548,7 +556,7 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 		if retErr != nil {
 			rec.Err = retErr.Error()
 		}
-		m.obs.Flight.Record(rec)
+		m.obs.Flight.Record(&rec)
 		span.End()
 	}()
 

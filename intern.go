@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"qasom/internal/obs"
+	"qasom/internal/registry"
 	"qasom/internal/semantics"
 	"qasom/internal/task"
 )
@@ -13,7 +14,8 @@ import (
 // derives: its fingerprint rendered as hex (the flight record's task ID
 // and the plan key's prefix) and the activity concepts, in task order,
 // whose registry epochs certify a cached plan. Immutable once built and
-// shared read-only, like the task it holds.
+// shared read-only, like the task it holds, except for the lazily set
+// epoch probe.
 type taskEntry struct {
 	task     *task.Task
 	id       string
@@ -21,6 +23,9 @@ type taskEntry struct {
 	// named marks a registered behaviour resolved by name: the entry is
 	// valid only while the repository still returns this task under it.
 	named bool
+	// probe snapshots the concepts' epochs in the middleware's registry
+	// (entries are per Middleware, so one registry); set on first use.
+	probe atomic.Pointer[registry.EpochProbe]
 }
 
 func newTaskEntry(t *task.Task) *taskEntry {

@@ -64,9 +64,11 @@ type Runtime struct {
 	result *core.Result
 	owned  bool
 	// completed marks finished activities of the current behaviour.
+	// Nil until the first MarkCompleted: a composition that never runs
+	// (a plan-cache hit only read for its bindings) makes no maps.
 	completed map[string]bool
 	// observed keeps the measured QoS of completed activities (feeding
-	// residual-constraint computation).
+	// residual-constraint computation). Nil until the first MarkCompleted.
 	observed map[string]qos.Vector
 	// substitutions counts applied service substitutions.
 	substitutions int
@@ -90,8 +92,6 @@ func NewRuntime(req *core.Request, res *core.Result) *Runtime {
 		behaviour: req.Task,
 		deps:      ds,
 		result:    res,
-		completed: make(map[string]bool),
-		observed:  make(map[string]qos.Vector),
 	}
 }
 
@@ -200,16 +200,22 @@ func (rt *Runtime) noteFallback(cause string) {
 func (rt *Runtime) ResetProgress() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.completed = make(map[string]bool)
-	rt.observed = make(map[string]qos.Vector)
+	rt.completed = nil
+	rt.observed = nil
 }
 
 // MarkCompleted records a finished activity and its measured QoS.
 func (rt *Runtime) MarkCompleted(activityID string, measured qos.Vector) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	if rt.completed == nil {
+		rt.completed = make(map[string]bool)
+	}
 	rt.completed[activityID] = true
 	if measured != nil {
+		if rt.observed == nil {
+			rt.observed = make(map[string]qos.Vector)
+		}
 		rt.observed[activityID] = measured.Clone()
 	}
 }

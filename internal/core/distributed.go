@@ -415,7 +415,7 @@ func (d *DistributedSelector) Select(ctx context.Context, req *Request) (*Result
 		// itself (phase split, resilience work, fallback causes, final
 		// bindings); a façade compose over this selection adds its own
 		// record under the same trace ID.
-		hub.Flight.Record(obs.RequestRecord{
+		hub.Flight.Record(&obs.RequestRecord{
 			Kind:           "dist-select",
 			TraceID:        traceID,
 			Task:           fmt.Sprintf("%016x", req.Task.Fingerprint()),

@@ -71,23 +71,22 @@ type RequestRecord struct {
 	Err string `json:"error,omitempty"`
 }
 
-// clone deep-copies the record's reference fields so ring entries never
-// alias caller-owned state.
-func (r RequestRecord) clone() RequestRecord {
-	cp := r
+// cloneInto sets *dst to a copy of r whose reference fields are deep
+// copies, so ring entries never alias caller-owned state.
+func (r *RequestRecord) cloneInto(dst *RequestRecord) {
+	*dst = *r
 	if r.DegradedCauses != nil {
-		cp.DegradedCauses = make(map[string]string, len(r.DegradedCauses))
+		dst.DegradedCauses = make(map[string]string, len(r.DegradedCauses))
 		for k, v := range r.DegradedCauses {
-			cp.DegradedCauses[k] = v
+			dst.DegradedCauses[k] = v
 		}
 	}
 	if r.Bindings != nil {
-		cp.Bindings = append([]BindingRecord(nil), r.Bindings...)
+		dst.Bindings = append([]BindingRecord(nil), r.Bindings...)
 	}
 	if r.Events != nil {
-		cp.Events = append([]string(nil), r.Events...)
+		dst.Events = append([]string(nil), r.Events...)
 	}
-	return cp
 }
 
 // DefaultFlightCapacity is the record retention a FlightRecorder gets
@@ -138,16 +137,16 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{ring: make([]flightSlot, capacity)}
 }
 
-// Record appends one request record (deep-copied) to the ring. It is
-// drop-don't-block: the slot a record's ticket routes it to is free
-// unless a snapshot is copying that exact slot (or the writer slept
-// long enough to be lapped), and a busy slot costs one failed TryLock
-// and a counter bump, never a wait on the serving path.
-func (f *FlightRecorder) Record(rec RequestRecord) {
+// Record appends a deep copy of one request record to the ring; the
+// caller keeps ownership of rec. It is drop-don't-block: the slot a
+// record's ticket routes it to is free unless a snapshot is copying
+// that exact slot (or the writer slept long enough to be lapped), and
+// a busy slot costs one failed TryLock and a counter bump, never a
+// wait on the serving path.
+func (f *FlightRecorder) Record(rec *RequestRecord) {
 	if f == nil {
 		return
 	}
-	cp := rec.clone()
 	ticket := f.tickets.Add(1)
 	slot := &f.ring[(ticket-1)%uint64(len(f.ring))]
 	if !slot.mu.TryLock() {
@@ -162,7 +161,7 @@ func (f *FlightRecorder) Record(rec RequestRecord) {
 		return
 	}
 	slot.seq = ticket
-	slot.rec = cp
+	rec.cloneInto(&slot.rec)
 	slot.mu.Unlock()
 	f.total.Add(1)
 }
@@ -202,10 +201,10 @@ type FlightQuery struct {
 
 // Snapshot returns deep copies of the retained records matching q,
 // oldest first (or slowest first under q.Slowest). Each slot is held
-// only long enough for a shallow copy — safe because writers replace a
-// slot's record wholesale with a freshly cloned value rather than
-// mutating it in place — so a concurrent Record contends on at most one
-// slot at a time.
+// only long enough for a shallow copy — safe because a writer
+// overwrites a slot's record with freshly allocated copies of its maps
+// and slices, never mutating the ones a shallow copy still holds — so
+// a concurrent Record contends on at most one slot at a time.
 func (f *FlightRecorder) Snapshot(q FlightQuery) []RequestRecord {
 	if f == nil {
 		return nil
@@ -225,15 +224,16 @@ func (f *FlightRecorder) Snapshot(q FlightQuery) []RequestRecord {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 	out := make([]RequestRecord, 0, len(recs))
-	for _, tr := range recs {
-		r := tr.rec
+	for i := range recs {
+		r := &recs[i].rec
 		if q.TenantSet && r.Tenant != q.Tenant {
 			continue
 		}
 		if q.Degraded && !r.Degraded {
 			continue
 		}
-		out = append(out, r.clone())
+		out = append(out, RequestRecord{})
+		r.cloneInto(&out[len(out)-1])
 	}
 	if q.Slowest > 0 {
 		sort.SliceStable(out, func(i, j int) bool { return out[i].Duration > out[j].Duration })

@@ -29,7 +29,7 @@ func TestNewFlightRecorderCapacity(t *testing.T) {
 func TestFlightRecorderRingAndTotal(t *testing.T) {
 	f := NewFlightRecorder(3)
 	for i := 0; i < 5; i++ {
-		f.Record(RequestRecord{Kind: "compose", Task: fmt.Sprintf("t%d", i)})
+		f.Record(&RequestRecord{Kind: "compose", Task: fmt.Sprintf("t%d", i)})
 	}
 	if f.Total() != 5 {
 		t.Fatalf("Total = %d, want 5", f.Total())
@@ -48,11 +48,11 @@ func TestFlightRecorderRingAndTotal(t *testing.T) {
 
 func TestFlightRecorderFilters(t *testing.T) {
 	f := NewFlightRecorder(8)
-	f.Record(RequestRecord{Kind: "compose", Tenant: "default", Duration: 5 * time.Millisecond})
-	f.Record(RequestRecord{Kind: "compose", Tenant: "clinic", Duration: 9 * time.Millisecond,
+	f.Record(&RequestRecord{Kind: "compose", Tenant: "default", Duration: 5 * time.Millisecond})
+	f.Record(&RequestRecord{Kind: "compose", Tenant: "clinic", Duration: 9 * time.Millisecond,
 		Degraded: true, DegradedCauses: map[string]string{"pay": "coordinator lost"}})
-	f.Record(RequestRecord{Kind: "compose", Tenant: "clinic", Duration: 2 * time.Millisecond})
-	f.Record(RequestRecord{Kind: "execute", Tenant: "default", Duration: 7 * time.Millisecond})
+	f.Record(&RequestRecord{Kind: "compose", Tenant: "clinic", Duration: 2 * time.Millisecond})
+	f.Record(&RequestRecord{Kind: "execute", Tenant: "default", Duration: 7 * time.Millisecond})
 
 	if got := f.Snapshot(FlightQuery{TenantSet: true, Tenant: "clinic"}); len(got) != 2 {
 		t.Fatalf("tenant filter kept %d records, want 2", len(got))
@@ -82,7 +82,7 @@ func TestFlightRecorderClone(t *testing.T) {
 		Bindings:       []BindingRecord{{Activity: "a", Service: "s1", Utility: 0.5}},
 		Events:         []string{"substitutions=1"},
 	}
-	f.Record(rec)
+	f.Record(&rec)
 	rec.DegradedCauses["a"] = "mutated"
 	rec.Bindings[0].Service = "mutated"
 	rec.Events[0] = "mutated"
@@ -109,7 +109,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				f.Record(RequestRecord{
+				f.Record(&RequestRecord{
 					Kind:     "compose",
 					Tenant:   "default",
 					Duration: time.Duration(i) * time.Microsecond,
@@ -151,7 +151,7 @@ func TestFlightRecorderWritersDontDropEachOther(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				f.Record(RequestRecord{Kind: "compose", Task: fmt.Sprintf("g%d-%d", g, i)})
+				f.Record(&RequestRecord{Kind: "compose", Task: fmt.Sprintf("g%d-%d", g, i)})
 			}
 		}(g)
 	}
@@ -172,15 +172,15 @@ func TestFlightRecorderWritersDontDropEachOther(t *testing.T) {
 // slot drop and count, without touching records bound elsewhere.
 func TestFlightRecorderDropsWhenContended(t *testing.T) {
 	f := NewFlightRecorder(4)
-	f.Record(RequestRecord{Kind: "compose"}) // ticket 1 → slot 0
-	f.ring[1].mu.Lock()                      // ticket 2 lands on slot 1
-	f.Record(RequestRecord{Kind: "compose"})
+	f.Record(&RequestRecord{Kind: "compose"}) // ticket 1 → slot 0
+	f.ring[1].mu.Lock()                       // ticket 2 lands on slot 1
+	f.Record(&RequestRecord{Kind: "compose"})
 	f.ring[1].mu.Unlock()
 	if f.Total() != 1 || f.Dropped() != 1 {
 		t.Fatalf("Total=%d Dropped=%d, want 1 and 1", f.Total(), f.Dropped())
 	}
 	// Uncontended again: records land.
-	f.Record(RequestRecord{Kind: "compose"})
+	f.Record(&RequestRecord{Kind: "compose"})
 	if f.Total() != 2 {
 		t.Fatalf("Total=%d after uncontended record, want 2", f.Total())
 	}
@@ -191,7 +191,7 @@ func TestFlightRecorderDropsWhenContended(t *testing.T) {
 func TestDebugRequestsGolden(t *testing.T) {
 	hub := &Hub{Metrics: NewRegistry(), Flight: NewFlightRecorder(8)}
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	hub.Flight.Record(RequestRecord{
+	hub.Flight.Record(&RequestRecord{
 		Kind: "compose", TraceID: "00000000000000a1", Tenant: "default",
 		Task: "00000000000000f1", Start: base, Duration: 48 * time.Microsecond,
 		Phases:   PhaseTimings{Resolve: 3 * time.Microsecond},
@@ -201,7 +201,7 @@ func TestDebugRequestsGolden(t *testing.T) {
 			{Activity: "pay", Service: "pay-2", Utility: 0.88},
 		},
 	})
-	hub.Flight.Record(RequestRecord{
+	hub.Flight.Record(&RequestRecord{
 		Kind: "compose", TraceID: "00000000000000a2", Tenant: "default",
 		Task: "00000000000000f1", Start: base.Add(time.Second), Duration: 1900 * time.Microsecond,
 		Phases:    PhaseTimings{Resolve: 4 * time.Microsecond, Lookup: 210 * time.Microsecond, Local: 900 * time.Microsecond, Global: 600 * time.Microsecond},
@@ -213,12 +213,12 @@ func TestDebugRequestsGolden(t *testing.T) {
 			{Activity: "pay", Service: "pay-1", Utility: 0.81},
 		},
 	})
-	hub.Flight.Record(RequestRecord{
+	hub.Flight.Record(&RequestRecord{
 		Kind: "compose", TraceID: "00000000000000a3", Tenant: "clinic",
 		Task: "00000000000000f2", Start: base.Add(2 * time.Second), Duration: 5 * time.Millisecond,
 		CacheMiss: "cold", Feasible: false, Err: "no candidate for activity \"scan\"",
 	})
-	hub.Flight.Record(RequestRecord{
+	hub.Flight.Record(&RequestRecord{
 		Kind: "execute", TraceID: "00000000000000a2", Tenant: "default",
 		Task: "00000000000000f1", Start: base.Add(3 * time.Second), Duration: 800 * time.Microsecond,
 		Feasible: true, Events: []string{"invocations=3", "failures=1", "substitutions=1"},

@@ -183,12 +183,22 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // trace that produced it (last writer wins; an empty traceID degrades
 // to a plain Observe).
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+	if h == nil || traceID == "" {
+		h.Observe(v)
+		return
+	}
+	h.ObserveExemplarAt(v, traceID, time.Now())
+}
+
+// ObserveExemplarAt is ObserveExemplar with the observation time
+// supplied by the caller (a clock reading the request already took).
+func (h *Histogram) ObserveExemplarAt(v float64, traceID string, t time.Time) {
 	if h == nil {
 		return
 	}
 	h.Observe(v)
 	if traceID != "" {
-		h.ex.Store(&Exemplar{TraceID: traceID, Value: v, Time: time.Now()})
+		h.ex.Store(&Exemplar{TraceID: traceID, Value: v, Time: t})
 	}
 }
 

@@ -208,12 +208,19 @@ func (s *Span) TraceID() string { return s.Context().TraceIDString() }
 // instead of opening a new one. Without a hub or tracer in the context
 // it returns the context unchanged and a nil span.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	return StartSpanAt(ctx, name, time.Now())
+}
+
+// StartSpanAt is StartSpan with the start time supplied by the caller,
+// so a request that already read the clock shares that reading instead
+// of taking another.
+func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Context, *Span) {
 	hub := HubFrom(ctx)
 	if hub == nil || hub.Tracer == nil {
 		return ctx, nil
 	}
 	parent, _ := ctx.Value(spanKey{}).(*Span)
-	s := &Span{tracer: hub.Tracer, parent: parent, name: name, start: time.Now(), spanID: nextID()}
+	s := &Span{tracer: hub.Tracer, parent: parent, name: name, start: start, spanID: nextID()}
 	switch {
 	case parent != nil:
 		s.traceID = parent.traceID
@@ -227,6 +234,18 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		}
 	}
 	return context.WithValue(ctx, spanKey{}, s), s
+}
+
+// StartChild begins a child span of s at start without building a
+// context: for a leaf operation whose callees read no span from their
+// context. The child shares s's trace and is nil when s is nil.
+func (s *Span) StartChild(name string, start time.Time) *Span {
+	if s == nil {
+		return nil
+	}
+	c := &Span{tracer: s.tracer, parent: s, name: name, start: start, spanID: nextID(), traceID: s.traceID}
+	s.addChild(c)
+	return c
 }
 
 func (s *Span) addChild(c *Span) {
@@ -255,13 +274,22 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	s.EndAt(time.Now())
+}
+
+// EndAt is End with the end time supplied by the caller (a clock
+// reading the request already took).
+func (s *Span) EndAt(end time.Time) {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
 		return
 	}
 	s.ended = true
-	s.end = time.Now()
+	s.end = end
 	s.mu.Unlock()
 	if s.parent == nil && s.tracer != nil {
 		s.tracer.record(s)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestStartSpanWithoutHub(t *testing.T) {
@@ -17,6 +18,39 @@ func TestStartSpanWithoutHub(t *testing.T) {
 	span.End()
 	if HubFrom(ctx) != nil {
 		t.Fatal("no hub should be attached")
+	}
+}
+
+// TestStartChildAndSharedTimes: StartChild makes a leaf child in the
+// parent's trace without a context, and spans started and ended at
+// caller-supplied times report exactly those times.
+func TestStartChildAndSharedTimes(t *testing.T) {
+	var none *Span
+	if c := none.StartChild("leaf", time.Now()); c != nil {
+		t.Fatal("StartChild of a nil span should be nil")
+	}
+	none.EndAt(time.Now()) // nil-safe
+
+	hub := NewHub()
+	t0 := time.Now()
+	t1, t2 := t0.Add(3*time.Microsecond), t0.Add(10*time.Microsecond)
+	_, root := StartSpanAt(WithHub(context.Background(), hub), "compose", t0)
+	leaf := root.StartChild("compose.resolve", t0)
+	leaf.EndAt(t1)
+	leaf.EndAt(t2) // idempotent: the first end wins
+	root.EndAt(t2)
+
+	snap := hub.Tracer.Snapshot()
+	if len(snap) != 1 || len(snap[0].Children) != 1 {
+		t.Fatalf("snapshot = %+v, want one root with one child", snap)
+	}
+	r, c := snap[0], snap[0].Children[0]
+	if c.Name != "compose.resolve" || c.TraceID != r.TraceID || c.SpanID == r.SpanID {
+		t.Fatalf("child %+v under root %s/%s", c, r.TraceID, r.SpanID)
+	}
+	if !r.Start.Equal(t0) || r.Duration != t2.Sub(t0) || !c.Start.Equal(t0) || c.Duration != t1.Sub(t0) {
+		t.Fatalf("root [%v +%v], child [%v +%v], want [%v +%v], [%v +%v]",
+			r.Start, r.Duration, c.Start, c.Duration, t0, t2.Sub(t0), t0, t1.Sub(t0))
 	}
 }
 

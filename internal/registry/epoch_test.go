@@ -1,6 +1,9 @@
 package registry
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"qasom/internal/qos"
@@ -146,4 +149,193 @@ func TestCandidateClone(t *testing.T) {
 	if orig.Vector[0] == -1 || orig.Service.Offers[0].Value == -1 {
 		t.Error("Clone aliases the original's slices")
 	}
+}
+
+// TestDifferentialEpochProbe checks EpochProbe.Epochs against the
+// CapabilityEpochs reference after every kind of change that moves an
+// epoch or re-resolves a concept: publish, withdraw, QoS update, an
+// alias added and retargeted, a concept added to the ontology, the first publish of a
+// capability a probe already asked for (whose missing entry must not
+// pin epoch 0), another tenant's churn, the scan-path ablation, and
+// raced concurrent publishes.
+func TestDifferentialEpochProbe(t *testing.T) {
+	concepts := []semantics.ConceptID{
+		semantics.BookSale, semantics.ShoppingService, semantics.CashPayment,
+		"Bookshop", "VinylSale", semantics.PaymentService, semantics.BookSale,
+	}
+
+	t.Run("sequence", func(t *testing.T) {
+		onto := semantics.PervasiveWithScenarios()
+		store := NewStore(onto, StoreOptions{Shards: 4})
+		r, other := store.Tenant("env-a"), store.Tenant("env-b")
+		// One probe over every concept, one over the concepts published
+		// from the start (its resolution is cached early), one per
+		// concept, and one in the other tenant.
+		type probeCase struct {
+			r        *Registry
+			concepts []semantics.ConceptID
+			p        *EpochProbe
+		}
+		var probes []probeCase
+		add := func(r *Registry, cs ...semantics.ConceptID) {
+			probes = append(probes, probeCase{r, cs, r.NewEpochProbe(cs...)})
+		}
+		add(r, concepts...)
+		add(r, semantics.BookSale, semantics.ShoppingService)
+		for _, c := range concepts {
+			add(r, c)
+		}
+		add(other, concepts...)
+		buf := make([]uint64, 3, 16) // stale contents: Epochs must overwrite them
+		check := func(step string) {
+			t.Helper()
+			for _, pc := range probes {
+				want := pc.r.CapabilityEpochs(nil, pc.concepts...)
+				for _, dst := range [][]uint64{nil, buf} {
+					if got := pc.p.Epochs(dst); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s: tenant %q probe %v = %v, CapabilityEpochs = %v",
+							step, pc.r.TenantID(), pc.concepts, got, want)
+					}
+				}
+			}
+		}
+		publish := func(r *Registry, d Description) {
+			t.Helper()
+			if err := r.Publish(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		check("empty store")
+		publish(r, bookService("b1", 40))
+		check("publish")
+		publish(r, bookService("b1", 55))
+		check("QoS update")
+		publish(r, bookService("b2", 60))
+		if !r.Withdraw("b1") {
+			t.Fatal("withdraw failed")
+		}
+		check("withdraw")
+		publish(r, Description{ID: "card", Concept: semantics.CardPayment, Offers: stdOffers(30, 1, 0.99, 0.95, 10)})
+		check("ancestor bumped by a child capability")
+		publish(r, Description{ID: "cash", Concept: semantics.CashPayment, Offers: stdOffers(20, 0, 0.99, 0.99, 10)})
+		check("first publish of a probed capability")
+		if err := onto.AddAlias("Bookshop", semantics.BookSale); err != nil {
+			t.Fatal(err)
+		}
+		check("alias added")
+		publish(r, bookService("b3", 45))
+		check("publish after alias")
+		publish(r, Description{ID: "cd", Concept: semantics.CDSale, Offers: stdOffers(80, 5, 0.9, 0.9, 40)})
+		if err := onto.AddAlias("Bookshop", semantics.MediaSale); err != nil {
+			t.Fatal(err)
+		}
+		check("alias retargeted")
+		if err := onto.AddConcept("VinylSale", semantics.MediaSale); err != nil {
+			t.Fatal(err)
+		}
+		check("concept added")
+		publish(r, Description{ID: "vinyl", Concept: "VinylSale", Offers: stdOffers(70, 8, 0.9, 0.9, 20)})
+		check("first publish under the new concept")
+		publish(other, bookService("b1", 35))
+		publish(other, Description{ID: "cash", Concept: semantics.CashPayment, Offers: stdOffers(20, 0, 0.99, 0.99, 10)})
+		other.Withdraw("b1")
+		check("other tenant's churn")
+		r.SetIndexing(false)
+		publish(r, bookService("b4", 50))
+		check("publish with indexing off")
+		r.SetIndexing(true)
+		if got := r.Candidates(semantics.BookSale, qos.StandardSet()); len(got) != 3 {
+			t.Fatalf("lookup after re-indexing returned %d candidates, want 3", len(got))
+		}
+		r.Withdraw("b4")
+		check("withdraw after re-indexing")
+	})
+
+	t.Run("raced", func(t *testing.T) {
+		onto := semantics.PervasiveWithScenarios()
+		if err := onto.AddAlias("Bookshop", semantics.BookSale); err != nil {
+			t.Fatal(err)
+		}
+		onto.MustAddConcept("VinylSale", semantics.MediaSale)
+		store := NewStore(onto, StoreOptions{Shards: 4})
+		tenants := []*Registry{store.Tenant("env-a"), store.Tenant("env-b")}
+		churn := []semantics.ConceptID{semantics.BookSale, semantics.CashPayment, "VinylSale", semantics.CardPayment}
+
+		stop := make(chan struct{})
+		var churnWG, sampleWG sync.WaitGroup
+		for ti, r := range tenants {
+			for g := 0; g < 2; g++ {
+				churnWG.Add(1)
+				go func(r *Registry, g int) {
+					defer churnWG.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						id := ServiceID(fmt.Sprintf("g%d-s%d", g, i%8))
+						d := Description{ID: id, Concept: churn[(g+i)%len(churn)], Offers: stdOffers(40+float64(i%20), 5, 0.95, 0.9, 40)}
+						if err := r.Publish(d); err != nil {
+							t.Error(err)
+							return
+						}
+						if i%3 == 0 {
+							r.Withdraw(id)
+						}
+					}
+				}(r, g+2*ti)
+			}
+		}
+		// Ontology churn that moves the version but no probed concept's
+		// canonical key, so every position stays monotonic.
+		churnWG.Add(1)
+		go func() {
+			defer churnWG.Done()
+			for i := 0; i < 64; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := onto.AddConcept(semantics.ConceptID(fmt.Sprintf("Raced%d", i)), semantics.ShoppingService); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+
+		// A probe read between two reference reads lies between them,
+		// position by position.
+		for _, r := range tenants {
+			sampleWG.Add(1)
+			go func(r *Registry) {
+				defer sampleWG.Done()
+				p := r.NewEpochProbe(concepts...)
+				var before, got, after []uint64
+				for n := 0; n < 2000; n++ {
+					before = r.CapabilityEpochs(before, concepts...)
+					got = p.Epochs(got)
+					after = r.CapabilityEpochs(after, concepts...)
+					for i := range got {
+						if got[i] < before[i] || got[i] > after[i] {
+							t.Errorf("position %d: probe read %d outside [%d, %d]", i, got[i], before[i], after[i])
+							return
+						}
+					}
+				}
+			}(r)
+		}
+		sampleWG.Wait()
+		close(stop)
+		churnWG.Wait()
+		for _, r := range tenants {
+			want := r.CapabilityEpochs(nil, concepts...)
+			if got := r.NewEpochProbe(concepts...).Epochs(nil); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("tenant %q after churn: fresh probe %v, CapabilityEpochs %v", r.TenantID(), got, want)
+			}
+		}
+	})
 }

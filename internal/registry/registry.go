@@ -258,6 +258,13 @@ func (r *Registry) CapabilityEpochs(dst []uint64, concepts ...semantics.ConceptI
 	return r.store.capabilityEpochs(r.tenant, dst, concepts...)
 }
 
+// NewEpochProbe returns a probe whose Epochs(dst) returns what
+// CapabilityEpochs(dst, concepts...) returns, for callers that snapshot
+// the same concepts on every request (the plan cache's task epochs).
+func (r *Registry) NewEpochProbe(concepts ...semantics.ConceptID) *EpochProbe {
+	return &EpochProbe{store: r.store, tenant: r.tenant, concepts: append([]semantics.ConceptID(nil), concepts...)}
+}
+
 // SetIndexing enables or disables the capability index store-wide
 // (enabled by default); disabling drops the index and reverts Candidates
 // to the full-scan path. It exists as an ablation/benchmark knob and as

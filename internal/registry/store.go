@@ -626,6 +626,76 @@ func (s *Store) capabilityEpochs(t TenantID, dst []uint64, concepts ...semantics
 	return dst
 }
 
+// EpochProbe takes the snapshot CapabilityEpochs takes for one fixed
+// concept list, resolving each concept's canonical key and capEntry
+// once per ontology version instead of on every call. A resolved
+// pointer stays valid because capEntries are never removed (a key's
+// epoch survives index rebuilds and SetIndexing); an alias change moves
+// the ontology version, which forces a fresh resolution. A warm probe
+// is one atomic load per concept plus the version. Safe for concurrent
+// use.
+type EpochProbe struct {
+	store    *Store
+	tenant   TenantID
+	concepts []semantics.ConceptID
+	resolved atomic.Pointer[probeResolution]
+}
+
+// probeResolution is the immutable capEntry list of a probe's concepts
+// under one ontology version.
+type probeResolution struct {
+	version uint64
+	entries []*capEntry
+}
+
+// Epochs fills dst exactly as CapabilityEpochs(dst, concepts...) does.
+func (p *EpochProbe) Epochs(dst []uint64) []uint64 {
+	if dst != nil {
+		dst = dst[:0]
+	}
+	o := p.store.ontology
+	var version uint64
+	if o != nil {
+		version = o.Version()
+	}
+	res := p.resolved.Load()
+	if res == nil || res.version != version {
+		res = p.resolve(version)
+	}
+	for _, e := range res.entries {
+		var epoch uint64
+		if e != nil {
+			epoch = e.epoch.Load()
+		}
+		dst = append(dst, epoch)
+	}
+	if o != nil {
+		dst = append(dst, version)
+	}
+	return dst
+}
+
+// resolve looks up every concept's capEntry under the ontology version
+// read just before, and caches the result only when every entry exists:
+// a never-published capability has no entry yet, and a cached nil would
+// hide its first publish.
+func (p *EpochProbe) resolve(version uint64) *probeResolution {
+	s := p.store
+	res := &probeResolution{version: version, entries: make([]*capEntry, len(p.concepts))}
+	complete := true
+	for i, c := range p.concepts {
+		if s.ontology != nil {
+			c = s.ontology.Canonical(c)
+		}
+		res.entries[i] = s.shards[s.shardOfCap(p.tenant, c)].entry(capKey{p.tenant, c})
+		complete = complete && res.entries[i] != nil
+	}
+	if complete {
+		p.resolved.Store(res)
+	}
+	return res
+}
+
 // ensureIndex builds the capability index on first use and rebuilds it
 // when the ontology's version moved (concept/alias mutations change
 // every closure). The rebuild is the one whole-store lock: it takes
@@ -690,10 +760,10 @@ func (s *Store) ensureIndex() {
 // collect gathers the stored-service pointers a candidate lookup must
 // consider: the capability's cached list on the indexed path (lock-free
 // unless a mutation cleared it), every shard's tenant directory on the
-// scan path.
+// scan path. indexed reports which path ran.
 // The indexed result may be a shared snapshot — callers must treat it
 // as immutable and copy before filtering or sorting.
-func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService {
+func (s *Store) collect(t TenantID, canon semantics.ConceptID) (stored []*storedService, indexed bool) {
 	if s.indexing.Load() {
 		s.ensureIndex()
 		s.indexedLookups.Add(1)
@@ -701,9 +771,9 @@ func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService 
 		ck := capKey{t, canon}
 		e := sh.entry(ck)
 		if e == nil {
-			return nil // key never filed or bumped: nothing to find
+			return nil, true // key never filed or bumped: nothing to find
 		}
-		return sh.listOf(ck, e)
+		return sh.listOf(ck, e), true
 	}
 	s.scanLookups.Add(1)
 	var out []*storedService
@@ -718,7 +788,7 @@ func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService 
 		}
 		sh.mu.RUnlock()
 	}
-	return out
+	return out, false
 }
 
 // watch subscribes to the tenant's change events; see Registry.Watch.
@@ -780,8 +850,15 @@ func (s *Store) candidates(t TenantID, required semantics.ConceptID, ps *qos.Pro
 	if s.ontology != nil {
 		required = s.ontology.Canonical(required)
 	}
-	stored := s.collect(t, required)
-	out := make([]Candidate, 0, len(stored))
+	stored, indexed := s.collect(t, required)
+	var out []Candidate
+	if indexed {
+		// Services filed under the capability match it (exact or
+		// plug-in); only one lacking an offer drops out, so size for all
+		// of them. The scan path's list is the whole tenant directory, so
+		// there out grows with the matches instead.
+		out = make([]Candidate, 0, len(stored))
+	}
 	levels := make(map[semantics.ConceptID]semantics.MatchLevel)
 	names := make(map[semantics.ConceptID]uint64)
 	vocab := offerVocab{o: s.ontology, ps: ps}

@@ -175,7 +175,8 @@ func (c *planCache) put(key string, epochs []uint64, res *core.Result) {
 	if c == nil {
 		return
 	}
-	e := &planEntry{epochs: epochs, res: res, bindings: res.BindingRecords()}
+	// epochs is usually the caller's stack buffer: keep a copy.
+	e := &planEntry{epochs: append([]uint64(nil), epochs...), res: res, bindings: res.BindingRecords()}
 	e.touch.Store(c.tick.Add(1))
 	evicted := false
 	c.mu.Lock()
@@ -258,9 +259,16 @@ func planCacheKey(te *taskEntry, req *core.Request) string {
 // shards had landed their updates at snapshot time — the stored
 // snapshot is already stale and the next lookup recomputes —
 // conservative, never incorrect.
+//
+// The snapshot goes through the task entry's epoch probe, which resolves
+// the concepts' registry entries once per ontology version.
 func (m *Middleware) planEpochs(dst []uint64, te *taskEntry) []uint64 {
-	if dst == nil {
-		dst = make([]uint64, 0, len(te.concepts)+1) // +1: the ontology version
+	p := te.probe.Load()
+	if p == nil {
+		p = m.reg.NewEpochProbe(te.concepts...)
+		if !te.probe.CompareAndSwap(nil, p) {
+			p = te.probe.Load()
+		}
 	}
-	return m.reg.CapabilityEpochs(dst, te.concepts...)
+	return p.Epochs(dst)
 }

@@ -21,6 +21,7 @@
 package qasom
 
 import (
+	"context"
 	"fmt"
 
 	"qasom/internal/adapt"
@@ -198,6 +199,7 @@ type Middleware struct {
 	mon       *monitor.Monitor
 	contracts *contract.Manager
 	obs       *obs.Hub
+	bgCtx     context.Context // context.Background carrying obs; Compose's context
 	met       composeMetrics
 	plans     *planCache
 	tasks     *taskIntern    // resolved task specs (documents, behaviour names), keyed by content
@@ -312,6 +314,7 @@ func New(opts ...Options) (*Middleware, error) {
 		selector: core.NewSelector(core.Options{Seed: o.Seed, ParetoMode: o.ParetoMode}),
 		mon:      monitor.New(ps, monitor.Options{Obs: o.Obs}),
 		obs:      o.Obs,
+		bgCtx:    obs.WithHub(context.Background(), o.Obs),
 		met:      composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
 		plans:    newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
 		tasks:    newTaskIntern(),
