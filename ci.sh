@@ -71,7 +71,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestTable|TestResult' ./internal/adapt
 	go test -race -run 'TestCloseRevertsFailoverToReactive' .
 	# The multicore hot-path suite: raced lock-free reads in the registry
-	# (torn-read check, nil-before-bump ordering), raced eviction + epoch
+	# (torn-read check, nil-before-bump ordering), the flat federation's
+	# member churn racing its merged lookups, raced eviction + epoch
 	# invalidation in the copy-on-write plan cache, the shared-plan leak
 	# check (substitutions copy, never write the cached Result), the
 	# first-Execute table start racing a manual Substitute, behaviour
@@ -82,7 +83,7 @@ if [ "${1:-}" = "quick" ]; then
 	# allocation ceiling and telemetry (spans, flight record and
 	# exemplar sharing the hit's clock readings).
 	echo "== go test -race hot-path suite (quick)"
-	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder' ./internal/registry
+	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestFederation' ./internal/registry
 	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);

@@ -29,6 +29,7 @@ var forbiddenHotPathFrames = []string{
 	"registry.(*Store).candidates",
 	"registry.(*Store).collect",
 	"registry.(*Store).capabilityEpochs",
+	"registry.(*EpochProbe)",
 	"qasom.(*planCache).get",
 	"qasom.(*planCache).lookup",
 	"qasom.(*taskIntern).lookup",

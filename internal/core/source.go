@@ -11,9 +11,9 @@ import (
 )
 
 // CandidateSource is where a selection gets its per-activity candidates:
-// a single registry view, a flat federation or a branch of the two-tier
-// hierarchy — anything that resolves an abstract activity to concrete,
-// QoS-aligned services.
+// a single registry view or a federation of the registries in reach —
+// anything that resolves an abstract activity to concrete, QoS-aligned
+// services.
 type CandidateSource interface {
 	CandidatesForActivity(a *task.Activity, ps *qos.PropertySet) []registry.Candidate
 }

@@ -1,13 +1,10 @@
 package registry
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
-	"qasom/internal/obs"
 	"qasom/internal/qos"
 	"qasom/internal/semantics"
 	"qasom/internal/task"
@@ -127,33 +124,24 @@ func (f *Federation) All() []Description {
 // Candidates resolves candidates across every member, deduplicated by
 // service ID (first member wins) and sorted like Registry.Candidates.
 func (f *Federation) Candidates(required semantics.ConceptID, ps *qos.PropertySet) []Candidate {
-	seen := make(map[ServiceID]struct{})
-	var out []Candidate
-	for _, r := range f.snapshot() {
-		for _, c := range r.Candidates(required, ps) {
-			if _, dup := seen[c.Service.ID]; dup {
-				continue
-			}
-			seen[c.Service.ID] = struct{}{}
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Match != out[j].Match {
-			return out[i].Match.Beats(out[j].Match)
-		}
-		return out[i].Service.ID < out[j].Service.ID
-	})
-	return out
+	return f.merge(func(r *Registry) []Candidate { return r.Candidates(required, ps) })
 }
 
 // CandidatesForActivity resolves activity candidates across members with
 // the same data-compatibility rules as Registry.CandidatesForActivity.
 func (f *Federation) CandidatesForActivity(a *task.Activity, ps *qos.PropertySet) []Candidate {
+	return f.merge(func(r *Registry) []Candidate { return r.CandidatesForActivity(a, ps) })
+}
+
+// merge runs lookup on every member in join order, keeps the first
+// member's candidate for each service ID and sorts the union with the
+// registry's own rule. IDs are unique after the dedupe, so the order is
+// total and does not depend on which member answered first.
+func (f *Federation) merge(lookup func(*Registry) []Candidate) []Candidate {
 	seen := make(map[ServiceID]struct{})
 	var out []Candidate
 	for _, r := range f.snapshot() {
-		for _, c := range r.CandidatesForActivity(a, ps) {
+		for _, c := range lookup(r) {
 			if _, dup := seen[c.Service.ID]; dup {
 				continue
 			}
@@ -161,384 +149,6 @@ func (f *Federation) CandidatesForActivity(a *task.Activity, ps *qos.PropertySet
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Match != out[j].Match {
-			return out[i].Match.Beats(out[j].Match)
-		}
-		return out[i].Service.ID < out[j].Service.ID
-	})
+	sortCandidates(out)
 	return out
-}
-
-// ---------------------------------------------------------------------------
-// Two-tier hierarchy: branch registries serving selections autonomously,
-// synchronising capability-keyed deltas with a central tier.
-//
-// The flat Federation above aggregates live registries by reference — it
-// needs every member reachable at lookup time. The branch/central
-// hierarchy below is the deployment shape for pervasive environments
-// with intermittent connectivity: each branch owns a local registry,
-// answers Candidates from it without any remote call, and exchanges
-// compacted deltas (publishes and withdrawal tombstones, keyed by the
-// capability closure of the service) with the central tier whenever a
-// link is up. Sync is idempotent and cursor-driven, so a partition —
-// lost acks included — heals by simply syncing again.
-// ---------------------------------------------------------------------------
-
-// ErrPartitioned is returned by Push/Pull/Sync while the central tier
-// considers the branch's link down (see Central.SetPartitioned).
-var ErrPartitioned = errors.New("registry: federation link partitioned")
-
-// Delta is one replication record: a publish (Service set) or a
-// withdrawal tombstone. Keys carries the canonical capability closure of
-// the service so receivers can filter capability-keyed pulls without
-// recomputing ancestry. Seq is origin-local in a branch's log and
-// global in the central log.
-type Delta struct {
-	Seq       uint64
-	Origin    string
-	Tenant    TenantID
-	Tombstone bool
-	ID        ServiceID
-	Keys      []semantics.ConceptID
-	Service   Description
-}
-
-// matchesAny reports whether the delta's capability closure covers any
-// of the requested canonical concepts (empty request matches all).
-func (d *Delta) matchesAny(caps []semantics.ConceptID) bool {
-	if len(caps) == 0 {
-		return true
-	}
-	for _, want := range caps {
-		for _, k := range d.Keys {
-			if k == want {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// deltaLog is a compacted, monotonically-sequenced delta log: it keeps
-// only the latest record per service (a tombstone supersedes the
-// publishes before it and vice versa), so a reconnecting peer replays
-// current state, not history.
-type deltaLog struct {
-	seq     uint64
-	entries map[ServiceID]*Delta
-}
-
-func newDeltaLog() deltaLog {
-	return deltaLog{entries: make(map[ServiceID]*Delta)}
-}
-
-// record assigns the next sequence number and compacts the log.
-func (l *deltaLog) record(d Delta) uint64 {
-	l.seq++
-	d.Seq = l.seq
-	l.entries[d.ID] = &d
-	return l.seq
-}
-
-// after returns the records with Seq > since that pass the filter, in
-// sequence order.
-func (l *deltaLog) after(since uint64, filter func(*Delta) bool) []Delta {
-	var out []Delta
-	for _, d := range l.entries {
-		if d.Seq <= since {
-			continue
-		}
-		if filter != nil && !filter(d) {
-			continue
-		}
-		out = append(out, *d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
-// SyncStats reports what one Branch.Sync round moved.
-type SyncStats struct {
-	// Pushed is the number of local deltas sent to the central tier
-	// (re-pushed ones the central had already applied included).
-	Pushed int
-	// Pulled is the number of remote deltas applied locally.
-	Pulled int
-	// Tombstones is how many of the pulled deltas were withdrawals.
-	Tombstones int
-}
-
-// Branch is a local registry front in the two-tier hierarchy: it serves
-// candidate lookups autonomously from its own registry and records every
-// mutation in a compacted delta log for the next Sync. Mutate through
-// the Branch (not the underlying registry) so the log stays complete.
-// Safe for concurrent use.
-type Branch struct {
-	name string
-	reg  *Registry
-
-	mu     sync.Mutex
-	log    deltaLog
-	acked  uint64 // highest local seq the central tier has confirmed
-	cursor uint64 // central log position already pulled and applied
-
-	syncs, syncFailures, pushed, pulled, tombstones *obs.Counter
-}
-
-// NewBranch creates a branch named name (typically the site or device
-// ID) over its local registry view.
-func NewBranch(name string, reg *Registry) *Branch {
-	return &Branch{name: name, reg: reg, log: newDeltaLog()}
-}
-
-// Instrument registers the branch's delta-sync counters with the
-// observability registry (label: branch name).
-func (b *Branch) Instrument(o *obs.Registry) {
-	b.syncs = o.CounterVec("qasom_federation_syncs_total",
-		"Completed branch->central sync rounds.", "branch").With(b.name)
-	b.syncFailures = o.CounterVec("qasom_federation_sync_failures_total",
-		"Sync rounds aborted by a partitioned or failing link.", "branch").With(b.name)
-	b.pushed = o.CounterVec("qasom_federation_deltas_pushed_total",
-		"Capability-keyed deltas pushed to the central tier.", "branch").With(b.name)
-	b.pulled = o.CounterVec("qasom_federation_deltas_pulled_total",
-		"Remote deltas pulled and applied locally.", "branch").With(b.name)
-	b.tombstones = o.CounterVec("qasom_federation_tombstones_total",
-		"Withdrawal tombstones applied from remote branches.", "branch").With(b.name)
-}
-
-// Name returns the branch name (the delta origin tag).
-func (b *Branch) Name() string { return b.name }
-
-// Registry returns the branch's local registry view.
-func (b *Branch) Registry() *Registry { return b.reg }
-
-// Publish stores the description locally and logs a delta for the next
-// Sync.
-func (b *Branch) Publish(d Description) error {
-	if err := b.reg.Publish(d); err != nil {
-		return err
-	}
-	cp := d.clone()
-	b.mu.Lock()
-	b.log.record(Delta{
-		Origin:  b.name,
-		Tenant:  b.reg.TenantID(),
-		ID:      cp.ID,
-		Keys:    b.reg.Store().ClosureKeys(cp.Concept),
-		Service: cp,
-	})
-	b.mu.Unlock()
-	return nil
-}
-
-// Withdraw removes the service locally and logs a tombstone; it reports
-// whether the service was present.
-func (b *Branch) Withdraw(id ServiceID) bool {
-	old, ok := b.reg.Get(id)
-	if !ok || !b.reg.Withdraw(id) {
-		return false
-	}
-	b.mu.Lock()
-	b.log.record(Delta{
-		Origin:    b.name,
-		Tenant:    b.reg.TenantID(),
-		Tombstone: true,
-		ID:        id,
-		Keys:      b.reg.Store().ClosureKeys(old.Concept),
-	})
-	b.mu.Unlock()
-	return true
-}
-
-// Candidates serves a lookup from the local registry — no remote call,
-// the branch answers autonomously even when partitioned.
-func (b *Branch) Candidates(required semantics.ConceptID, ps *qos.PropertySet) []Candidate {
-	return b.reg.Candidates(required, ps)
-}
-
-// CandidatesForActivity serves an activity lookup from the local
-// registry.
-func (b *Branch) CandidatesForActivity(a *task.Activity, ps *qos.PropertySet) []Candidate {
-	return b.reg.CandidatesForActivity(a, ps)
-}
-
-// Pending returns how many local deltas await central acknowledgement.
-func (b *Branch) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.log.after(b.acked, nil))
-}
-
-// Sync runs one push/pull round against the central tier: every
-// unacknowledged local delta is pushed (idempotently — a re-push after a
-// lost ack is deduplicated by sequence number), then remote deltas past
-// the branch's cursor are pulled and applied to the local registry.
-// When caps are given, the pull is capability-keyed: only deltas whose
-// capability closure covers one of the canonical concepts are mirrored,
-// so a branch replicates just the capabilities its environment asks
-// for. The cursor advances only after the pulled deltas have been
-// applied, so a failed round is simply retried.
-func (b *Branch) Sync(c *Central, caps ...semantics.ConceptID) (SyncStats, error) {
-	return b.SyncContext(context.Background(), c, caps...)
-}
-
-// SyncContext is Sync under a context: the round runs inside a
-// "federation.sync" span, so a sync triggered on behalf of a traced
-// request (e.g. a pull warming a branch before a selection) nests into
-// the requester's trace — including across processes, when the context
-// carries a remote parent from the TCP transport.
-func (b *Branch) SyncContext(ctx context.Context, c *Central, caps ...semantics.ConceptID) (SyncStats, error) {
-	_, span := obs.StartSpan(ctx, "federation.sync")
-	span.Annotate("branch", b.name)
-	var stats SyncStats
-	defer func() {
-		span.Annotate("pushed", fmt.Sprint(stats.Pushed))
-		span.Annotate("pulled", fmt.Sprint(stats.Pulled))
-		span.End()
-	}()
-	b.mu.Lock()
-	pending := b.log.after(b.acked, nil)
-	cursor := b.cursor
-	b.mu.Unlock()
-
-	ack, err := c.Push(b.name, pending)
-	if err != nil {
-		if b.syncFailures != nil {
-			b.syncFailures.Inc()
-		}
-		return stats, err
-	}
-	stats.Pushed = len(pending)
-
-	if o := b.reg.Ontology(); o != nil {
-		for i, cp := range caps {
-			caps[i] = o.Canonical(cp)
-		}
-	}
-	deltas, next, err := c.Pull(b.name, cursor, caps...)
-	if err != nil {
-		if b.syncFailures != nil {
-			b.syncFailures.Inc()
-		}
-		return stats, err
-	}
-	for i := range deltas {
-		d := &deltas[i]
-		if d.Tombstone {
-			b.reg.Withdraw(d.ID)
-			stats.Tombstones++
-		} else if err := b.reg.Publish(d.Service); err != nil {
-			if b.syncFailures != nil {
-				b.syncFailures.Inc()
-			}
-			return stats, err
-		}
-		stats.Pulled++
-	}
-
-	b.mu.Lock()
-	if ack > b.acked {
-		b.acked = ack
-	}
-	if next > b.cursor {
-		b.cursor = next
-	}
-	b.mu.Unlock()
-
-	if b.syncs != nil {
-		b.syncs.Inc()
-	}
-	if b.pushed != nil {
-		b.pushed.Add(uint64(stats.Pushed))
-	}
-	if b.pulled != nil {
-		b.pulled.Add(uint64(stats.Pulled))
-	}
-	if b.tombstones != nil {
-		b.tombstones.Add(uint64(stats.Tombstones))
-	}
-	return stats, nil
-}
-
-// Central is the upper tier of the hierarchy: it merges every branch's
-// deltas into its own registry (the environment-wide view selections can
-// run against) and re-distributes them through a compacted, globally
-// sequenced log. Push is idempotent per origin — a branch re-pushing
-// after a lost acknowledgement is deduplicated by its per-origin
-// sequence high-water mark — so partitions heal by retrying. Safe for
-// concurrent use.
-type Central struct {
-	reg *Registry
-
-	mu          sync.Mutex
-	log         deltaLog
-	applied     map[string]uint64 // per-origin acknowledged sequence
-	partitioned map[string]bool
-}
-
-// NewCentral creates the central tier over the given registry view
-// (usually a dedicated tenant of a shared store).
-func NewCentral(reg *Registry) *Central {
-	return &Central{
-		reg:         reg,
-		log:         newDeltaLog(),
-		applied:     make(map[string]uint64),
-		partitioned: make(map[string]bool),
-	}
-}
-
-// Registry returns the central tier's merged registry view.
-func (c *Central) Registry() *Registry { return c.reg }
-
-// SetPartitioned simulates (or records) a link partition: while set,
-// Push and Pull for that origin fail with ErrPartitioned. Clearing it
-// lets the next Sync heal the branch.
-func (c *Central) SetPartitioned(origin string, down bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.partitioned[origin] = down
-}
-
-// Push applies a branch's deltas in sequence order, skipping any the
-// central tier has already applied (idempotent re-push), and returns the
-// acknowledged per-origin sequence high-water mark.
-func (c *Central) Push(origin string, deltas []Delta) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.partitioned[origin] {
-		return c.applied[origin], ErrPartitioned
-	}
-	for i := range deltas {
-		d := deltas[i]
-		if d.Seq <= c.applied[origin] {
-			continue // duplicate from a lost ack
-		}
-		if d.Tombstone {
-			c.reg.Withdraw(d.ID)
-		} else if err := c.reg.Publish(d.Service); err != nil {
-			return c.applied[origin], err
-		}
-		c.applied[origin] = d.Seq
-		d.Origin = origin
-		c.log.record(d) // re-sequenced into the global log
-	}
-	return c.applied[origin], nil
-}
-
-// Pull returns the compacted deltas past the caller's cursor that did
-// not originate from it, optionally filtered to those whose capability
-// closure covers one of the requested canonical concepts, together with
-// the new cursor position. The caller advances its cursor only after
-// applying the returned deltas.
-func (c *Central) Pull(origin string, since uint64, caps ...semantics.ConceptID) ([]Delta, uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.partitioned[origin] {
-		return nil, since, ErrPartitioned
-	}
-	out := c.log.after(since, func(d *Delta) bool {
-		return d.Origin != origin && d.matchesAny(caps)
-	})
-	return out, c.log.seq, nil
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -171,4 +172,68 @@ func TestFederationConcurrent(t *testing.T) {
 	if f.Len() != 0 {
 		t.Errorf("federation should be empty, has %d", f.Len())
 	}
+}
+
+// TestFederationOrderMatchesRegistry pins the promise that a federated
+// lookup is sorted like Registry.Candidates: services of every match
+// level, split across two members in an order unlike the sorted one,
+// come back exactly as one registry holding all of them returns them.
+func TestFederationOrderMatchesRegistry(t *testing.T) {
+	onto := semantics.PervasiveWithScenarios()
+	concepts := []semantics.ConceptID{
+		semantics.BookSale,          // plugin under Shopping
+		semantics.ShoppingService,   // exact
+		semantics.ServiceCapability, // subsume: never a candidate
+		semantics.CDSale,            // plugin two levels down
+	}
+	f := NewFederation(onto)
+	members := []*Registry{New(onto), New(onto)}
+	whole := New(onto)
+	for i := 0; i < 12; i++ {
+		d := bookService(fmt.Sprintf("s%02d", 11-i), float64(40+i))
+		d.Concept = concepts[i%len(concepts)]
+		if i%3 == 0 {
+			d.Outputs = []semantics.ConceptID{semantics.Order}
+		}
+		for _, r := range []*Registry{members[i%2], whole} {
+			if err := r.Publish(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, r := range members {
+		if err := f.Join(fmt.Sprintf("dev%d", i), r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(what string, got, want []Candidate) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d candidates, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Service.ID != w.Service.ID || g.Match != w.Match || !reflect.DeepEqual(g.Vector, w.Vector) {
+				t.Errorf("%s[%d] = %s/%v/%v, want %s/%v/%v", what, i,
+					g.Service.ID, g.Match, g.Vector, w.Service.ID, w.Match, w.Vector)
+			}
+		}
+	}
+	ps := qos.StandardSet()
+	want := whole.Candidates(semantics.ShoppingService, ps)
+	levels := make(map[semantics.MatchLevel]int)
+	for _, c := range want {
+		levels[c.Match]++
+	}
+	if levels[semantics.MatchExact] == 0 || levels[semantics.MatchPlugin] == 0 || len(want) != 9 {
+		t.Fatalf("fixture yields %d candidates at levels %v, want 9 exact and plugin", len(want), levels)
+	}
+	same("Candidates", f.Candidates(semantics.ShoppingService, ps), want)
+	act := &task.Activity{ID: "shop", Concept: semantics.ShoppingService,
+		Outputs: []semantics.ConceptID{semantics.Order}}
+	wantAct := whole.CandidatesForActivity(act, ps)
+	if len(wantAct) == 0 {
+		t.Fatal("fixture yields no data-compatible candidate")
+	}
+	same("CandidatesForActivity", f.CandidatesForActivity(act, ps), wantAct)
 }

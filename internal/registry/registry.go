@@ -8,8 +8,8 @@
 //
 // The storage core is a sharded, multi-tenant Store (see store.go);
 // Registry is the tenant-bound view every pre-multi-tenant call site
-// keeps using unchanged. federation.go adds the two-tier branch/central
-// hierarchy for distributed deployments.
+// keeps using unchanged. federation.go aggregates the registries of the
+// devices in reach.
 package registry
 
 import (
@@ -232,9 +232,6 @@ func New(o *semantics.Ontology) *Registry {
 	return NewStore(o, StoreOptions{}).Tenant(DefaultTenant)
 }
 
-// Store returns the sharded multi-tenant store backing this view.
-func (r *Registry) Store() *Store { return r.store }
-
 // TenantID returns the tenant this view is bound to.
 func (r *Registry) TenantID() TenantID { return r.tenant }
 
@@ -244,16 +241,16 @@ func (r *Registry) TenantID() TenantID { return r.tenant }
 // For a tenant-precise signal use CapabilityEpochs.
 func (r *Registry) Epoch() uint64 { return r.store.Epoch() }
 
-// CapabilityEpochs appends to dst the current epoch of each required
-// capability concept for this tenant (bumped whenever a service whose
-// capability closure covers the concept joins, changes or leaves),
-// followed by the shared ontology's mutation version when one is
-// attached — together, the exact staleness signal for anything derived
-// from a Candidates lookup on those concepts. A never-published
+// CapabilityEpochs overwrites dst from index 0 with the current epoch of
+// each required capability concept for this tenant (bumped whenever a
+// service whose capability closure covers the concept joins, changes or
+// leaves), followed by the shared ontology's mutation version when one
+// is attached — together, the exact staleness signal for anything
+// derived from a Candidates lookup on those concepts. Whatever dst held
+// before is discarded, not kept as a prefix. A never-published
 // capability reports epoch 0; the first publish moves it. The snapshot
-// takes only the shard locks the concepts hash to — each touched shard's
-// read lock exactly once — never a store-global lock. Pass a reused
-// slice to avoid allocation.
+// is lock-free: one atomic load per concept. Pass a reused slice to
+// avoid allocation.
 func (r *Registry) CapabilityEpochs(dst []uint64, concepts ...semantics.ConceptID) []uint64 {
 	return r.store.capabilityEpochs(r.tenant, dst, concepts...)
 }

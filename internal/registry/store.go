@@ -400,14 +400,6 @@ func (s *Store) closureKeys(c semantics.ConceptID) []semantics.ConceptID {
 	return append(keys, anc...)
 }
 
-// ClosureKeys returns the canonical capability closure of a concept —
-// the keys a service with that capability is indexed and epoch-tracked
-// under. Federation deltas carry these so receivers can filter
-// capability-keyed pulls without recomputing ancestry.
-func (s *Store) ClosureKeys(c semantics.ConceptID) []semantics.ConceptID {
-	return s.closureKeys(c)
-}
-
 // publish validates and stores a description for the tenant, replacing
 // any previous version, and notifies the tenant's watchers.
 func (s *Store) publish(t TenantID, d Description) error {
@@ -648,7 +640,9 @@ type probeResolution struct {
 	entries []*capEntry
 }
 
-// Epochs fills dst exactly as CapabilityEpochs(dst, concepts...) does.
+// Epochs fills dst exactly as CapabilityEpochs(dst, concepts...) does:
+// it overwrites dst from index 0, discarding what it held, and takes no
+// lock.
 func (p *EpochProbe) Epochs(dst []uint64) []uint64 {
 	if dst != nil {
 		dst = dst[:0]
