@@ -745,9 +745,9 @@ func BenchmarkComposeFacade(b *testing.B) {
 	}
 }
 
-// regOpsRig caches fully-populated sharded stores across sub-benchmark
+// regOpsRig caches fully-populated stores across sub-benchmark
 // invocations: Go re-enters each closure with a growing b.N, and the
-// lookup/churn pair shares one population per (shards, size). Churn
+// lookup/churn pair shares one population per size. Churn
 // operations are publish-new/withdraw pairs, so a cached store's
 // population is invariant between runs.
 type regOpsRig struct {
@@ -757,27 +757,26 @@ type regOpsRig struct {
 
 var (
 	regOpsMu   sync.Mutex
-	regOpsRigs = map[[2]int]*regOpsRig{}
+	regOpsRigs = map[int]*regOpsRig{}
 )
 
-func registryOpsRig(b *testing.B, shards, services int) *regOpsRig {
+func registryOpsRig(b *testing.B, services int) *regOpsRig {
 	b.Helper()
 	regOpsMu.Lock()
 	defer regOpsMu.Unlock()
-	key := [2]int{shards, services}
-	if rig, ok := regOpsRigs[key]; ok {
+	if rig, ok := regOpsRigs[services]; ok {
 		return rig
 	}
 	const perCap = 50 // candidates per capability, matching the paper's mall density
 	onto := semantics.PervasiveWithScenarios()
 	caps := make([]semantics.ConceptID, services/perCap)
 	for i := range caps {
-		caps[i] = semantics.ConceptID(fmt.Sprintf("ShardCap%06d", i))
+		caps[i] = semantics.ConceptID(fmt.Sprintf("OpsCap%06d", i))
 		if err := onto.AddConcept(caps[i], semantics.BookSale); err != nil {
 			b.Fatal(err)
 		}
 	}
-	reg := registry.NewStore(onto, registry.StoreOptions{Shards: shards}).Tenant(registry.DefaultTenant)
+	reg := registry.NewStore(onto, registry.StoreOptions{}).Tenant(registry.DefaultTenant)
 	for i := 0; i < services; i++ {
 		err := reg.Publish(registry.Description{
 			ID:      registry.ServiceID(fmt.Sprintf("svc-%07d", i)),
@@ -795,19 +794,15 @@ func registryOpsRig(b *testing.B, shards, services int) *regOpsRig {
 		}
 	}
 	rig := &regOpsRig{reg: reg, caps: caps}
-	regOpsRigs[key] = rig
+	regOpsRigs[services] = rig
 	return rig
 }
 
-// BenchmarkRegistryOps measures raw registry throughput across shard
-// counts (the scale-out axis of DESIGN.md §4g): concurrent capability
-// lookups and publish/withdraw churn against 100k- and 1M-service
-// stores at 1, 4 and 16 shards. Rigs are built lazily inside each
-// sub-benchmark so a -bench filter (the benchcmp gate takes only the
-// n=100k sizes) never pays for the 1M populations. Shard-count scaling
-// is a lock-contention experiment: on a single-core host the curves
-// are flat by construction, and the recorded numbers say so honestly —
-// see EXPERIMENTS.md for the discussion.
+// BenchmarkRegistryOps measures raw registry throughput: concurrent
+// capability lookups and publish/withdraw churn from 4 goroutines per
+// CPU against 100k- and 1M-service stores. Rigs are built lazily inside
+// each sub-benchmark so a -bench filter (the benchcmp gate takes only
+// the n=100k sizes) never pays for the 1M populations.
 func BenchmarkRegistryOps(b *testing.B) {
 	ps := qos.StandardSet()
 	var churnSeq atomic.Int64
@@ -815,61 +810,59 @@ func BenchmarkRegistryOps(b *testing.B) {
 		label string
 		n     int
 	}{{"100k", 100_000}, {"1M", 1_000_000}} {
-		for _, shards := range []int{1, 4, 16} {
-			suffix := fmt.Sprintf("s=%d/n=%s", shards, size.label)
-			b.Run("op=lookup/"+suffix, func(b *testing.B) {
-				rig := registryOpsRig(b, shards, size.n)
-				if got := rig.reg.Candidates(rig.caps[0], ps); len(got) == 0 {
-					b.Fatal("warm-up lookup found no candidates")
-				}
-				b.ReportAllocs()
-				b.SetParallelism(4)
-				var next, empty atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := next.Add(1)
-						if got := rig.reg.Candidates(rig.caps[int(i)%len(rig.caps)], ps); len(got) == 0 {
-							empty.Add(1)
-						}
+		suffix := "n=" + size.label
+		b.Run("op=lookup/"+suffix, func(b *testing.B) {
+			rig := registryOpsRig(b, size.n)
+			if got := rig.reg.Candidates(rig.caps[0], ps); len(got) == 0 {
+				b.Fatal("warm-up lookup found no candidates")
+			}
+			b.ReportAllocs()
+			b.SetParallelism(4)
+			var next, empty atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := next.Add(1)
+					if got := rig.reg.Candidates(rig.caps[int(i)%len(rig.caps)], ps); len(got) == 0 {
+						empty.Add(1)
 					}
-				})
-				b.StopTimer()
-				if empty.Load() != 0 {
-					b.Fatalf("%d lookups found no candidates", empty.Load())
 				}
 			})
-			b.Run("op=churn/"+suffix, func(b *testing.B) {
-				rig := registryOpsRig(b, shards, size.n)
-				b.ReportAllocs()
-				b.SetParallelism(4)
-				var failed atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := churnSeq.Add(1)
-						id := registry.ServiceID(fmt.Sprintf("churn-%d", i))
-						err := rig.reg.Publish(registry.Description{
-							ID:      id,
-							Concept: rig.caps[int(i)%len(rig.caps)],
-							Offers: []registry.QoSOffer{
-								{Property: semantics.ResponseTime, Value: 30},
-								{Property: semantics.Price, Value: 4},
-								{Property: semantics.Availability, Value: 0.96},
-								{Property: semantics.Reliability, Value: 0.92},
-								{Property: semantics.Throughput, Value: 45},
-							},
-						})
-						if err != nil || !rig.reg.Withdraw(id) {
-							failed.Add(1)
-						}
+			b.StopTimer()
+			if empty.Load() != 0 {
+				b.Fatalf("%d lookups found no candidates", empty.Load())
+			}
+		})
+		b.Run("op=churn/"+suffix, func(b *testing.B) {
+			rig := registryOpsRig(b, size.n)
+			b.ReportAllocs()
+			b.SetParallelism(4)
+			var failed atomic.Int64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := churnSeq.Add(1)
+					id := registry.ServiceID(fmt.Sprintf("churn-%d", i))
+					err := rig.reg.Publish(registry.Description{
+						ID:      id,
+						Concept: rig.caps[int(i)%len(rig.caps)],
+						Offers: []registry.QoSOffer{
+							{Property: semantics.ResponseTime, Value: 30},
+							{Property: semantics.Price, Value: 4},
+							{Property: semantics.Availability, Value: 0.96},
+							{Property: semantics.Reliability, Value: 0.92},
+							{Property: semantics.Throughput, Value: 45},
+						},
+					})
+					if err != nil || !rig.reg.Withdraw(id) {
+						failed.Add(1)
 					}
-				})
-				b.StopTimer()
-				if failed.Load() != 0 {
-					b.Fatalf("%d churn cycles failed", failed.Load())
 				}
 			})
-		}
+			b.StopTimer()
+			if failed.Load() != 0 {
+				b.Fatalf("%d churn cycles failed", failed.Load())
+			}
+		})
 	}
 }

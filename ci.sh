@@ -55,7 +55,7 @@ if [ "${1:-}" = "quick" ]; then
 	# (bit-identical results vs the naive/uncached reference) — cheap
 	# enough to race on every quick pass. The root package carries the
 	# plan-cache churn differentials (including the multi-tenant shared
-	# store), the registry package the sharded-store epoch/candidate
+	# store), the registry package the store's epoch/candidate
 	# differentials under raced churn. The core and baseline packages
 	# also carry the dependency-repair and Pareto-front differentials
 	# (QASSA vs the exhaustive reference front, both eval kernels).
@@ -71,7 +71,8 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestTable|TestResult' ./internal/adapt
 	go test -race -run 'TestCloseRevertsFailoverToReactive' .
 	# The multicore hot-path suite: raced lock-free reads in the registry
-	# (torn-read check, nil-before-bump ordering), the flat federation's
+	# (torn-read check, nil-before-bump ordering, fresh keys racing list
+	# rebuilds under the write lock), the flat federation's
 	# member churn racing its merged lookups, raced eviction + epoch
 	# invalidation in the copy-on-write plan cache, the shared-plan leak
 	# check (substitutions copy, never write the cached Result), the
@@ -83,7 +84,7 @@ if [ "${1:-}" = "quick" ]; then
 	# allocation ceiling and telemetry (spans, flight record and
 	# exemplar sharing the hit's clock readings).
 	echo "== go test -race hot-path suite (quick)"
-	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestFederation' ./internal/registry
+	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility|TestFederation' ./internal/registry
 	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);

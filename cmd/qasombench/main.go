@@ -7,7 +7,6 @@
 //
 //	qasombench -list                 # show the experiment inventory
 //	qasombench -exp vi5a             # run one experiment
-//	qasombench -exp shards           # registry scale-out sweep (DESIGN.md §4g)
 //	qasombench -all                  # run everything (slow)
 //	qasombench -all -quick           # smoke-test sweep sizes
 //	qasombench -exp vi6a -csv out/   # also write out/vi6a.csv

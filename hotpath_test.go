@@ -55,7 +55,7 @@ func TestHotPathsAcquireNoMutexes(t *testing.T) {
 
 	// Warm a direct store until the capability list is published.
 	reg := registry.NewStore(semantics.PervasiveWithScenarios(),
-		registry.StoreOptions{Shards: 4}).Tenant(registry.DefaultTenant)
+		registry.StoreOptions{}).Tenant(registry.DefaultTenant)
 	ps := qos.StandardSet()
 	for i := 0; i < 12; i++ {
 		err := reg.Publish(registry.Description{

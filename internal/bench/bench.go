@@ -171,7 +171,6 @@ var experiments = func() map[string]*Experiment {
 		mobilityExperiments(),
 		servingExperiments(),
 		openloopExperiments(),
-		registryExperiments(),
 		paretoExperiments(),
 	} {
 		for _, e := range group {

@@ -15,7 +15,7 @@ func TestInventoryComplete(t *testing.T) {
 		"v7", "adapt", "failover",
 		"ablation-k", "ablation-global", "ablation-seeding", "ablation-preverify",
 		"ablation-pareto", "baselines", "mobility",
-		"serving", "shards", // ROADMAP artefacts: steady-state serving, registry scale-out
+		"serving",  // ROADMAP artefact: steady-state serving
 		"openloop", // open-loop (arrival-rate driven) serving latency
 		"pareto",   // multi-objective front quality (DESIGN.md §4j)
 	}

@@ -166,7 +166,7 @@ func TestDifferentialEpochProbe(t *testing.T) {
 
 	t.Run("sequence", func(t *testing.T) {
 		onto := semantics.PervasiveWithScenarios()
-		store := NewStore(onto, StoreOptions{Shards: 4})
+		store := NewStore(onto, StoreOptions{})
 		r, other := store.Tenant("env-a"), store.Tenant("env-b")
 		// One probe over every concept, one over the concepts published
 		// from the start (its resolution is cached early), one per
@@ -258,7 +258,7 @@ func TestDifferentialEpochProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 		onto.MustAddConcept("VinylSale", semantics.MediaSale)
-		store := NewStore(onto, StoreOptions{Shards: 4})
+		store := NewStore(onto, StoreOptions{})
 		tenants := []*Registry{store.Tenant("env-a"), store.Tenant("env-b")}
 		churn := []semantics.ConceptID{semantics.BookSale, semantics.CashPayment, "VinylSale", semantics.CardPayment}
 

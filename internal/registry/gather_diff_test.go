@@ -174,7 +174,7 @@ func TestDifferentialGather(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f := newGatherFixture(t, seed, 150)
 		for _, mode := range []string{"indexed", "scan"} {
-			r := NewStore(f.onto, StoreOptions{Shards: 4}).Tenant(DefaultTenant)
+			r := NewStore(f.onto, StoreOptions{}).Tenant(DefaultTenant)
 			r.SetIndexing(mode == "indexed")
 			for _, d := range f.descs {
 				if err := r.Publish(d); err != nil {

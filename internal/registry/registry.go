@@ -6,7 +6,7 @@
 // resolution for heterogeneous QoS vocabularies) and QoS offers are
 // converted into vectors aligned to the requester's property set.
 //
-// The storage core is a sharded, multi-tenant Store (see store.go);
+// The storage core is a multi-tenant Store (see store.go);
 // Registry is the tenant-bound view every pre-multi-tenant call site
 // keeps using unchanged. federation.go aggregates the registries of the
 // devices in reach.
@@ -191,12 +191,10 @@ const (
 
 // Event is a registry change notification. Tenant names the logical
 // environment the change happened in (watchers only ever receive their
-// own tenant's events) and Shard is the store shard holding the
-// service's directory entry.
+// own tenant's events).
 type Event struct {
 	Kind    EventKind
 	Tenant  TenantID
-	Shard   int
 	Service Description
 }
 
@@ -211,12 +209,10 @@ type Metrics struct {
 	ScanLookups uint64
 	// IndexRebuilds counts full index (re)builds (initial build included).
 	IndexRebuilds uint64
-	// Shards is the number of lock domains of the backing store.
-	Shards int
 }
 
 // Registry is the concurrent service directory: a tenant-bound view over
-// a sharded Store. Create single-tenant instances with New, or views
+// a Store. Create single-tenant instances with New, or views
 // over a shared store with Store.Tenant. All methods are safe for
 // concurrent use; views are cheap handles and any number may exist per
 // tenant.
@@ -225,9 +221,8 @@ type Registry struct {
 	tenant TenantID
 }
 
-// New creates a single-tenant registry over a fresh store with the
-// default shard count, bound to the shared ontology (nil restricts
-// matching to exact concept equality).
+// New creates a single-tenant registry over a fresh store, bound to the
+// shared ontology (nil restricts matching to exact concept equality).
 func New(o *semantics.Ontology) *Registry {
 	return NewStore(o, StoreOptions{}).Tenant(DefaultTenant)
 }
@@ -311,8 +306,8 @@ func (r *Registry) All() []Description {
 // then ID.
 //
 // With indexing enabled (the default) the lookup reads exactly one index
-// entry in the shard the required concept hashes to; the full scan
-// remains as the fallback path.
+// entry, the required concept's, without a lock in the steady state;
+// the full scan remains as the fallback path.
 func (r *Registry) Candidates(required semantics.ConceptID, ps *qos.PropertySet) []Candidate {
 	return r.store.candidates(r.tenant, required, ps)
 }
@@ -364,9 +359,10 @@ func (r *Registry) conceptCovered(required semantics.ConceptID, available []sema
 // Watch subscribes to this tenant's registry change events. The returned
 // cancel function unsubscribes and closes the channel. Events are
 // delivered best-effort: when the subscriber's buffer is full the event
-// is dropped rather than blocking publishers. Each event carries the
-// tenant and home shard of the changed service, and every watcher gets
-// its own deep copy.
+// is dropped rather than blocking publishers, and the store's
+// qasom_registry_watch_dropped_total counter counts it. Each event
+// carries the tenant of the changed service, and every watcher gets its
+// own deep copy.
 func (r *Registry) Watch(buffer int) (<-chan Event, func()) {
 	return r.store.watch(r.tenant, buffer)
 }

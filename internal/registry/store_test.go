@@ -1,8 +1,7 @@
-// Tests for the sharded, multi-tenant store: the shard-count
-// differential (identical candidates and epoch values at every shard
-// count and against the scan path), tenant isolation, per-shard/tenant
-// watch-event hygiene and the raced epoch-monotonicity differential the
-// CI quick gate runs under -race.
+// Tests for the multi-tenant store: the indexed-versus-scan
+// differential pinned to recorded candidates and epoch values, tenant
+// isolation, watch-event hygiene and drop accounting, and the raced
+// epoch-monotonicity differential the CI quick gate runs under -race.
 package registry
 
 import (
@@ -18,24 +17,15 @@ import (
 	"qasom/internal/semantics"
 )
 
-func TestStoreShardRounding(t *testing.T) {
-	for _, tc := range []struct{ ask, want int }{
-		{0, DefaultShards}, {1, 1}, {3, 4}, {4, 4}, {13, 16}, {16, 16},
-	} {
-		s := NewStore(nil, StoreOptions{Shards: tc.ask})
-		if s.Shards() != tc.want {
-			t.Errorf("Shards: asked %d, got %d, want %d", tc.ask, s.Shards(), tc.want)
-		}
-	}
-}
-
-// TestDifferentialShardedCandidates drives one deterministic
-// publish/withdraw/re-publish sequence into stores with 1, 4 and 16
-// shards plus a scan-path store, and demands bit-identical observable
-// state from all of them: the same candidates for every lookup and the
-// same capability-epoch values (per-key bump counts are a function of
-// the operation sequence alone, never of shard placement).
-func TestDifferentialShardedCandidates(t *testing.T) {
+// TestDifferentialIndexedCandidates drives one deterministic
+// publish/withdraw/re-publish sequence into an indexed store and a
+// scan-path store, and demands bit-identical observable state from
+// both: the same candidates for every lookup and the same
+// capability-epoch values. Both are also pinned to literals: per-key
+// bump counts are a function of the operation sequence alone, never of
+// how the store lays out its locks, so a change to the write path must
+// reproduce them exactly.
+func TestDifferentialIndexedCandidates(t *testing.T) {
 	onto := semantics.PervasiveWithScenarios()
 	ps := qos.StandardSet()
 	concepts := []semantics.ConceptID{
@@ -43,10 +33,8 @@ func TestDifferentialShardedCandidates(t *testing.T) {
 	}
 
 	regs := map[string]*Registry{
-		"shards=1":  NewStore(onto, StoreOptions{Shards: 1}).Tenant(DefaultTenant),
-		"shards=4":  NewStore(onto, StoreOptions{Shards: 4}).Tenant(DefaultTenant),
-		"shards=16": NewStore(onto, StoreOptions{Shards: 16}).Tenant(DefaultTenant),
-		"scan":      NewStore(onto, StoreOptions{Shards: 16}).Tenant(DefaultTenant),
+		"indexed": NewStore(onto, StoreOptions{}).Tenant(DefaultTenant),
+		"scan":    NewStore(onto, StoreOptions{}).Tenant(DefaultTenant),
 	}
 	regs["scan"].SetIndexing(false)
 
@@ -105,26 +93,53 @@ func TestDifferentialShardedCandidates(t *testing.T) {
 		semantics.ShoppingService, semantics.NotifyService,
 		semantics.CardPayment, "NoSuchConcept",
 	}
-	want := regs["shards=1"]
+	// Recorded from the sequence above; MediaSale and ShoppingService
+	// are ancestors, so their lists are unions of their descendants'.
+	book := []string{"svc-003", "svc-009", "svc-010", "svc-022", "svc-033", "svc-035",
+		"svc-039", "svc-040", "svc-041", "svc-068", "svc-070", "svc-072", "svc-080",
+		"svc-082", "svc-096", "svc-099", "svc-104", "svc-108"}
+	cd := []string{"svc-000", "svc-001", "svc-014", "svc-021", "svc-025", "svc-030",
+		"svc-042", "svc-045", "svc-046", "svc-048", "svc-053", "svc-055", "svc-056",
+		"svc-058", "svc-074", "svc-077", "svc-078", "svc-081", "svc-102", "svc-103",
+		"svc-106", "svc-112", "svc-114"}
+	shopping := []string{"svc-000", "svc-001", "svc-003", "svc-009", "svc-010", "svc-014",
+		"svc-021", "svc-022", "svc-025", "svc-030", "svc-033", "svc-035", "svc-039",
+		"svc-040", "svc-041", "svc-042", "svc-045", "svc-046", "svc-048", "svc-053",
+		"svc-055", "svc-056", "svc-058", "svc-068", "svc-070", "svc-072", "svc-074",
+		"svc-077", "svc-078", "svc-080", "svc-081", "svc-082", "svc-096", "svc-099",
+		"svc-102", "svc-103", "svc-104", "svc-106", "svc-108", "svc-112", "svc-114"}
+	notify := []string{"svc-004", "svc-023", "svc-034", "svc-049", "svc-067", "svc-073",
+		"svc-075", "svc-079", "svc-088", "svc-090", "svc-092", "svc-095", "svc-107",
+		"svc-110"}
+	card := []string{"svc-002", "svc-005", "svc-006", "svc-008", "svc-011", "svc-013",
+		"svc-027", "svc-032", "svc-051", "svc-054", "svc-063", "svc-064", "svc-071",
+		"svc-076", "svc-084", "svc-085", "svc-086", "svc-087", "svc-093", "svc-097",
+		"svc-105", "svc-113", "svc-117", "svc-118"}
+	wantIDs := map[semantics.ConceptID][]string{
+		semantics.BookSale: book, semantics.CDSale: cd, semantics.MediaSale: cd,
+		semantics.ShoppingService: shopping, semantics.NotifyService: notify,
+		semantics.CardPayment: card, "NoSuchConcept": {},
+	}
+	// One epoch per lookup concept, then the ontology version.
+	wantEpochs := []uint64{86, 85, 85, 171, 76, 86, 0, 184}
+	const wantLen = 79
+
 	for name, r := range regs {
-		if r.Len() != want.Len() {
-			t.Errorf("%s: Len = %d, want %d", name, r.Len(), want.Len())
+		if r.Len() != wantLen {
+			t.Errorf("%s: Len = %d, want %d", name, r.Len(), wantLen)
 		}
 		for _, c := range lookups {
 			got := candidateIDs(r.Candidates(c, ps))
-			exp := candidateIDs(want.Candidates(c, ps))
-			if fmt.Sprint(got) != fmt.Sprint(exp) {
-				t.Errorf("%s: Candidates(%s) = %v, want %v", name, c, got, exp)
+			if fmt.Sprint(got) != fmt.Sprint(wantIDs[c]) {
+				t.Errorf("%s: Candidates(%s) = %v, want %v", name, c, got, wantIDs[c])
 			}
 		}
-		got := r.CapabilityEpochs(nil, lookups...)
-		exp := want.CapabilityEpochs(nil, lookups...)
-		if fmt.Sprint(got) != fmt.Sprint(exp) {
-			t.Errorf("%s: CapabilityEpochs = %v, want %v", name, got, exp)
+		if got := r.CapabilityEpochs(nil, lookups...); fmt.Sprint(got) != fmt.Sprint(wantEpochs) {
+			t.Errorf("%s: CapabilityEpochs = %v, want %v", name, got, wantEpochs)
 		}
 	}
-	if m := regs["shards=16"].Metrics(); m.IndexRebuilds != 1 || m.Shards != 16 {
-		t.Errorf("sharded store metrics = %+v, want one lazy build over 16 shards", m)
+	if m := regs["indexed"].Metrics(); m.IndexRebuilds != 1 {
+		t.Errorf("indexed store metrics = %+v, want one lazy build", m)
 	}
 	if m := regs["scan"].Metrics(); m.ScanLookups == 0 {
 		t.Errorf("scan store metrics = %+v, want scan lookups", m)
@@ -132,7 +147,7 @@ func TestDifferentialShardedCandidates(t *testing.T) {
 }
 
 func TestTenantIsolation(t *testing.T) {
-	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{Shards: 8})
+	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{})
 	a, b := store.Tenant("env-a"), store.Tenant("env-b")
 	ps := qos.StandardSet()
 
@@ -178,17 +193,16 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestWatchEventsCarryTenantAndShard pins the watcher-fan-out satellite:
-// events carry the originating tenant and the service's home shard, are
-// delivered only to that tenant's watchers, and stay deep copies under
-// concurrent writes to other shards.
-func TestWatchEventsCarryTenantAndShard(t *testing.T) {
-	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{Shards: 8})
+// TestWatchEventsCarryTenant pins the watcher fan-out: events carry the
+// originating tenant, are delivered only to that tenant's watchers, and
+// stay deep copies under concurrent writes by another tenant.
+func TestWatchEventsCarryTenant(t *testing.T) {
+	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{})
 	a, b := store.Tenant("env-a"), store.Tenant("env-b")
 	chA, cancelA := a.Watch(64)
 	defer cancelA()
 
-	// Concurrent churn in tenant-b: its shard writes must never corrupt
+	// Concurrent churn in tenant-b: its writes must never corrupt
 	// tenant-a's event copies, and none of its events may reach chA.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -225,12 +239,11 @@ func TestWatchEventsCarryTenantAndShard(t *testing.T) {
 	if len(events) != 2 {
 		t.Fatalf("tenant-a watcher saw %d events, want 2 (cross-tenant leak?)", len(events))
 	}
-	wantShard := store.ShardOf("env-a", "a-1")
 	for i, want := range []EventKind{EventPublished, EventWithdrawn} {
 		ev := events[i]
-		if ev.Kind != want || ev.Tenant != "env-a" || ev.Shard != wantShard || ev.Service.ID != "a-1" {
-			t.Errorf("event %d = kind=%v tenant=%q shard=%d id=%q, want kind=%v tenant=env-a shard=%d id=a-1",
-				i, ev.Kind, ev.Tenant, ev.Shard, ev.Service.ID, want, wantShard)
+		if ev.Kind != want || ev.Tenant != "env-a" || ev.Service.ID != "a-1" {
+			t.Errorf("event %d = kind=%v tenant=%q id=%q, want kind=%v tenant=env-a id=a-1",
+				i, ev.Kind, ev.Tenant, ev.Service.ID, want)
 		}
 	}
 	// Deep-copy hygiene: the two events of the same service must not
@@ -243,11 +256,11 @@ func TestWatchEventsCarryTenantAndShard(t *testing.T) {
 
 // TestDifferentialEpochMonotonicityRaced churns two tenants from
 // multiple goroutines while samplers assert that every capability-epoch
-// position is non-decreasing across snapshots (cross-shard reads must
+// position is non-decreasing across snapshots (lock-free reads must
 // never observe a counter going backwards) and that an idle tenant's
 // epochs never move at all. Run under -race by the CI quick gate.
 func TestDifferentialEpochMonotonicityRaced(t *testing.T) {
-	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{Shards: 8})
+	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{})
 	concepts := []semantics.ConceptID{
 		semantics.CDSale, semantics.MediaSale, semantics.ShoppingService,
 		semantics.BookSale, semantics.CardPayment,
@@ -306,7 +319,7 @@ func TestDifferentialEpochMonotonicityRaced(t *testing.T) {
 			}
 		}(store.Tenant(tenant))
 	}
-	// The idle tenant shares shards (and their counters' maps) with the
+	// The idle tenant shares the store (and its entry maps) with the
 	// churners but must observe frozen epochs.
 	idle := store.Tenant("env-idle")
 	idleBefore := idle.CapabilityEpochs(nil, concepts...)
@@ -329,12 +342,12 @@ func TestDifferentialEpochMonotonicityRaced(t *testing.T) {
 	}
 }
 
-// TestShardTelemetry checks the per-shard observability wiring: the
-// mutation counter and contended-lock-wait histogram register and the
-// mutation counts sum to the operations applied.
+// TestShardTelemetry checks the store's write telemetry: the mutation
+// counter and contended-lock-wait histogram register and the mutation
+// count equals the operations applied.
 func TestShardTelemetry(t *testing.T) {
 	o := obs.NewRegistry()
-	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{Shards: 4, Obs: o})
+	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{Obs: o})
 	r := store.Tenant(DefaultTenant)
 	const ops = 20
 	for i := 0; i < ops; i++ {
@@ -346,19 +359,51 @@ func TestShardTelemetry(t *testing.T) {
 	var sawLockWait bool
 	for _, m := range o.Snapshot() {
 		switch m.Name {
-		case "qasom_registry_shard_mutations_total":
+		case "qasom_registry_mutations_total":
 			for _, s := range m.Series {
 				mutations += s.Value
 			}
-		case "qasom_registry_shard_lock_wait_seconds":
+		case "qasom_registry_lock_wait_seconds":
 			sawLockWait = true
 		}
 	}
 	if mutations != ops {
-		t.Errorf("shard mutation counters sum to %g, want %d", mutations, ops)
+		t.Errorf("mutation counter = %g, want %d", mutations, ops)
 	}
 	if !sawLockWait {
 		t.Error("lock-wait histogram not registered")
+	}
+}
+
+// TestWatchDropsAreCounted checks that a full subscriber buffer drops
+// events visibly: a Watch(1) subscriber that never reads holds the first
+// of three publishes, and the other two land in the drop counter. A
+// store without telemetry drops the same way without panicking.
+func TestWatchDropsAreCounted(t *testing.T) {
+	o := obs.NewRegistry()
+	for _, store := range []*Store{NewStore(nil, StoreOptions{Obs: o}), NewStore(nil, StoreOptions{})} {
+		r := store.Tenant(DefaultTenant)
+		ch, cancel := r.Watch(1)
+		for i := 0; i < 3; i++ {
+			if err := r.Publish(bookService(fmt.Sprintf("s%d", i), 40)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cancel()
+		if n := len(ch); n != 1 {
+			t.Errorf("buffered events = %d, want 1", n)
+		}
+	}
+	var dropped float64
+	for _, m := range o.Snapshot() {
+		if m.Name == "qasom_registry_watch_dropped_total" {
+			for _, s := range m.Series {
+				dropped += s.Value
+			}
+		}
+	}
+	if dropped != 2 {
+		t.Errorf("qasom_registry_watch_dropped_total = %g, want 2", dropped)
 	}
 }
 
@@ -371,7 +416,7 @@ func TestShardTelemetry(t *testing.T) {
 // This is exactly the stability contract the plan cache builds on. Run
 // under -race it also proves the RCU publication discipline.
 func TestRacedSnapshotReads(t *testing.T) {
-	s := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{Shards: 4})
+	s := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{})
 	r := s.Tenant(DefaultTenant)
 	ps := qos.StandardSet()
 	for i := 0; i < 4; i++ {
@@ -466,10 +511,10 @@ func TestRacedSnapshotReads(t *testing.T) {
 
 // TestRacedFreshKeyVisibility checks that a key whose Publish completed
 // before the read began is never invisible (epoch 0, no candidates),
-// even while concurrent publishes keep minting brand-new keys on the
-// same shards.
+// even while concurrent publishes keep minting brand-new keys and
+// rebuilding cached lists under the write lock.
 func TestRacedFreshKeyVisibility(t *testing.T) {
-	s := NewStore(nil, StoreOptions{Shards: 2})
+	s := NewStore(nil, StoreOptions{})
 	r := s.Tenant(DefaultTenant)
 	ps := qos.StandardSet()
 
@@ -486,8 +531,8 @@ func TestRacedFreshKeyVisibility(t *testing.T) {
 				return
 			default:
 			}
-			// Every publish mints a fresh capability key, so the extra
-			// overflow grows and merges continuously on both shards.
+			// Every publish mints a fresh capability key, so new entries
+			// appear continuously while the reader rebuilds lists.
 			c := semantics.ConceptID(fmt.Sprintf("cap-%d", i))
 			d := Description{
 				ID:      ServiceID(fmt.Sprintf("svc-%d", i)),
@@ -537,7 +582,7 @@ func TestRebuildInvalidatesStalePublications(t *testing.T) {
 	o := semantics.New("rebuild-race")
 	o.MustAddConcept("shop")
 	o.MustAddConcept("kiosk") // not yet under "shop"
-	s := NewStore(o, StoreOptions{Shards: 4})
+	s := NewStore(o, StoreOptions{})
 	r := s.Tenant(DefaultTenant)
 	ps := qos.StandardSet()
 	for id, c := range map[string]semantics.ConceptID{"svc-shop": "shop", "svc-kiosk": "kiosk"} {
@@ -573,7 +618,7 @@ func TestRacedEpochOrder(t *testing.T) {
 	ps := qos.StandardSet()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && !t.Failed() {
-		r := NewStore(nil, StoreOptions{Shards: 2}).Tenant(DefaultTenant)
+		r := NewStore(nil, StoreOptions{}).Tenant(DefaultTenant)
 		stop := make(chan struct{})
 		var readers sync.WaitGroup
 		for g := 0; g < 6; g++ {

@@ -14,8 +14,9 @@ const (
 	resyncInterval = 2500 * time.Millisecond
 	// watchBuffer sizes the registry event subscription: deep enough to
 	// absorb a publish/withdraw burst between two loop wakes. Delivery
-	// is best-effort, so an overflow drops events and the resync repairs
-	// the table.
+	// is best-effort, so an overflow drops events (counted in
+	// qasom_registry_watch_dropped_total) and the resync repairs the
+	// table.
 	watchBuffer = 256
 )
 

@@ -1,5 +1,5 @@
 // Multi-tenant facade tests: two Middleware instances sharing one
-// sharded registry store must be fully isolated — candidates, epochs and
+// registry store must be fully isolated — candidates, epochs and
 // cached selection plans — even under raced churn in the other tenant.
 package qasom
 
@@ -38,14 +38,14 @@ func seedShoppingServices(t *testing.T, mw *Middleware, prefix string) {
 	}
 }
 
-// TestDifferentialMultiTenantChurnRaced shares one 8-shard store between
+// TestDifferentialMultiTenantChurnRaced shares one store between
 // tenants A and B and races B-side churn (on the very capabilities A's
 // task uses) against A-side cache probes. Isolation means A's epoch
 // snapshot NEVER moves, its cached plan stays valid throughout, every
 // hit DeepEquals a fresh recomputation, and no B service ever appears in
 // an A assignment. Run under -race by the CI quick gate.
 func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
-	store := registry.NewStore(semantics.PervasiveWithScenarios(), registry.StoreOptions{Shards: 8})
+	store := registry.NewStore(semantics.PervasiveWithScenarios(), registry.StoreOptions{})
 	mwA, err := New(Options{Obs: obs.NewHub(), Store: store, TenantID: "tenant-a"})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
 	}
 	churnWG.Add(2)
 	go churn("OrderItem", "b-churn-ord")    // same capability A's task uses
-	go churn("BrowseCatalog", "b-churn-br") // and the same shard-keyed concepts again
+	go churn("BrowseCatalog", "b-churn-br") // and the task's other concept
 
 	const verifiers = 4
 	const iterations = 100
@@ -197,7 +197,7 @@ func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
 // to one Store see their own services only, and the store's ontology is
 // the shared semantic model.
 func TestSharedStoreTenantViews(t *testing.T) {
-	store := registry.NewStore(semantics.PervasiveWithScenarios(), registry.StoreOptions{Shards: 4})
+	store := registry.NewStore(semantics.PervasiveWithScenarios(), registry.StoreOptions{})
 	mwA, err := New(Options{Obs: obs.NewHub(), Store: store, TenantID: "a"})
 	if err != nil {
 		t.Fatal(err)

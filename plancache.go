@@ -252,13 +252,11 @@ func planCacheKey(te *taskEntry, req *core.Request) string {
 // capability the task's activities require (the subsumption-closure
 // epochs bumped by any publish/withdraw/QoS-update of a matching
 // service), with the ontology version appended. The snapshot is
-// tenant-scoped and touches only the registry shards those capabilities
-// hash to — churn in another tenant, or under capabilities in other
-// shards, leaves it untouched. Taken BEFORE candidate lookup: if the
-// registry churns between snapshot and selection — even if only some
-// shards had landed their updates at snapshot time — the stored
-// snapshot is already stale and the next lookup recomputes —
-// conservative, never incorrect.
+// tenant-scoped and reads only those capabilities' epochs — churn in
+// another tenant, or under unrelated capabilities, leaves it untouched.
+// Taken BEFORE candidate lookup: if the registry churns between
+// snapshot and selection, the stored snapshot is already stale and the
+// next lookup recomputes — conservative, never incorrect.
 //
 // The snapshot goes through the task entry's epoch probe, which resolves
 // the concepts' registry entries once per ontology version.

@@ -164,8 +164,8 @@ type Options struct {
 	// instance attaches to (via TenantID) instead of creating its own —
 	// the way many logical environments share one process. The store's
 	// ontology replaces the instance-private one. Deployments that need
-	// a registry shard count or an ontology memo cap other than the
-	// defaults build their own Store.
+	// store telemetry or an ontology memo cap other than the default
+	// build their own Store.
 	Store *registry.Store
 	// ParetoMode switches every selection of this instance from scalar
 	// (single best-utility composition) to multi-objective: the

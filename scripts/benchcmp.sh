@@ -42,10 +42,10 @@ BASE="${BASE:-BENCH_qassa.json}"
 # the single-client warm hit of an inline document: its alloc/byte
 # budgets catch a return to per-request BPEL parsing.
 BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkComposeFacade}"
-# The sharded-registry benchmarks are gated at the 100k population only:
-# the 1M rigs exist for the recorded scale-out table, not for a quick
-# regression pass (component-wise -bench regex, hence a separate run).
-REGBENCH="${REGBENCH:-BenchmarkRegistryOps/op=(lookup|churn)/s=(1|4|16)/n=100k}"
+# The registry benchmarks are gated at the 100k population only: the
+# 1M rigs exist for the recorded table, not for a quick regression pass
+# (component-wise -bench regex, hence a separate run).
+REGBENCH="${REGBENCH:-BenchmarkRegistryOps/op=(lookup|churn)/n=100k}"
 RUNS="${RUNS:-3}"
 THRESHOLD="${THRESHOLD:-15}"
 BENCHTIME="${BENCHTIME:-0.5s}"
