@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -745,28 +744,18 @@ func BenchmarkComposeFacade(b *testing.B) {
 	}
 }
 
-// regOpsRig caches fully-populated stores across sub-benchmark
-// invocations: Go re-enters each closure with a growing b.N, and the
-// lookup/churn pair shares one population per size. Churn
-// operations are publish-new/withdraw pairs, so a cached store's
+// regOpsRig is one fully-populated store. BenchmarkRegistryOps reuses it
+// across sub-benchmark invocations: Go re-enters each closure with a
+// growing b.N, and the lookup/churn pair shares one population per size.
+// Churn operations are publish-new/withdraw pairs, so the store's
 // population is invariant between runs.
 type regOpsRig struct {
 	reg  *registry.Registry
 	caps []semantics.ConceptID
 }
 
-var (
-	regOpsMu   sync.Mutex
-	regOpsRigs = map[int]*regOpsRig{}
-)
-
-func registryOpsRig(b *testing.B, services int) *regOpsRig {
+func newRegistryOpsRig(b *testing.B, services int) *regOpsRig {
 	b.Helper()
-	regOpsMu.Lock()
-	defer regOpsMu.Unlock()
-	if rig, ok := regOpsRigs[services]; ok {
-		return rig
-	}
 	const perCap = 50 // candidates per capability, matching the paper's mall density
 	onto := semantics.PervasiveWithScenarios()
 	caps := make([]semantics.ConceptID, services/perCap)
@@ -793,16 +782,17 @@ func registryOpsRig(b *testing.B, services int) *regOpsRig {
 			b.Fatal(err)
 		}
 	}
-	rig := &regOpsRig{reg: reg, caps: caps}
-	regOpsRigs[services] = rig
-	return rig
+	return &regOpsRig{reg: reg, caps: caps}
 }
 
 // BenchmarkRegistryOps measures raw registry throughput: concurrent
 // capability lookups and publish/withdraw churn from 4 goroutines per
 // CPU against 100k- and 1M-service stores. Rigs are built lazily inside
 // each sub-benchmark so a -bench filter (the benchcmp gate takes only
-// the n=100k sizes) never pays for the 1M populations.
+// the n=100k sizes) never pays for the 1M populations. Each size's rig
+// lives only for its own iteration of the size loop, so the 100k store
+// is garbage before the 1M one is built and nothing outlives the
+// benchmark.
 func BenchmarkRegistryOps(b *testing.B) {
 	ps := qos.StandardSet()
 	var churnSeq atomic.Int64
@@ -811,8 +801,15 @@ func BenchmarkRegistryOps(b *testing.B) {
 		n     int
 	}{{"100k", 100_000}, {"1M", 1_000_000}} {
 		suffix := "n=" + size.label
+		var cached *regOpsRig
+		sizeRig := func(b *testing.B) *regOpsRig {
+			if cached == nil {
+				cached = newRegistryOpsRig(b, size.n)
+			}
+			return cached
+		}
 		b.Run("op=lookup/"+suffix, func(b *testing.B) {
-			rig := registryOpsRig(b, size.n)
+			rig := sizeRig(b)
 			if got := rig.reg.Candidates(rig.caps[0], ps); len(got) == 0 {
 				b.Fatal("warm-up lookup found no candidates")
 			}
@@ -834,7 +831,7 @@ func BenchmarkRegistryOps(b *testing.B) {
 			}
 		})
 		b.Run("op=churn/"+suffix, func(b *testing.B) {
-			rig := registryOpsRig(b, size.n)
+			rig := sizeRig(b)
 			b.ReportAllocs()
 			b.SetParallelism(4)
 			var failed atomic.Int64

@@ -63,12 +63,14 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'TestDifferential' . ./internal/core ./internal/baseline ./internal/registry
 	# The failover suite races the eligibility table: lock-free reads
 	# against watch/health churn in subidx, the adapt package's
-	# concurrent-substitution exactly-once, differential
-	# decision-identity, churn-during-failover and table-path tests, and
-	# the facade's Close contract (failover reverts to the reactive scan).
+	# concurrent-substitution exactly-once over the one locked walk (table
+	# reads or probes), differential decision-identity,
+	# churn-during-failover and table-path tests, the failure handler's
+	# exclusion rule, and the facade's Close contract (failover reverts
+	# to the probing walk).
 	echo "== go test -race failover suite (quick)"
 	go test -race ./internal/subidx
-	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestTable|TestResult' ./internal/adapt
+	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestTable|TestResult|TestFailureHandler' ./internal/adapt
 	go test -race -run 'TestCloseRevertsFailoverToReactive' .
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-read check, nil-before-bump ordering, fresh keys racing list
@@ -80,12 +82,13 @@ if [ "${1:-}" = "quick" ]; then
 	# reads racing a behavioural switch inside Execute, concurrent
 	# Compose of one interned document while other inserts rotate the
 	# intern table's generations, the mutex-profile assertion that
-	# the warm read paths acquire zero locks, and the warm hit's
+	# the warm read paths acquire zero locks, the warm hit's
 	# allocation ceiling and telemetry (spans, flight record and
-	# exemplar sharing the hit's clock readings).
+	# exemplar sharing the hit's clock readings), and first contract
+	# establishment racing compliance checks.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility|TestFederation' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry|TestConcurrentContracts' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

@@ -543,15 +543,8 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 		if fs.IndexHits > 0 {
 			rec.Events = append(rec.Events, fmt.Sprintf("failover-index-hits=%d", fs.IndexHits))
 		}
-		if len(fs.Fallbacks) > 0 {
-			causes := make([]string, 0, len(fs.Fallbacks))
-			for cause := range fs.Fallbacks {
-				causes = append(causes, cause)
-			}
-			sort.Strings(causes)
-			for _, cause := range causes {
-				rec.Events = append(rec.Events, fmt.Sprintf("failover-fallback-%s=%d", cause, fs.Fallbacks[cause]))
-			}
+		if fs.Exhausted > 0 {
+			rec.Events = append(rec.Events, fmt.Sprintf("failover-fallback-exhausted=%d", fs.Exhausted))
 		}
 		if retErr != nil {
 			rec.Err = retErr.Error()

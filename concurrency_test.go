@@ -260,3 +260,56 @@ func TestConcurrentBehaviourReadDuringSwitch(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentContracts races the first EstablishContracts calls of a
+// middleware against CheckContracts: the contract manager must exist
+// before either runs, so no contract is lost to a second manager and the
+// race detector sees no unsynchronised install.
+func TestConcurrentContracts(t *testing.T) {
+	mw := newMall(t)
+	comp, err := mw.Compose(qasom.Request{Task: behaviourA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers = 4
+	var wg sync.WaitGroup
+	ids := make([]map[string]string, writers)
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func(w int) {
+			defer wg.Done()
+			ids[w], errs[w] = mw.EstablishContracts(comp, 1)
+		}(w)
+		go func() {
+			defer wg.Done()
+			for _, r := range mw.CheckContracts() {
+				if r.ContractID == "" {
+					t.Error("report without a contract ID")
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want := make(map[string]bool)
+	for w := 0; w < writers; w++ {
+		if errs[w] != nil {
+			t.Fatalf("EstablishContracts: %v", errs[w])
+		}
+		for _, id := range ids[w] {
+			want[id] = true
+		}
+	}
+	if len(want) != writers*len(comp.Bindings()) {
+		t.Fatalf("%d distinct contract IDs, want %d", len(want), writers*len(comp.Bindings()))
+	}
+	reports := mw.CheckContracts()
+	if len(reports) != len(want) {
+		t.Fatalf("CheckContracts returned %d reports, want %d", len(reports), len(want))
+	}
+	for _, r := range reports {
+		if !want[r.ContractID] {
+			t.Errorf("report for unknown contract %s", r.ContractID)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package qasom
 import (
 	"fmt"
 
-	"qasom/internal/contract"
 	"qasom/internal/qos"
 )
 
@@ -30,9 +29,6 @@ type ContractReport struct {
 // check per unit of relative violation. It returns the contract IDs
 // keyed by activity.
 func (m *Middleware) EstablishContracts(c *Composition, penaltyRate float64) (map[string]string, error) {
-	if m.contracts == nil {
-		m.contracts = contract.NewManager(m.props, m.ontology)
-	}
 	res := c.runtime.Result()
 	out := make(map[string]string, len(res.Assignment))
 	for act, cand := range res.Assignment {
@@ -54,15 +50,11 @@ func (m *Middleware) EstablishContracts(c *Composition, penaltyRate float64) (ma
 }
 
 // CheckContracts evaluates every established contract against the
-// run-time monitor and returns the reports (empty when no contracts
+// run-time monitor and returns the reports (nil when no contracts
 // exist).
 func (m *Middleware) CheckContracts() []ContractReport {
-	if m.contracts == nil {
-		return nil
-	}
-	reports := m.contracts.CheckAll(m.mon)
-	out := make([]ContractReport, 0, len(reports))
-	for _, r := range reports {
+	var out []ContractReport
+	for _, r := range m.contracts.CheckAll(m.mon) {
 		ct, _ := m.contracts.Get(r.ContractID)
 		pub := ContractReport{
 			ContractID: r.ContractID,
@@ -82,8 +74,5 @@ func (m *Middleware) CheckContracts() []ContractReport {
 
 // AccruedPenalty returns the total penalty a contract has accrued.
 func (m *Middleware) AccruedPenalty(contractID string) float64 {
-	if m.contracts == nil {
-		return 0
-	}
 	return m.contracts.AccruedPenalty(contractID)
 }

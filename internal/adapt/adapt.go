@@ -10,14 +10,14 @@
 // shared collaborators, and all per-composition state — the selection,
 // progress and failover accounting — lives on the composition's Runtime.
 //
-// Failover walks the runtime's own alternate rotation. With an active
-// eligibility table (internal/subidx) the walk reads the table's
-// live/healthy bits under the runtime lock and commits in the same
-// critical section — zero registry or monitor calls, and by construction
-// the pick of the reactive scan. Only an exhausted rotation queries the
-// registry, for services published after selection. Without an active
-// table the reactive scan probes the registry and monitor outside the
-// runtime lock, so parallel-branch failovers do not serialize on them.
+// Failover is one walk over the runtime's own alternate rotation, under
+// the runtime lock, that commits in the same critical section. With an
+// active eligibility table (internal/subidx) the walk reads the table's
+// live/healthy bits — zero registry or monitor calls. Without one it
+// probes the registry and monitor instead; the two walks differ only in
+// that test, so a table hit is by construction the reactive pick. Only
+// an exhausted rotation on the table path queries the registry, for
+// services published after selection.
 package adapt
 
 import (
@@ -43,15 +43,10 @@ type Runtime struct {
 	// Req is the originating request.
 	Req *core.Request
 
-	// version counts selection mutations (substitution commits and
-	// behaviour switches), under mu. The reactive scan uses it to detect
-	// a commit that raced its unlocked probe phase.
-	version uint64
-
 	// deps is the request's compiled dependency rule set (nil when the
-	// request declares none). Every substitution path — table, reactive
-	// and locked — consults it, so failover can never install a binding
-	// that violates a dependency rule.
+	// request declares none). Every substitution path — the walk and the
+	// late-service rung — consults it, so failover can never install a
+	// binding that violates a dependency rule.
 	deps *core.DependencySet
 
 	mu sync.Mutex
@@ -73,10 +68,10 @@ type Runtime struct {
 	// substitutions counts applied service substitutions.
 	substitutions int
 	// failoverHits counts substitutions served by the eligibility
-	// table's rotation walk; failoverFallbacks counts registry queries by
-	// cause.
+	// table's rotation walk; failoverExhausted counts table-backed
+	// failovers whose rotation had no eligible alternate left.
 	failoverHits      int
-	failoverFallbacks map[string]int
+	failoverExhausted int
 }
 
 // NewRuntime wraps a selection into a runtime. The Result is treated as
@@ -164,34 +159,16 @@ type FailoverStats struct {
 	// IndexHits counts substitutions resolved by the rotation walk over
 	// the eligibility table (zero registry/monitor calls).
 	IndexHits int
-	// Fallbacks counts table-backed failovers that had to query the
-	// registry, by cause. The only cause is "exhausted": no eligible
-	// alternate was left in the rotation.
-	Fallbacks map[string]int
+	// Exhausted counts table-backed failovers that had to query the
+	// registry because no eligible alternate was left in the rotation.
+	Exhausted int
 }
 
-// FailoverStats returns a copy of the failover accounting.
+// FailoverStats returns the failover accounting.
 func (rt *Runtime) FailoverStats() FailoverStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := FailoverStats{IndexHits: rt.failoverHits}
-	if len(rt.failoverFallbacks) > 0 {
-		out.Fallbacks = make(map[string]int, len(rt.failoverFallbacks))
-		for k, v := range rt.failoverFallbacks {
-			out.Fallbacks[k] = v
-		}
-	}
-	return out
-}
-
-// noteFallback records one reactive fallback by cause.
-func (rt *Runtime) noteFallback(cause string) {
-	rt.mu.Lock()
-	if rt.failoverFallbacks == nil {
-		rt.failoverFallbacks = make(map[string]int, 4)
-	}
-	rt.failoverFallbacks[cause]++
-	rt.mu.Unlock()
+	return FailoverStats{IndexHits: rt.failoverHits, Exhausted: rt.failoverExhausted}
 }
 
 // ResetProgress clears completion tracking so the behaviour can run
@@ -270,7 +247,6 @@ func (rt *Runtime) switchBehaviour(newBehaviour *task.Task, sel *core.Result) {
 	rt.behaviour = newBehaviour
 	rt.result = sel
 	rt.owned = true // a fresh re-selection, never a plan-cache entry
-	rt.version++
 	// Completed activities of the old behaviour do not exist in the new
 	// one: keep only observations (for consumed QoS the old behaviour's
 	// aggregate was already folded into the residual constraints), and
@@ -315,7 +291,7 @@ type Manager struct {
 	// Table, when set and active, serves failover eligibility in place
 	// of registry and monitor probes. It must observe the same Registry
 	// and Monitor; an inactive table (not started, or closed) leaves
-	// failover on the reactive scan.
+	// failover on the probing walk.
 	Table *subidx.Table
 	// Options tune the strategies.
 	Options Options
@@ -349,13 +325,14 @@ func (m *Manager) counter(name, help string) *obs.Counter {
 	return m.Obs.Metrics.Counter(name, help)
 }
 
-// fallbackCounter fetches the per-cause fallback counter; nil without a
-// hub.
-func (m *Manager) fallbackCounter(cause string) *obs.Counter {
+// exhaustedCounter fetches the fallback counter of the only cause,
+// "exhausted" (no eligible alternate left in the rotation); nil without
+// a hub.
+func (m *Manager) exhaustedCounter() *obs.Counter {
 	if m.Obs == nil {
 		return nil
 	}
-	return m.Obs.Metrics.CounterVec(failoverFallbackMetric, failoverFallbackHelp, "cause").With(cause)
+	return m.Obs.Metrics.CounterVec(failoverFallbackMetric, failoverFallbackHelp, "cause").With("exhausted")
 }
 
 // ErrNoSubstitute is wrapped when no alternate can replace a service.
@@ -367,19 +344,24 @@ var ErrNoSubstitute = fmt.Errorf("adapt: no substitute available")
 // assignment and returns the substitute. The chosen alternate leaves the
 // rotation and the displaced binding rejoins it at the tail.
 //
-// With an active eligibility table the walk reads the table's bits under
-// the runtime lock and commits in the same critical section; when the
-// rotation is exhausted, services published after selection are tried.
-// Without one, the reactive scan probes the registry and monitor.
+// The walk runs under the runtime lock and commits in the same critical
+// section. With an active eligibility table it reads the table's bits,
+// and when the rotation is exhausted, services published after selection
+// are tried. Without one it probes the registry and monitor.
 func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
 	if t := m.Table; t != nil && t.Active() {
 		return m.substituteTable(rt, t, activityID, exclude)
 	}
-	return m.substituteReactive(rt, activityID, exclude)
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if cand, ok := m.walkLocked(rt, activityID, exclude, m.probe); ok {
+		return cand, nil
+	}
+	return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 }
 
-// substituteTable is the table-backed failover: the locked scan's walk
-// with table reads in place of probes.
+// substituteTable is the table-backed failover: the walk with table
+// reads in place of probes.
 func (m *Manager) substituteTable(rt *Runtime, t *subidx.Table, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
 	rt.mu.Lock()
 	if cand, ok := m.walkLocked(rt, activityID, exclude, t.Eligible); ok {
@@ -388,10 +370,10 @@ func (m *Manager) substituteTable(rt *Runtime, t *subidx.Table, activityID strin
 		m.counter(failoverHitMetric, failoverHitHelp).Inc()
 		return cand, nil
 	}
+	rt.failoverExhausted++
 	behaviour := rt.behaviour
 	rt.mu.Unlock()
-	rt.noteFallback("exhausted")
-	m.fallbackCounter("exhausted").Inc()
+	m.exhaustedCounter().Inc()
 	return m.substituteLate(rt, t, behaviour, activityID, exclude)
 }
 
@@ -424,77 +406,10 @@ func (m *Manager) substituteLate(rt *Runtime, t *subidx.Table, behaviour *task.T
 		rt.result.Alternates[activityID] = append(rt.result.Alternates[activityID], old)
 		rt.result.Assignment[activityID] = c
 		rt.substitutions++
-		rt.version++
 		m.counter(substitutionMetric, substitutionHelp).Inc()
 		return c, nil
 	}
 	return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
-}
-
-// maxReactiveRetries bounds optimistic rescans of the reactive path
-// before it degrades to the fully locked scan.
-const maxReactiveRetries = 4
-
-// idScratch pools the candidate-ID snapshot slices of the reactive scan.
-var idScratch = sync.Pool{
-	New: func() any {
-		s := make([]registry.ServiceID, 0, 16)
-		return &s
-	},
-}
-
-// substituteReactive is the scan without a table. It does NOT hold the
-// runtime lock while probing the registry and monitor: it snapshots the
-// candidate IDs (and the runtime's mutation version) under the lock,
-// probes outside it, then revalidates and commits. A concurrent commit
-// triggers a bounded rescan; past the bound the scan runs fully locked,
-// which guarantees termination at the cost of serializing the probes.
-func (m *Manager) substituteReactive(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	ids := idScratch.Get().(*[]registry.ServiceID)
-	defer func() {
-		*ids = (*ids)[:0]
-		idScratch.Put(ids)
-	}()
-	for attempt := 0; attempt < maxReactiveRetries; attempt++ {
-		rt.mu.Lock()
-		version := rt.version
-		alts := rt.result.Alternates[activityID]
-		*ids = (*ids)[:0]
-		for i := range alts {
-			// Dependency-inadmissible alternates never reach the probe
-			// phase; the version guard at commit time keeps the check
-			// valid (any assignment change forces a rescan).
-			if !rt.depAdmissibleLocked(activityID, alts[i]) {
-				continue
-			}
-			*ids = append(*ids, alts[i].Service.ID)
-		}
-		rt.mu.Unlock()
-
-		pick := m.scanEligible(*ids, exclude)
-		if pick == "" {
-			return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
-		}
-		if cand, ok := m.commitReactive(rt, activityID, pick, version); ok {
-			return cand, nil
-		}
-		// A concurrent commit moved the selection: rescan from the
-		// current rotation order.
-	}
-	return m.substituteLocked(rt, activityID, exclude)
-}
-
-// scanEligible walks the candidate IDs in rotation order and returns the
-// first one that is not excluded, still published and healthy. Runs
-// without the runtime lock; every probe is counted so tests can assert
-// the table path performs none.
-func (m *Manager) scanEligible(ids []registry.ServiceID, exclude map[registry.ServiceID]bool) registry.ServiceID {
-	for _, id := range ids {
-		if !exclude[id] && m.probe(id) {
-			return id
-		}
-	}
-	return ""
 }
 
 // probe reports whether a service is still published and healthy, asking
@@ -515,29 +430,6 @@ func (m *Manager) probe(id registry.ServiceID) bool {
 	return true
 }
 
-// commitReactive validates that no selection change raced the unlocked
-// probe phase and commits the rotation. The version guard is coarse (any
-// activity's commit bumps it) but cheap; a false positive just rescans.
-func (m *Manager) commitReactive(rt *Runtime, activityID string, pick registry.ServiceID, version uint64) (registry.Candidate, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.version != version {
-		return registry.Candidate{}, false
-	}
-	return m.commitLocked(rt, activityID, pick), true
-}
-
-// commitLocked rotates pick into the binding. Caller holds rt.mu and has
-// established that pick is a current alternate.
-func (m *Manager) commitLocked(rt *Runtime, activityID string, pick registry.ServiceID) registry.Candidate {
-	for pos, alt := range rt.result.Alternates[activityID] {
-		if alt.Service.ID == pick {
-			return m.rotateLocked(rt, activityID, pos)
-		}
-	}
-	return registry.Candidate{}
-}
-
 // rotateLocked binds the alternate at pos: it leaves the rotation and
 // the displaced binding rejoins it at the tail, in place — no
 // reallocation on the failure path. Caller holds rt.mu.
@@ -555,29 +447,15 @@ func (m *Manager) rotateLocked(rt *Runtime, activityID string, pos int) registry
 	rt.result.Alternates[activityID] = alts
 	rt.result.Assignment[activityID] = chosen
 	rt.substitutions++
-	rt.version++
 	m.counter(substitutionMetric, substitutionHelp).Inc()
 	return chosen
 }
 
-// substituteLocked is the probing scan and commit in one critical
-// section. Kept as the termination guarantee of the optimistic
-// reactive path under pathological commit churn.
-func (m *Manager) substituteLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if cand, ok := m.walkLocked(rt, activityID, exclude, m.probe); ok {
-		return cand, nil
-	}
-	return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
-}
-
 // walkLocked binds the first alternate of the rotation that passes
-// eligible, is not excluded and is dependency-admissible. The locked
-// scan and the table path share it and differ only in eligible: probes
-// or table reads. Eligibility is asked first because a table read is
-// cheaper than the exclude lookup and rejects the dead entries a walk
-// mostly skips. Caller holds rt.mu.
+// eligible, is not excluded and is dependency-admissible. Every failover
+// runs it; eligible is the table's read or m.probe. Eligibility is asked
+// first because a table read is cheaper than the exclude lookup and
+// rejects the dead entries a walk mostly skips. Caller holds rt.mu.
 func (m *Manager) walkLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool, eligible func(registry.ServiceID) bool) (registry.Candidate, bool) {
 	for pos, alt := range rt.result.Alternates[activityID] {
 		if !eligible(alt.Service.ID) || exclude[alt.Service.ID] || !rt.depAdmissibleLocked(activityID, alt) {
@@ -588,13 +466,6 @@ func (m *Manager) walkLocked(rt *Runtime, activityID string, exclude map[registr
 	return registry.Candidate{}, false
 }
 
-// excludeScratch pools the per-failover exclusion snapshots built by
-// FailureHandler (one map per in-flight failover instead of one per
-// call).
-var excludeScratch = sync.Pool{
-	New: func() any { return make(map[registry.ServiceID]bool, 8) },
-}
-
 // FailureHandler wires substitution into the executor as the
 // terminal-failure handler: each terminally failed attempt excludes the
 // failed service and substitutes the next alternate. The executor's
@@ -603,27 +474,27 @@ var excludeScratch = sync.Pool{
 // them — a binding lost to a flaky link (Retryable) stays eligible for
 // re-selection later, while an application-level failure (Terminal)
 // excludes the service for the rest of the run.
+//
+// The handler's lock guards its one exclusion map and is held across
+// Substitute. The lock order is therefore the handler's lock, then
+// rt.mu, then the registry's and monitor's own locks (probes and the
+// late-service query). Nothing takes them in reverse: CompletionHook
+// releases rt.mu before it asks Monitor.Estimate.
 func (m *Manager) FailureHandler(rt *Runtime) exec.FailureHandler {
 	excluded := make(map[registry.ServiceID]bool)
 	var mu sync.Mutex
 	return func(act *task.Activity, failed registry.Candidate, attempt int, class resilience.Class) (registry.Candidate, error) {
-		snapshot := excludeScratch.Get().(map[registry.ServiceID]bool)
-		clear(snapshot)
 		mu.Lock()
-		if class != resilience.Retryable {
-			excluded[failed.Service.ID] = true
+		defer mu.Unlock()
+		id := failed.Service.ID
+		if class == resilience.Retryable && !excluded[id] {
+			// Even a link-failed binding must not be handed straight
+			// back: exclude it from THIS substitution without
+			// remembering it.
+			defer delete(excluded, id)
 		}
-		for k, v := range excluded {
-			snapshot[k] = v
-		}
-		// Even a link-failed binding must not be handed straight back:
-		// exclude it from THIS substitution without remembering it.
-		snapshot[failed.Service.ID] = true
-		mu.Unlock()
-		cand, err := m.Substitute(rt, act.ID, snapshot)
-		clear(snapshot)
-		excludeScratch.Put(snapshot)
-		return cand, err
+		excluded[id] = true
+		return m.Substitute(rt, act.ID, excluded)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"qasom/internal/monitor"
 	"qasom/internal/qos"
 	"qasom/internal/registry"
+	"qasom/internal/resilience"
 	"qasom/internal/semantics"
 	"qasom/internal/task"
 )
@@ -236,6 +237,60 @@ func TestFailureHandlerDrivesSubstitution(t *testing.T) {
 	}
 	if rt.CompletedCount() != 3 {
 		t.Errorf("completed = %d, want 3", rt.CompletedCount())
+	}
+}
+
+// TestFailureHandlerExclusionByClass pins the handler's class rule: a
+// terminal failure excludes the service for the rest of the run, a
+// retryable one only from the substitution it triggers.
+func TestFailureHandlerExclusionByClass(t *testing.T) {
+	m, rt, reg := fixture(t)
+	h := m.FailureHandler(rt)
+	act := rt.Req.Task.ActivityByID("order")
+	b0 := rt.Result().Assignment["order"]
+	alts := rt.Result().Alternates["order"]
+	if len(alts) < 3 {
+		t.Fatalf("fixture rotation has %d alternates, want ≥ 3", len(alts))
+	}
+	a0, a1, a2 := alts[0], alts[1], alts[2]
+	// Only b0 and the first three alternates stay eligible; the withdrawn
+	// rest keep their rotation slots but are never picked.
+	for _, alt := range alts[3:] {
+		reg.Withdraw(alt.Service.ID)
+	}
+	step := func(failed registry.Candidate, class resilience.Class, want registry.Candidate) {
+		t.Helper()
+		got, err := h(act, failed, 1, class)
+		if err != nil {
+			t.Fatalf("failure of %s: %v", failed.Service.ID, err)
+		}
+		if got.Service.ID != want.Service.ID {
+			t.Fatalf("failure of %s (class %v) bound %s, want %s", failed.Service.ID, class, got.Service.ID, want.Service.ID)
+		}
+	}
+	// The comments give the eligible part of the rotation after each
+	// step. The failed binding is never handed back, even on a retryable
+	// failure.
+	step(b0, resilience.Retryable, a0) // rotation [a1 a2 b0]
+	step(a0, resilience.Terminal, a1)  // rotation [a2 b0 a0]; a0 out for the run
+	step(a1, resilience.Retryable, a2) // rotation [b0 a0 a1]
+	// b0's retryable exclusion was not remembered.
+	step(a2, resilience.Retryable, b0) // rotation [a0 a1 a2]
+	// a0's terminal exclusion was.
+	step(b0, resilience.Retryable, a1) // rotation [a0 a2 b0]
+	// A retryable failure of an already excluded service leaves it
+	// excluded.
+	step(a0, resilience.Retryable, a2) // rotation [a0 b0 a1]
+	step(a2, resilience.Retryable, b0) // rotation [a0 a1 a2]
+	if _, err := h(act, b0, 1, resilience.Terminal); err != nil {
+		t.Fatal(err)
+	}
+	// a0 and b0 are terminally excluded; a1 and a2 are left.
+	if _, err := h(act, a1, 1, resilience.Terminal); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h(act, a2, 1, resilience.Terminal); !errors.Is(err, ErrNoSubstitute) {
+		t.Fatalf("every service terminally failed: got %v, want ErrNoSubstitute", err)
 	}
 }
 

@@ -179,7 +179,7 @@ func TestIndexHitPerformsZeroRegistryMonitorChecks(t *testing.T) {
 		t.Errorf("monitor checks on index hit = %d, want 0", got)
 	}
 	fs := rt.FailoverStats()
-	if fs.IndexHits != 1 || len(fs.Fallbacks) != 0 {
+	if fs.IndexHits != 1 || fs.Exhausted != 0 {
 		t.Errorf("failover stats = %+v, want 1 hit, no fallbacks", fs)
 	}
 
@@ -195,7 +195,7 @@ func TestIndexHitPerformsZeroRegistryMonitorChecks(t *testing.T) {
 		t.Error("reactive scan should probe the monitor")
 	}
 	fs = rt.FailoverStats()
-	if fs.IndexHits != 1 || len(fs.Fallbacks) != 0 {
+	if fs.IndexHits != 1 || fs.Exhausted != 0 {
 		t.Errorf("failover stats = %+v, want the reactive scan unaccounted", fs)
 	}
 }
@@ -474,7 +474,7 @@ func TestTableServesLateServiceOnceRotationExhausted(t *testing.T) {
 	if alts := altIDs(rt, "order"); alts[len(alts)-1] != old {
 		t.Errorf("rotation %v should end with the displaced %s", alts, old)
 	}
-	if fs := rt.FailoverStats(); fs.IndexHits != 0 || fs.Fallbacks["exhausted"] != 1 {
+	if fs := rt.FailoverStats(); fs.IndexHits != 0 || fs.Exhausted != 1 {
 		t.Errorf("failover stats = %+v, want one exhausted fallback", fs)
 	}
 	if got := hub.Metrics.Counter(failoverRegistryChecksMetric, "").Value(); got != 1 {

@@ -87,7 +87,7 @@ type FailoverResult struct {
 	P50, P99, Max     time.Duration
 	Substitutions     int
 	IndexHits         int
-	Fallbacks         map[string]int
+	Exhausted         int
 	DeadPrefix        int // withdrawn + unhealthy alternates scanned past per round
 	HealthyAlternates int
 }
@@ -271,7 +271,7 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 		Max:               durs[len(durs)-1],
 		Substitutions:     r.rt.Substitutions(),
 		IndexHits:         stats.IndexHits,
-		Fallbacks:         stats.Fallbacks,
+		Exhausted:         stats.Exhausted,
 		DeadPrefix:        withdrawn + unhealthy,
 		HealthyAlternates: len(alts) - withdrawn - unhealthy,
 	}, nil
@@ -347,16 +347,12 @@ func expFailover() *Experiment {
 				if indexed {
 					mode = "index"
 				}
-				fallbacks := 0
-				for _, n := range last.Fallbacks {
-					fallbacks += n
-				}
 				p99[i] = medianOf(p99s)
 				t.AddRow(mode, cfg.Repetitions*rounds,
 					float64(medianOf(p50s))/float64(time.Microsecond),
 					float64(p99[i])/float64(time.Microsecond),
 					float64(last.Max)/float64(time.Microsecond),
-					last.IndexHits, fallbacks)
+					last.IndexHits, last.Exhausted)
 			}
 			if p99[1] > 0 {
 				t.AddNote("p99 speedup (reactive/index): %.1fx", float64(p99[0])/float64(p99[1]))

@@ -380,7 +380,8 @@ func (a *Assessment) Healthy() bool {
 
 // CompositionMonitor assesses a running composition against the request's
 // global constraints, on current estimates and proactively on predicted
-// trends.
+// trends. It is immutable: one is built per assessment, from a snapshot
+// of the composition's bindings.
 type CompositionMonitor struct {
 	task        *task.Task
 	ps          *qos.PropertySet
@@ -389,58 +390,28 @@ type CompositionMonitor struct {
 	// advertised holds the selection-time vectors, the fallback for
 	// services without run-time observations yet.
 	advertised map[string]qos.Vector
-	// binding maps activity IDs to the currently bound service.
-	mu      sync.RWMutex
+	// binding maps activity IDs to the bound service.
 	binding map[string]registry.ServiceID
 }
 
 // NewCompositionMonitor builds an assessor for one running composition.
+// It keeps the advertised and binding maps, and the vectors in them,
+// without copying and never writes them: the caller must not modify them
+// afterwards.
 func NewCompositionMonitor(t *task.Task, ps *qos.PropertySet, constraints qos.Constraints,
 	approach qos.Approach, advertised map[string]qos.Vector, binding map[string]registry.ServiceID) *CompositionMonitor {
-	adv := make(map[string]qos.Vector, len(advertised))
-	for k, v := range advertised {
-		adv[k] = v.Clone()
-	}
-	b := make(map[string]registry.ServiceID, len(binding))
-	for k, v := range binding {
-		b[k] = v
-	}
 	return &CompositionMonitor{
 		task: t, ps: ps, constraints: constraints, approach: approach,
-		advertised: adv, binding: b,
+		advertised: advertised, binding: binding,
 	}
-}
-
-// Rebind updates the bound service (and its advertised vector) for an
-// activity after a substitution.
-func (cm *CompositionMonitor) Rebind(activityID string, id registry.ServiceID, advertised qos.Vector) {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	cm.binding[activityID] = id
-	cm.advertised[activityID] = advertised.Clone()
-}
-
-// Binding returns the currently bound service for an activity.
-func (cm *CompositionMonitor) Binding(activityID string) (registry.ServiceID, bool) {
-	cm.mu.RLock()
-	defer cm.mu.RUnlock()
-	id, ok := cm.binding[activityID]
-	return id, ok
 }
 
 // Assess aggregates current and predicted QoS over the task tree and
 // checks the constraints. steps is the prediction horizon.
 func (cm *CompositionMonitor) Assess(m *Monitor, steps int) Assessment {
-	cm.mu.RLock()
-	binding := make(map[string]registry.ServiceID, len(cm.binding))
-	for k, v := range cm.binding {
-		binding[k] = v
-	}
-	cm.mu.RUnlock()
-
-	current := make(map[string]qos.Vector, len(binding))
-	predicted := make(map[string]qos.Vector, len(binding))
-	for act, svc := range binding {
+	current := make(map[string]qos.Vector, len(cm.binding))
+	predicted := make(map[string]qos.Vector, len(cm.binding))
+	for act, svc := range cm.binding {
 		adv := cm.advertised[act]
 		if est, ok := m.Estimate(svc); ok {
 			current[act] = est

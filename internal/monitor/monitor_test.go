@@ -179,6 +179,15 @@ func TestCompositionMonitorHealthy(t *testing.T) {
 	if a.Current[0] != 200 {
 		t.Errorf("current rt = %g, want 200", a.Current[0])
 	}
+
+	// A substituted binding brings its own advertised vector: 50+100.
+	tk, ps, cs, adv, binding = compositionFixture()
+	binding["a"] = "svcA2"
+	adv["a"] = qos.Vector{50, 0.99}
+	a = NewCompositionMonitor(tk, ps, cs, qos.Pessimistic, adv, binding).Assess(m, 1)
+	if a.Current[0] != 150 {
+		t.Errorf("substitute's advertised rt should apply: %g", a.Current[0])
+	}
 }
 
 func TestCompositionMonitorCurrentViolation(t *testing.T) {
@@ -217,20 +226,6 @@ func TestCompositionMonitorProactiveViolation(t *testing.T) {
 	}
 	if len(a.PredictedViolated) == 0 {
 		t.Errorf("proactive monitoring should flag the rt trend: predicted %v", a.Predicted)
-	}
-}
-
-func TestCompositionMonitorRebind(t *testing.T) {
-	tk, ps, cs, adv, binding := compositionFixture()
-	cm := NewCompositionMonitor(tk, ps, cs, qos.Pessimistic, adv, binding)
-	cm.Rebind("a", "svcA2", qos.Vector{50, 0.99})
-	if id, ok := cm.Binding("a"); !ok || id != "svcA2" {
-		t.Errorf("Binding(a) = %v, %v", id, ok)
-	}
-	m := New(ps, Options{})
-	a := cm.Assess(m, 1)
-	if a.Current[0] != 150 {
-		t.Errorf("rebound advertised rt should apply: %g", a.Current[0])
 	}
 }
 

@@ -20,11 +20,11 @@
 // every bit from registry and monitor truth; Quiesce runs one on demand.
 //
 // A table that has not been started, or has been closed, is inactive:
-// failover then runs the reactive scan, which probes the registry and the
-// monitor itself. The table is a pure accelerator and never changes a
-// decision — a walk over the rotation against its bits picks what the
-// reactive scan's probes would pick, given the same registry and monitor
-// state.
+// failover then runs the same locked walk over the rotation with
+// registry and monitor probes in place of the two bits. The table is a
+// pure accelerator and never changes a decision — the walk against its
+// bits picks what the walk against the probes would pick, given the same
+// registry and monitor state.
 package subidx
 
 import (

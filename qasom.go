@@ -306,20 +306,21 @@ func New(opts ...Options) (*Middleware, error) {
 	}
 	reg := store.Tenant(registry.TenantID(o.TenantID))
 	m := &Middleware{
-		ontology: onto,
-		props:    ps,
-		reg:      reg,
-		repo:     task.NewRepository(onto),
-		env:      simenv.New(ps, reg, simenv.Options{Seed: o.Seed}),
-		selector: core.NewSelector(core.Options{Seed: o.Seed, ParetoMode: o.ParetoMode}),
-		mon:      monitor.New(ps, monitor.Options{Obs: o.Obs}),
-		obs:      o.Obs,
-		bgCtx:    obs.WithHub(context.Background(), o.Obs),
-		met:      composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
-		plans:    newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
-		tasks:    newTaskIntern(),
-		opts:     o,
-		tenant:   tenantLabel(o.TenantID),
+		ontology:  onto,
+		props:     ps,
+		reg:       reg,
+		repo:      task.NewRepository(onto),
+		env:       simenv.New(ps, reg, simenv.Options{Seed: o.Seed}),
+		selector:  core.NewSelector(core.Options{Seed: o.Seed, ParetoMode: o.ParetoMode}),
+		mon:       monitor.New(ps, monitor.Options{Obs: o.Obs}),
+		contracts: contract.NewManager(ps, onto),
+		obs:       o.Obs,
+		bgCtx:     obs.WithHub(context.Background(), o.Obs),
+		met:       composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
+		plans:     newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
+		tasks:     newTaskIntern(),
+		opts:      o,
+		tenant:    tenantLabel(o.TenantID),
 	}
 	m.table = subidx.NewTable(reg, m.mon, o.Obs.Metrics)
 	m.manager = &adapt.Manager{
@@ -369,9 +370,9 @@ func New(opts ...Options) (*Middleware, error) {
 // Close releases the middleware's background resources: the failover
 // eligibility table's maintenance goroutine and its registry/monitor
 // subscriptions. The instance stays usable afterwards: failover reverts
-// to the reactive scan, which probes the registry and monitor itself, so
-// it never hands out a service withdrawn after Close. Safe to call more
-// than once.
+// to the same locked walk with registry and monitor probes in place of
+// the table, so it never hands out a service withdrawn after Close. Safe
+// to call more than once.
 func (m *Middleware) Close() { m.table.Close() }
 
 // Observability returns the middleware's telemetry hub: the metrics
