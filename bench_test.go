@@ -604,7 +604,12 @@ const benchTask = `<process name="bench-shopping" concept="Shopping">
 
 func newBenchMall(b *testing.B) *qasom.Middleware {
 	b.Helper()
-	mw, err := qasom.New()
+	return newBenchMallWith(b, qasom.Options{})
+}
+
+func newBenchMallWith(b *testing.B, opts qasom.Options) *qasom.Middleware {
+	b.Helper()
+	mw, err := qasom.New(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -740,6 +745,36 @@ func BenchmarkComposeFacade(b *testing.B) {
 		}
 		if !comp.Feasible() {
 			b.Fatal("should be feasible")
+		}
+	}
+}
+
+// BenchmarkComposeMiss measures a plan-cache miss served by the
+// local-phase memo: one inline document alternates between two
+// constraint sets under a one-entry plan cache, so every call evicts
+// the other's plan and misses, while every activity's candidates and
+// ranked shortlist come from the memo. What remains is the epoch
+// snapshot, the memo probes, the evaluator build and the global phase.
+func BenchmarkComposeMiss(b *testing.B) {
+	mw := newBenchMallWith(b, qasom.Options{SelectionCacheSize: 1})
+	reqs := [2]qasom.Request{
+		{Task: benchTask, Constraints: []qasom.Constraint{{Property: "responseTime", Bound: 300}}},
+		{Task: benchTask, Constraints: []qasom.Constraint{{Property: "responseTime", Bound: 250}}},
+	}
+	for _, req := range reqs {
+		if _, err := mw.Compose(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		comp, err := mw.Compose(reqs[i%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if comp.SelectionStats().CacheHit {
+			b.Fatal("an alternating request should miss the one-entry plan cache")
 		}
 	}
 }

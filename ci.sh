@@ -40,9 +40,11 @@ if [ "${1:-}" = "quick" ]; then
 	# matching against VectorFor, the permutation sorts against
 	# sort.SliceStable, the flat-centroid assign1D against assignPoints,
 	# the taped random source against math/rand and the plan cache's
-	# pre-resolved epoch probe against CapabilityEpochs.
-	echo "== go test -cpu 1,2,4 -count 3 -run TestDifferential core, registry, sortx, cluster, randx (quick)"
-	go test -cpu 1,2,4 -count 3 -run TestDifferential ./internal/core ./internal/registry ./internal/sortx ./internal/cluster ./internal/randx
+	# pre-resolved epoch probe against CapabilityEpochs. The root package
+	# adds the façade differentials: plan cache and local-phase memo
+	# against the uncached middleware, and tenant isolation.
+	echo "== go test -cpu 1,2,4 -count 3 -run TestDifferential root, core, registry, sortx, cluster, randx (quick)"
+	go test -cpu 1,2,4 -count 3 -run TestDifferential . ./internal/core ./internal/registry ./internal/sortx ./internal/cluster ./internal/randx
 	# Quick still races the telemetry layer: its lock-free counters,
 	# function-backed gauges, span ring, flight-recorder ring and SLO
 	# bucket ring (with its differential against the raw observation
@@ -55,7 +57,9 @@ if [ "${1:-}" = "quick" ]; then
 	# (bit-identical results vs the naive/uncached reference) — cheap
 	# enough to race on every quick pass. The root package carries the
 	# plan-cache churn differentials (including the multi-tenant shared
-	# store), the registry package the store's epoch/candidate
+	# store) and the local-phase memo's raced differential (concurrent
+	# composes sharing capabilities against writes on them), the registry
+	# package the store's epoch/candidate
 	# differentials under raced churn. The core and baseline packages
 	# also carry the dependency-repair and Pareto-front differentials
 	# (QASSA vs the exhaustive reference front, both eval kernels).

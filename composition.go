@@ -181,10 +181,17 @@ func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, r
 	// Dependency-carrying requests bypass the cache: rules are not part
 	// of the plan key, so two requests differing only in rules would
 	// collide. (Pareto mode never reaches here with a live cache — New
-	// disables it.)
+	// disables it.) The local memo under the plan cache reads the same
+	// snapshot; rules never reach the local phase, so only distributed
+	// requests, whose local phases run on coordinator devices, bypass it.
 	cacheable := m.plans != nil && !req.Distributed && len(req.Dependencies) == 0
+	memoised := m.locals != nil && !req.Distributed
 	var planKey string
 	var planEpochSnap []uint64
+	var epochBuf [16]uint64 // put copies it on a miss
+	if memoised {
+		planEpochSnap = m.planEpochs(epochBuf[:0], te)
+	}
 	if cacheable {
 		// A finished context must fail promptly even when the answer is
 		// one cache probe away — callers rely on ctx.Err() surfacing.
@@ -192,8 +199,6 @@ func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, r
 			return nil, err
 		}
 		planKey = planCacheKey(te, coreReq)
-		var epochBuf [16]uint64 // put copies it on a miss
-		planEpochSnap = m.planEpochs(epochBuf[:0], te)
 		e, outcome := m.plans.lookup(planKey, planEpochSnap)
 		if e != nil {
 			rec.CacheHit = true
@@ -206,7 +211,13 @@ func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, r
 	cacheBefore := m.ontology.Stats()
 	lookupStart := time.Now()
 	_, lookupSpan := obs.StartSpan(ctx, "compose.lookup")
-	candidates, err := core.GatherCandidates(ctx, t, m.reg, m.props)
+	var src core.CandidateSource = m.reg
+	var memo *memoGather
+	if memoised {
+		memo = m.newMemoGather(te, coreReq.EffectiveWeights(), planEpochSnap)
+		src = memo
+	}
+	candidates, err := core.GatherCandidates(ctx, t, src, m.props)
 	lookupSpan.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -235,6 +246,12 @@ func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, r
 			replicas,
 			core.DistConfig{Fallback: candidates},
 		).Select(ctx, coreReq)
+	} else if memo != nil {
+		var locals map[string]*core.LocalResult
+		res, locals, err = m.selector.SelectReusing(ctx, coreReq, candidates, memo.known)
+		if err == nil {
+			rec.Events = append(rec.Events, memo.store(candidates, locals))
+		}
 	} else {
 		res, err = m.selector.SelectContext(ctx, coreReq, candidates)
 	}

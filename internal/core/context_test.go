@@ -101,3 +101,52 @@ func TestLocalPhaseReportsOccupancy(t *testing.T) {
 		t.Errorf("PeakWorkersBusy = %d, want within [1,2]", res.Stats.PeakWorkersBusy)
 	}
 }
+
+// TestSelectReusing supplies some activities' local results from an
+// earlier run: the decision must equal a fresh selection, supplied
+// results come back as they were given, and the pool occupancy counts
+// only the activities left to cluster.
+func TestSelectReusing(t *testing.T) {
+	tk := seqTask("a", "b", "c", "d")
+	cands := genCandidates(tk, 30)
+	req := &Request{Task: tk, Properties: twoProps()}
+	sel := NewSelector(Options{Workers: 2})
+	fresh, all, err := sel.SelectReusing(context.Background(), req, cands, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 4 {
+		t.Fatalf("returned %d local results, want 4", len(all))
+	}
+	for _, c := range []struct {
+		known    []string
+		wantPeak int
+	}{
+		{[]string{"a", "b", "c", "d"}, 0},
+		{[]string{"a", "b", "d"}, 1},
+		{[]string{"a", "c"}, 2},
+	} {
+		known := make(map[string]*LocalResult, len(c.known))
+		for _, id := range c.known {
+			known[id] = all[id]
+		}
+		res, locals, err := sel.SelectReusing(context.Background(), req, cands, known)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameDecision(t, fresh, res)
+		for id, lr := range known {
+			if locals[id] != lr {
+				t.Errorf("known %v: activity %s's supplied result was not returned as given", c.known, id)
+			}
+		}
+		if len(locals) != 4 {
+			t.Errorf("known %v: returned %d local results, want 4", c.known, len(locals))
+		}
+		// Two pooled activities may or may not overlap on the workers.
+		got := res.Stats.PeakWorkersBusy
+		if c.wantPeak < 2 && got != c.wantPeak || c.wantPeak == 2 && (got < 1 || got > 2) {
+			t.Errorf("known %v: PeakWorkersBusy = %d, want %d", c.known, got, c.wantPeak)
+		}
+	}
+}

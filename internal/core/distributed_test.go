@@ -26,7 +26,7 @@ func TestDeviceNodeLocalSelect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LocalSelect: %v", err)
 	}
-	if lr.ActivityID != "a" || len(lr.Ranked) != 6 {
+	if len(lr.Ranked) != 6 {
 		t.Errorf("local result shape: %+v", lr)
 	}
 	// Unknown activity errors.

@@ -52,11 +52,12 @@ type RankedCandidate struct {
 
 // LocalResult is the outcome of the local phase for one activity: the
 // candidates ordered best-first by (Level asc, ClassSize desc, Utility
-// desc), plus the number of levels produced by the clustering.
+// desc), plus the number of levels produced by the clustering. It names
+// no activity: the caller keys it, and activities that see the same
+// candidate list and weights may share one result.
 type LocalResult struct {
-	ActivityID string
-	Ranked     []RankedCandidate
-	Levels     int
+	Ranked []RankedCandidate
+	Levels int
 }
 
 // Candidate converts a ranked entry back to a registry candidate.
@@ -156,7 +157,7 @@ func localSelect(activityID string, cands []registry.Candidate, ps *qos.Property
 
 	scr.perm = sortx.SortStable(ranked, scr.perm, compareRanked)
 
-	return &LocalResult{ActivityID: activityID, Ranked: ranked, Levels: levels}, nil
+	return &LocalResult{Ranked: ranked, Levels: levels}, nil
 }
 
 // compareRanked is the local phase's best-first order: level asc, class

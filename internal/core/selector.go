@@ -275,12 +275,32 @@ func (s *Selector) Select(req *Request, candidates map[string][]registry.Candida
 // random source from Options.Seed, exactly as a coordinator device does
 // in distributed mode.
 func (s *Selector) SelectContext(ctx context.Context, req *Request, candidates map[string][]registry.Candidate) (*Result, error) {
+	res, _, err := s.SelectReusing(ctx, req, candidates, nil)
+	return res, err
+}
+
+// SelectReusing is SelectContext with part of the local phase supplied:
+// an activity with a result in known skips its clustering, and every
+// other activity is clustered as SelectContext would. It also returns
+// every activity's local result, supplied or computed, so a caller can
+// keep the new ones for later requests. A local result is a pure
+// function of the activity's candidate list, the weights and this
+// selector's options, so a supplied one must have been computed by an
+// equally configured selector over the same list and weights. Supplied
+// and returned results are shared read-only. known is ignored when the
+// local phase would not see the gathered lists as they are: under
+// Request.Local constraints or Options.PruneDominated.
+func (s *Selector) SelectReusing(ctx context.Context, req *Request, candidates map[string][]registry.Candidate,
+	known map[string]*LocalResult) (*Result, map[string]*LocalResult, error) {
 	if err := req.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if len(req.Local) > 0 || s.opts.PruneDominated {
+		known = nil
 	}
 	candidates, err := FilterLocal(req, candidates)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The evaluator (and so the utility function) is defined over the
 	// full admissible pools; Pareto pruning only shrinks the search
@@ -288,7 +308,7 @@ func (s *Selector) SelectContext(ctx context.Context, req *Request, candidates m
 	// stay comparable with unpruned runs and with the baselines.
 	eval, err := NewEvaluator(req, candidates)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if s.opts.PruneDominated {
 		candidates = pruneDominated(req.Properties, candidates)
@@ -299,10 +319,10 @@ func (s *Selector) SelectContext(ctx context.Context, req *Request, candidates m
 
 	startLocal := time.Now()
 	localCtx, localSpan := obs.StartSpan(ctx, "qassa.local")
-	locals, peak, err := runLocalPhase(localCtx, acts, candidates, req.Properties, weights, opts)
+	locals, peak, err := runLocalPhase(localCtx, acts, candidates, known, req.Properties, weights, opts)
 	localSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	localDur := time.Since(startLocal)
 
@@ -310,35 +330,49 @@ func (s *Selector) SelectContext(ctx context.Context, req *Request, candidates m
 	res, err := s.selectGlobal(globalCtx, req, eval, locals, opts)
 	globalSpan.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res.Stats.LocalDuration = localDur
 	res.Stats.Workers = opts.Workers
 	res.Stats.PeakWorkersBusy = peak
-	return res, nil
+	return res, locals, nil
 }
 
-// runLocalPhase executes the local selection phase for every activity on
-// a worker pool of opts.Workers goroutines. The merge is deterministic:
-// per-activity results are gathered positionally and errors are reported
-// in activity order, so the outcome does not depend on goroutine
-// scheduling. It also reports the peak pool occupancy observed.
+// runLocalPhase executes the local selection phase for every activity
+// without a result in known, on a worker pool of opts.Workers
+// goroutines. The merge is deterministic: per-activity results are
+// gathered positionally and errors are reported in activity order, so
+// the outcome does not depend on goroutine scheduling. It also reports
+// the peak pool occupancy observed (0 when every result was known).
 func runLocalPhase(ctx context.Context, acts []*task.Activity, candidates map[string][]registry.Candidate,
-	ps *qos.PropertySet, weights qos.Weights, opts Options) (map[string]*LocalResult, int, error) {
-	results := make([]*LocalResult, len(acts))
-	errs := make([]error, len(acts))
-	sem := make(chan struct{}, opts.Workers)
+	known map[string]*LocalResult, ps *qos.PropertySet, weights qos.Weights, opts Options) (map[string]*LocalResult, int, error) {
+	locals := make(map[string]*LocalResult, len(acts))
+	var pendingBuf [8]string // tasks of up to 8 activities list them without allocating
+	pending := pendingBuf[:0]
+	for _, a := range acts {
+		if lr := known[a.ID]; lr != nil {
+			locals[a.ID] = lr
+		} else {
+			pending = append(pending, a.ID)
+		}
+	}
+	if len(pending) == 0 {
+		return locals, 0, nil
+	}
 	var busyGauge *obs.Gauge
 	if hub := obs.HubFrom(ctx); hub != nil {
 		busyGauge = hub.Metrics.Gauge("qasom_local_workers_busy",
 			"QASSA local-phase worker-pool occupancy (concurrent clustering runs).")
 	}
+	results := make([]*LocalResult, len(pending))
+	errs := make([]error, len(pending))
+	sem := make(chan struct{}, opts.Workers)
 	var (
 		wg         sync.WaitGroup
 		occMu      sync.Mutex
 		busy, peak int
 	)
-	for i, a := range acts {
+	for i, id := range pending {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
@@ -370,15 +404,14 @@ func runLocalPhase(ctx context.Context, acts []*task.Activity, candidates map[st
 			// completion order.
 			rng := randx.New(opts.Seed)
 			results[i], errs[i] = localSelect(id, candidates[id], ps, weights, opts.K, opts.Seeding, rng)
-		}(i, a.ID)
+		}(i, id)
 	}
 	wg.Wait()
-	locals := make(map[string]*LocalResult, len(acts))
-	for i, a := range acts {
+	for i, id := range pending {
 		if errs[i] != nil {
 			return nil, peak, errs[i]
 		}
-		locals[a.ID] = results[i]
+		locals[id] = results[i]
 	}
 	return locals, peak, nil
 }

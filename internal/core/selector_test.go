@@ -22,7 +22,7 @@ func TestLocalSelectGrading(t *testing.T) {
 	if err != nil {
 		t.Fatalf("localSelect: %v", err)
 	}
-	if lr.ActivityID != "a" || len(lr.Ranked) != 4 {
+	if len(lr.Ranked) != 4 {
 		t.Fatalf("result shape wrong: %+v", lr)
 	}
 	if lr.Ranked[0].Service.ID != "star" {

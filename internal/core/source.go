@@ -30,12 +30,14 @@ func (e *NoCandidatesError) Error() string {
 }
 
 // GatherCandidates resolves every activity of the task against the
-// source, honouring ctx at per-activity boundaries (the lookup returns
-// ctx.Err() promptly and leaves the source unmutated). An activity with
-// no candidates fails the whole gather with a *NoCandidatesError.
+// source in task order, honouring ctx at per-activity boundaries (the
+// lookup returns ctx.Err() promptly and leaves the source unmutated).
+// An activity with no candidates fails the whole gather with a
+// *NoCandidatesError.
 func GatherCandidates(ctx context.Context, t *task.Task, src CandidateSource, ps *qos.PropertySet) (map[string][]registry.Candidate, error) {
-	out := make(map[string][]registry.Candidate, t.Size())
-	for _, a := range t.Activities() {
+	acts := t.Activities()
+	out := make(map[string][]registry.Candidate, len(acts))
+	for _, a := range acts {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -202,6 +202,7 @@ type Middleware struct {
 	bgCtx     context.Context // context.Background carrying obs; Compose's context
 	met       composeMetrics
 	plans     *planCache
+	locals    *localMemo     // per-activity local phases under the plan cache; nil exactly when plans is
 	tasks     *taskIntern    // resolved task specs (documents, behaviour names), keyed by content
 	manager   *adapt.Manager // the one adaptation manager every composition shares
 	table     *subidx.Table  // failover eligibility table, started at the first Execute
@@ -305,6 +306,7 @@ func New(opts ...Options) (*Middleware, error) {
 		store = registry.NewStore(onto, registry.StoreOptions{Obs: o.Obs.Metrics})
 	}
 	reg := store.Tenant(registry.TenantID(o.TenantID))
+	plans := newPlanCache(o.SelectionCacheSize, o.Obs.Metrics)
 	m := &Middleware{
 		ontology:  onto,
 		props:     ps,
@@ -317,7 +319,8 @@ func New(opts ...Options) (*Middleware, error) {
 		obs:       o.Obs,
 		bgCtx:     obs.WithHub(context.Background(), o.Obs),
 		met:       composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
-		plans:     newPlanCache(o.SelectionCacheSize, o.Obs.Metrics),
+		plans:     plans,
+		locals:    newLocalMemo(plans, o.Obs.Metrics),
 		tasks:     newTaskIntern(),
 		opts:      o,
 		tenant:    tenantLabel(o.TenantID),

@@ -41,7 +41,10 @@ BASE="${BASE:-BENCH_qassa.json}"
 # harness overhead rather than the wall clock. BenchmarkComposeFacade is
 # the single-client warm hit of an inline document: its alloc/byte
 # budgets catch a return to per-request BPEL parsing.
-BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkComposeFacade}"
+# BenchmarkComposeMiss is a plan-cache miss served by the local-phase
+# memo: its alloc/byte budgets catch a return to per-miss candidate
+# lookup and clustering.
+BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkComposeFacade|BenchmarkComposeMiss}"
 # The registry benchmarks are gated at the 100k population only: the
 # 1M rigs exist for the recorded table, not for a quick regression pass
 # (component-wise -bench regex, hence a separate run).
