@@ -638,29 +638,24 @@ func newBenchMallWith(b *testing.B, opts qasom.Options) *qasom.Middleware {
 // withdrawn, 20% health-demoted — the prefix every failover must get
 // past). ns/op is the whole steady-state round (kill the binding,
 // substitute, redeploy); the sub-p50-us/sub-p99-us metrics isolate the
-// Substitute call itself, reactive alternate scan vs index lookup.
+// Substitute call itself. The sub-benchmark keeps the name
+// mode=reactive so its committed budget in BENCH_qassa.json gates it.
 func BenchmarkFailover(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		indexed bool
-	}{{"reactive", false}, {"index", true}} {
-		b.Run("mode="+mode.name, func(b *testing.B) {
-			rig, err := bench.NewFailoverRig(bench.FailoverConfig{Indexed: mode.indexed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rig.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			res, err := rig.Rounds(b.N)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(res.P50)/float64(time.Microsecond), "sub-p50-us")
-			b.ReportMetric(float64(res.P99)/float64(time.Microsecond), "sub-p99-us")
-		})
-	}
+	b.Run("mode=reactive", func(b *testing.B) {
+		rig, err := bench.NewFailoverRig(bench.FailoverConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		res, err := rig.Rounds(b.N)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(res.P50)/float64(time.Microsecond), "sub-p50-us")
+		b.ReportMetric(float64(res.P99)/float64(time.Microsecond), "sub-p99-us")
+	})
 }
 
 // BenchmarkThroughput is the closed-loop serving benchmark: GOMAXPROCS

@@ -65,17 +65,14 @@ if [ "${1:-}" = "quick" ]; then
 	# (QASSA vs the exhaustive reference front, both eval kernels).
 	echo "== go test -race -run TestDifferential . ./internal/core ./internal/baseline ./internal/registry (quick)"
 	go test -race -run 'TestDifferential' . ./internal/core ./internal/baseline ./internal/registry
-	# The failover suite races the eligibility table: lock-free reads
-	# against watch/health churn in subidx, the adapt package's
-	# concurrent-substitution exactly-once over the one locked walk (table
-	# reads or probes), differential decision-identity,
-	# churn-during-failover and table-path tests, the failure handler's
-	# exclusion rule, and the facade's Close contract (failover reverts
-	# to the probing walk).
+	# The failover suite races the one locked probing walk: the adapt
+	# package's concurrent-substitution exactly-once, churn during
+	# failovers, the walk against its reference pick and the dependency
+	# differential, the failure handler's exclusion rule, and the
+	# facade's Close contract (failover still skips withdrawn services).
 	echo "== go test -race failover suite (quick)"
-	go test -race ./internal/subidx
-	go test -race -run 'TestDifferential|TestIndex|TestConcurrent|TestExecutor|TestTable|TestResult|TestFailureHandler' ./internal/adapt
-	go test -race -run 'TestCloseRevertsFailoverToReactive' .
+	go test -race -run 'TestDifferential|TestConcurrent|TestExecutor|TestResult|TestFailureHandler' ./internal/adapt
+	go test -race -run 'TestFailoverAfterCloseSkipsWithdrawn' .
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-read check, nil-before-bump ordering, fresh keys racing list
 	# rebuilds under the write lock), the flat federation's

@@ -557,8 +557,8 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 		// Failover accounting: how the substitutions of this (and
 		// previous) executions of the composition were served.
 		fs := c.runtime.FailoverStats()
-		if fs.IndexHits > 0 {
-			rec.Events = append(rec.Events, fmt.Sprintf("failover-index-hits=%d", fs.IndexHits))
+		if fs.RotationHits > 0 {
+			rec.Events = append(rec.Events, fmt.Sprintf("failover-index-hits=%d", fs.RotationHits))
 		}
 		if fs.Exhausted > 0 {
 			rec.Events = append(rec.Events, fmt.Sprintf("failover-fallback-exhausted=%d", fs.Exhausted))
@@ -575,11 +575,6 @@ func (m *Middleware) Execute(ctx context.Context, c *Composition) (*Report, erro
 	if _, ok := c.runtime.Remaining(); !ok {
 		c.runtime.ResetProgress()
 	}
-
-	// The middleware's first Execute starts the failover eligibility
-	// table (later calls return at once), so failures during this
-	// execution walk the rotation without probing registry or monitor.
-	m.table.Start()
 
 	for round := 0; round < 4; round++ {
 		remaining, ok := c.runtime.Remaining()

@@ -176,10 +176,10 @@ func TestConcurrentComposeWithChurn(t *testing.T) {
 }
 
 // TestConcurrentExecuteAndSubstitute runs the first Execute of a
-// composition (the middleware's first starts the eligibility table)
-// concurrently with a manual Substitute on the same composition. Both
-// paths read the failover state, so under -race this pins that the
-// table's start is published safely.
+// composition concurrently with a manual Substitute on the same
+// composition. Both paths read and write the runtime's failover state,
+// so under -race this pins that it is only touched under the runtime
+// lock.
 func TestConcurrentExecuteAndSubstitute(t *testing.T) {
 	mw, err := qasom.New(qasom.Options{Obs: obs.NewHub()})
 	if err != nil {

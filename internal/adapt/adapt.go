@@ -10,14 +10,13 @@
 // shared collaborators, and all per-composition state — the selection,
 // progress and failover accounting — lives on the composition's Runtime.
 //
-// Failover is one walk over the runtime's own alternate rotation, under
-// the runtime lock, that commits in the same critical section. With an
-// active eligibility table (internal/subidx) the walk reads the table's
-// live/healthy bits — zero registry or monitor calls. Without one it
-// probes the registry and monitor instead; the two walks differ only in
-// that test, so a table hit is by construction the reactive pick. Only
-// an exhausted rotation on the table path queries the registry, for
-// services published after selection.
+// Failover is reactive, as in the paper: it checks candidates when a
+// substitution is needed. Every Substitute is one walk over the
+// runtime's own alternate rotation, under the runtime lock, that probes
+// the registry and the monitor for each alternate it reaches and commits
+// in the same critical section. Only an exhausted rotation queries the
+// registry for services published after selection (the late-service
+// rung), with the same probe as the eligibility test.
 package adapt
 
 import (
@@ -32,7 +31,6 @@ import (
 	"qasom/internal/qos"
 	"qasom/internal/registry"
 	"qasom/internal/resilience"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -67,11 +65,11 @@ type Runtime struct {
 	observed map[string]qos.Vector
 	// substitutions counts applied service substitutions.
 	substitutions int
-	// failoverHits counts substitutions served by the eligibility
-	// table's rotation walk; failoverExhausted counts table-backed
-	// failovers whose rotation had no eligible alternate left.
-	failoverHits      int
-	failoverExhausted int
+	// rotationHits counts substitutions served by the rotation walk;
+	// exhausted counts failovers whose rotation had no eligible
+	// alternate left, so the late-service rung ran.
+	rotationHits int
+	exhausted    int
 }
 
 // NewRuntime wraps a selection into a runtime. The Result is treated as
@@ -156,11 +154,11 @@ func (rt *Runtime) Substitutions() int {
 
 // FailoverStats summarizes how this runtime's failovers were served.
 type FailoverStats struct {
-	// IndexHits counts substitutions resolved by the rotation walk over
-	// the eligibility table (zero registry/monitor calls).
-	IndexHits int
-	// Exhausted counts table-backed failovers that had to query the
-	// registry because no eligible alternate was left in the rotation.
+	// RotationHits counts substitutions resolved by the rotation walk.
+	RotationHits int
+	// Exhausted counts failovers that had to query the registry for
+	// late services because no eligible alternate was left in the
+	// rotation.
 	Exhausted int
 }
 
@@ -168,7 +166,7 @@ type FailoverStats struct {
 func (rt *Runtime) FailoverStats() FailoverStats {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return FailoverStats{IndexHits: rt.failoverHits, Exhausted: rt.failoverExhausted}
+	return FailoverStats{RotationHits: rt.rotationHits, Exhausted: rt.exhausted}
 }
 
 // ResetProgress clears completion tracking so the behaviour can run
@@ -288,11 +286,6 @@ type Manager struct {
 	// behaviour switches, failover causes) into the hub's metrics
 	// registry.
 	Obs *obs.Hub
-	// Table, when set and active, serves failover eligibility in place
-	// of registry and monitor probes. It must observe the same Registry
-	// and Monitor; an inactive table (not started, or closed) leaves
-	// failover on the probing walk.
-	Table *subidx.Table
 	// Options tune the strategies.
 	Options Options
 }
@@ -304,17 +297,13 @@ const (
 	substitutionMetric = "qasom_adapt_substitutions_total"
 	substitutionHelp   = "Service substitutions applied by the adaptation manager."
 
+	// The index_hits name predates the single walk; it is kept so
+	// existing readers of the exposition keep working.
 	failoverHitMetric = "qasom_adapt_failover_index_hits_total"
-	failoverHitHelp   = "Failovers resolved by a rotation walk over the eligibility table."
+	failoverHitHelp   = "Failovers resolved by the walk over the composition's alternate rotation."
 
 	failoverFallbackMetric = "qasom_adapt_failover_fallbacks_total"
-	failoverFallbackHelp   = "Table-backed failovers that queried the registry, by cause."
-
-	failoverRegistryChecksMetric = "qasom_adapt_failover_registry_checks_total"
-	failoverRegistryChecksHelp   = "Registry probes and queries performed on the failover path (zero on table hits)."
-
-	failoverMonitorChecksMetric = "qasom_adapt_failover_monitor_checks_total"
-	failoverMonitorChecksHelp   = "Monitor health probes performed on the failover path (zero on table hits)."
+	failoverFallbackHelp   = "Failovers whose rotation was exhausted, so the registry was queried for late services, by cause."
 )
 
 // counter fetches a registry counter; nil (a no-op) without a hub.
@@ -344,50 +333,35 @@ var ErrNoSubstitute = fmt.Errorf("adapt: no substitute available")
 // assignment and returns the substitute. The chosen alternate leaves the
 // rotation and the displaced binding rejoins it at the tail.
 //
-// The walk runs under the runtime lock and commits in the same critical
-// section. With an active eligibility table it reads the table's bits,
-// and when the rotation is exhausted, services published after selection
-// are tried. Without one it probes the registry and monitor.
+// The walk runs under the runtime lock, probes the registry and the
+// monitor for each alternate it reaches, and commits in the same
+// critical section. When the rotation is exhausted, services published
+// after selection are tried.
 func (m *Manager) Substitute(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	if t := m.Table; t != nil && t.Active() {
-		return m.substituteTable(rt, t, activityID, exclude)
-	}
 	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if cand, ok := m.walkLocked(rt, activityID, exclude, m.probe); ok {
-		return cand, nil
-	}
-	return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
-}
-
-// substituteTable is the table-backed failover: the walk with table
-// reads in place of probes.
-func (m *Manager) substituteTable(rt *Runtime, t *subidx.Table, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
-	rt.mu.Lock()
-	if cand, ok := m.walkLocked(rt, activityID, exclude, t.Eligible); ok {
-		rt.failoverHits++
+	if cand, ok := m.walkLocked(rt, activityID, exclude); ok {
+		rt.rotationHits++
 		rt.mu.Unlock()
 		m.counter(failoverHitMetric, failoverHitHelp).Inc()
 		return cand, nil
 	}
-	rt.failoverExhausted++
+	rt.exhausted++
 	behaviour := rt.behaviour
 	rt.mu.Unlock()
 	m.exhaustedCounter().Inc()
-	return m.substituteLate(rt, t, behaviour, activityID, exclude)
+	return m.substituteLate(rt, behaviour, activityID, exclude)
 }
 
 // substituteLate serves an exhausted rotation from services published
 // after selection: it queries the registry outside the runtime lock,
 // ranks the services that are neither bound nor in the rotation with
-// subidx.Extras, and binds the first one that is eligible, not excluded
-// and dependency-admissible. The displaced binding joins the rotation.
-func (m *Manager) substituteLate(rt *Runtime, t *subidx.Table, behaviour *task.Task, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
+// Extras, and binds the first one that passes the probe, is not excluded
+// and is dependency-admissible. The displaced binding joins the rotation.
+func (m *Manager) substituteLate(rt *Runtime, behaviour *task.Task, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, error) {
 	act := behaviour.ActivityByID(activityID)
 	if m.Registry == nil || act == nil {
 		return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 	}
-	m.counter(failoverRegistryChecksMetric, failoverRegistryChecksHelp).Inc()
 	cands := m.Registry.CandidatesForActivity(act, rt.Req.Properties)
 
 	rt.mu.Lock()
@@ -398,8 +372,8 @@ func (m *Manager) substituteLate(rt *Runtime, t *subidx.Table, behaviour *task.T
 		return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 	}
 	alts := rt.result.Alternates[activityID]
-	for _, c := range subidx.Extras(rt.Req.Properties, rt.Req.EffectiveWeights(), old, alts, cands) {
-		if !t.Eligible(c.Service.ID) || exclude[c.Service.ID] || !rt.depAdmissibleLocked(activityID, c) {
+	for _, c := range Extras(rt.Req.Properties, rt.Req.EffectiveWeights(), old, alts, cands) {
+		if exclude[c.Service.ID] || !m.probe(c.Service.ID) || !rt.depAdmissibleLocked(activityID, c) {
 			continue
 		}
 		rt.ownLocked()
@@ -413,21 +387,12 @@ func (m *Manager) substituteLate(rt *Runtime, t *subidx.Table, behaviour *task.T
 }
 
 // probe reports whether a service is still published and healthy, asking
-// the registry and the monitor. Every probe is counted.
+// the registry and the monitor. Neither lookup copies or allocates.
 func (m *Manager) probe(id registry.ServiceID) bool {
-	if m.Registry != nil {
-		m.counter(failoverRegistryChecksMetric, failoverRegistryChecksHelp).Inc()
-		if _, ok := m.Registry.Get(id); !ok {
-			return false // withdrawn from the environment
-		}
+	if m.Registry != nil && !m.Registry.Has(id) {
+		return false // withdrawn from the environment
 	}
-	if m.Monitor != nil {
-		m.counter(failoverMonitorChecksMetric, failoverMonitorChecksHelp).Inc()
-		if m.Monitor.SuccessRate(id) < monitor.MinSuccessRate {
-			return false
-		}
-	}
-	return true
+	return m.Monitor == nil || m.Monitor.SuccessRate(id) >= monitor.MinSuccessRate
 }
 
 // rotateLocked binds the alternate at pos: it leaves the rotation and
@@ -451,14 +416,13 @@ func (m *Manager) rotateLocked(rt *Runtime, activityID string, pos int) registry
 	return chosen
 }
 
-// walkLocked binds the first alternate of the rotation that passes
-// eligible, is not excluded and is dependency-admissible. Every failover
-// runs it; eligible is the table's read or m.probe. Eligibility is asked
-// first because a table read is cheaper than the exclude lookup and
-// rejects the dead entries a walk mostly skips. Caller holds rt.mu.
-func (m *Manager) walkLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool, eligible func(registry.ServiceID) bool) (registry.Candidate, bool) {
+// walkLocked binds the first alternate of the rotation that is not
+// excluded, passes the probe and is dependency-admissible. The exclude
+// lookup goes first because it is cheaper than the probe's two locked
+// reads. Caller holds rt.mu.
+func (m *Manager) walkLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, bool) {
 	for pos, alt := range rt.result.Alternates[activityID] {
-		if !eligible(alt.Service.ID) || exclude[alt.Service.ID] || !rt.depAdmissibleLocked(activityID, alt) {
+		if exclude[alt.Service.ID] || !m.probe(alt.Service.ID) || !rt.depAdmissibleLocked(activityID, alt) {
 			continue
 		}
 		return m.rotateLocked(rt, activityID, pos), true

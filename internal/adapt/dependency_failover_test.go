@@ -64,8 +64,8 @@ func depViolations(rt *Runtime, ds *core.DependencySet) int {
 	return n
 }
 
-// TestDifferentialFailoverNeverViolatesDependencies drives the reactive
-// failover path through every substitution it can make and asserts the
+// TestDifferentialFailoverNeverViolatesDependencies drives the
+// failover walk through every substitution it can make and asserts the
 // dependency invariant after each: the assignment never violates a rule,
 // and exhaustion — not an inadmissible binding — is what ends the chain.
 func TestDifferentialFailoverNeverViolatesDependencies(t *testing.T) {
@@ -130,14 +130,13 @@ func TestDifferentialFailoverNeverViolatesDependencies(t *testing.T) {
 	}
 }
 
-// TestIndexRespectsDependencyMask proves the table-backed failover path
-// keeps the dependency invariant: the rotation walk and the late-service
-// rung apply the same admissibility filter as the reactive scan, against
-// the assignment of the moment, so no table-served substitution violates
-// a rule.
-func TestIndexRespectsDependencyMask(t *testing.T) {
+// TestFailoverRespectsDependencyMask proves that failover keeps the
+// dependency invariant with a monitor attached: the rotation walk and the
+// late-service rung apply the admissibility filter against the
+// assignment of the moment, so no substitution violates a rule.
+func TestFailoverRespectsDependencyMask(t *testing.T) {
 	m, rt, reg, ds := depFixture(t)
-	withTable(t, m)
+	withMonitor(m)
 
 	for i := 0; i < 4; i++ {
 		for _, act := range []string{"order", "pay", "browse"} {
@@ -147,19 +146,18 @@ func TestIndexRespectsDependencyMask(t *testing.T) {
 				continue // exhausted is fine; invariant is what matters
 			}
 			if act == "order" && sub.Service.ID != "order-0" && sub.Service.ID != "order-1" {
-				t.Fatalf("table failover bound inadmissible %s to order", sub.Service.ID)
+				t.Fatalf("failover bound inadmissible %s to order", sub.Service.ID)
 			}
 			if act == "pay" && sub.Service.ID == "pay-1" && boundID(rt, "order") == "order-0" {
-				t.Fatal("table failover bound pay-1 while order-0 excludes it")
+				t.Fatal("failover bound pay-1 while order-0 excludes it")
 			}
 			if n := depViolations(rt, ds); n != 0 {
 				t.Fatalf("round %d %s: %d dependency violations", i, act, n)
 			}
 		}
 	}
-	stats := rt.FailoverStats()
-	if stats.IndexHits == 0 {
-		t.Fatal("expected at least one table-served failover")
+	if rt.FailoverStats().RotationHits == 0 {
+		t.Fatal("expected at least one rotation hit")
 	}
 
 	// Selection filters alternates against the selected assignment, so
@@ -192,7 +190,6 @@ func TestIndexRespectsDependencyMask(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m.Table.Quiesce()
 	exclude := map[registry.ServiceID]bool{"order-1": true}
 	if sub, err := m.Substitute(moved, "order", exclude); !errors.Is(err, ErrNoSubstitute) {
 		t.Fatalf("exhausted order failover bound %s (%v), want ErrNoSubstitute", sub.Service.ID, err)

@@ -13,7 +13,6 @@ import (
 	"qasom/internal/registry"
 	"qasom/internal/semantics"
 	"qasom/internal/simenv"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -22,9 +21,8 @@ import (
 // alternate list, where the victim activity's alternates carry a "dead
 // prefix" — a withdrawn slice the registry no longer knows and an
 // unhealthy slice the monitor has seen failing — that every failover
-// must get past before it reaches a live candidate. On the reactive path
-// every dead candidate costs a registry and a monitor probe; on the
-// table path it costs a map read and two atomic bit loads.
+// must get past before it reaches a live candidate. Every dead candidate
+// costs a registry and a monitor probe.
 type FailoverConfig struct {
 	// Services per capability (the paper's ℓ axis); 0 means 300.
 	Services int
@@ -36,9 +34,6 @@ type FailoverConfig struct {
 	// UnhealthyFrac of the victim's alternates fail below
 	// monitor.MinSuccessRate; 0 means 0.2.
 	UnhealthyFrac float64
-	// Indexed gives the manager a started eligibility table; false
-	// measures the reactive alternate scan.
-	Indexed bool
 	// Seed drives the simulated environment; 0 means 1.
 	Seed int64
 }
@@ -75,7 +70,6 @@ type FailoverRig struct {
 	mon     *monitor.Monitor
 	manager *adapt.Manager
 	rt      *adapt.Runtime
-	table   *subidx.Table
 	ps      *qos.PropertySet
 	victim  string
 	descs   map[registry.ServiceID]registry.Description
@@ -86,7 +80,7 @@ type FailoverResult struct {
 	Rounds            int
 	P50, P99, Max     time.Duration
 	Substitutions     int
-	IndexHits         int
+	RotationHits      int
 	Exhausted         int
 	DeadPrefix        int // withdrawn + unhealthy alternates scanned past per round
 	HealthyAlternates int
@@ -94,8 +88,7 @@ type FailoverResult struct {
 
 // NewFailoverRig builds the environment, selects the composition and
 // poisons the victim's alternate prefix. The returned rig is ready to
-// measure: with Indexed set the table has started and quiesced, so the
-// first round is already a table hit.
+// measure.
 func NewFailoverRig(cfg FailoverConfig) (*FailoverRig, error) {
 	cfg = cfg.withDefaults()
 	onto := semantics.PervasiveWithScenarios()
@@ -160,13 +153,7 @@ func NewFailoverRig(cfg FailoverConfig) (*FailoverRig, error) {
 	r.mon = monitor.New(ps, monitor.Options{})
 	r.rt = adapt.NewRuntime(req, res)
 	r.manager = &adapt.Manager{Registry: reg, Selector: sel, Monitor: r.mon}
-	if cfg.Indexed {
-		r.table = subidx.NewTable(reg, r.mon, nil)
-		r.manager.Table = r.table
-		r.table.Start()
-	}
 	if err := r.poison(); err != nil {
-		r.Close()
 		return nil, err
 	}
 	return r, nil
@@ -198,9 +185,6 @@ func (r *FailoverRig) poison() error {
 			}
 		}
 	}
-	if r.table != nil {
-		r.table.Quiesce()
-	}
 	return nil
 }
 
@@ -221,11 +205,10 @@ func (r *FailoverRig) alternates() []registry.ServiceID {
 }
 
 // Rounds performs n failover rounds and returns the Substitute latency
-// quantiles. Each round: the bound service dies (registry withdrawal —
-// the signal both the reactive scan's Registry.Get probe and the
-// table's watch subscription observe), Substitute picks the best live
-// alternate past the dead prefix, and the dead service redeploys so the
-// pool is back to steady state before the next round.
+// quantiles. Each round: the bound service dies (registry withdrawal,
+// which the walk's registry probe observes), Substitute picks the best
+// live alternate past the dead prefix, and the dead service redeploys so
+// the pool is back to steady state before the next round.
 func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 	durs := make([]time.Duration, 0, n)
 	exclude := make(map[registry.ServiceID]bool, 1)
@@ -238,10 +221,6 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 		if !r.env.Leave(victim) {
 			return nil, fmt.Errorf("failover rig: %s did not leave", victim)
 		}
-		// No quiesce here: the table folds the watch stream
-		// continuously, exactly as in production. The failed binding is
-		// in the exclude set either way, and the dead prefix the
-		// measurement depends on was poisoned (and synced) up front.
 		clear(exclude)
 		exclude[victim] = true
 
@@ -270,7 +249,7 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 		P99:               durs[len(durs)*99/100],
 		Max:               durs[len(durs)-1],
 		Substitutions:     r.rt.Substitutions(),
-		IndexHits:         stats.IndexHits,
+		RotationHits:      stats.RotationHits,
 		Exhausted:         stats.Exhausted,
 		DeadPrefix:        withdrawn + unhealthy,
 		HealthyAlternates: len(alts) - withdrawn - unhealthy,
@@ -284,27 +263,18 @@ func medianOf(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// Close stops the table goroutine (a no-op for reactive rigs).
-func (r *FailoverRig) Close() {
-	if r.table != nil {
-		r.table.Close()
-	}
-}
-
-// expFailover measures what the eligibility table buys failover: p50/p99
-// time-to-recover on service death at ℓ=300 with 50-candidate alternate
-// sets, reactive scan vs table-backed rotation walk, under the simenv
-// fault injector's dead-prefix regime.
+// expFailover measures failover time-to-recover on service death at
+// ℓ=300 with 50-candidate alternate sets, under the simenv fault
+// injector's dead-prefix regime: p50/p99 of the probing rotation walk.
 func expFailover() *Experiment {
 	return &Experiment{
 		ID:    "failover",
 		Paper: "Ch. V substitution (time-to-recover)",
-		Title: "Time-to-recover: reactive alternate scan vs eligibility table",
-		Expected: "The reactive scan pays per-candidate Registry.Get and " +
-			"Monitor.SuccessRate probes to get past the dead prefix, so " +
-			"recovery latency scales with the alternate-set size; the " +
-			"table-backed walk reaches the same decision with two atomic " +
-			"bit reads per candidate and no registry or monitor lock.",
+		Title: "Time-to-recover: probing walk over the alternate rotation",
+		Expected: "The walk pays a Registry.Has and a " +
+			"Monitor.SuccessRate probe per dead candidate to get past " +
+			"the dead prefix, so recovery latency scales with the " +
+			"length of that prefix, not with the registry's size.",
 		Run: func(cfg Config) (*Table, error) {
 			cfg = cfg.withDefaults()
 			services, alternates, rounds := 300, 50, 2000
@@ -314,49 +284,35 @@ func expFailover() *Experiment {
 			t := NewTable(
 				fmt.Sprintf("Failover time-to-recover (ℓ=%d, %d-candidate alternate sets, dead prefix 60%%+20%%)",
 					services, alternates),
-				"mode", "rounds", "sub_p50_us", "sub_p99_us", "sub_max_us",
-				"index_hits", "fallbacks")
-			var p99 [2]time.Duration
-			for i, indexed := range []bool{false, true} {
-				rig, err := NewFailoverRig(FailoverConfig{
-					Services: services, Alternates: alternates,
-					Indexed: indexed, Seed: cfg.Seed,
-				})
+				"rounds", "sub_p50_us", "sub_p99_us", "sub_max_us",
+				"rotation_hits", "fallbacks")
+			rig, err := NewFailoverRig(FailoverConfig{
+				Services: services, Alternates: alternates, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			// Median over repetitions: a GC cycle or scheduler hiccup
+			// landing inside one pass's measured windows cannot move the
+			// reported quantile on its own.
+			p50s := make([]time.Duration, 0, cfg.Repetitions)
+			p99s := make([]time.Duration, 0, cfg.Repetitions)
+			var last *FailoverResult
+			for rep := 0; rep < cfg.Repetitions; rep++ {
+				runtime.GC()
+				res, err := rig.Rounds(rounds)
 				if err != nil {
 					return nil, err
 				}
-				// Median over repetitions: a GC cycle or scheduler
-				// hiccup landing inside one pass's measured windows
-				// cannot move the reported quantile on its own.
-				p50s := make([]time.Duration, 0, cfg.Repetitions)
-				p99s := make([]time.Duration, 0, cfg.Repetitions)
-				var last *FailoverResult
-				for rep := 0; rep < cfg.Repetitions; rep++ {
-					runtime.GC()
-					res, err := rig.Rounds(rounds)
-					if err != nil {
-						rig.Close()
-						return nil, err
-					}
-					p50s = append(p50s, res.P50)
-					p99s = append(p99s, res.P99)
-					last = res
-				}
-				rig.Close()
-				mode := "reactive"
-				if indexed {
-					mode = "index"
-				}
-				p99[i] = medianOf(p99s)
-				t.AddRow(mode, cfg.Repetitions*rounds,
-					float64(medianOf(p50s))/float64(time.Microsecond),
-					float64(p99[i])/float64(time.Microsecond),
-					float64(last.Max)/float64(time.Microsecond),
-					last.IndexHits, last.Exhausted)
+				p50s = append(p50s, res.P50)
+				p99s = append(p99s, res.P99)
+				last = res
 			}
-			if p99[1] > 0 {
-				t.AddNote("p99 speedup (reactive/index): %.1fx", float64(p99[0])/float64(p99[1]))
-			}
+			t.AddRow(cfg.Repetitions*rounds,
+				float64(medianOf(p50s))/float64(time.Microsecond),
+				float64(medianOf(p99s))/float64(time.Microsecond),
+				float64(last.Max)/float64(time.Microsecond),
+				last.RotationHits, last.Exhausted)
 			return t, nil
 		},
 	}

@@ -33,8 +33,7 @@ type Observation struct {
 
 // MinSuccessRate is the health threshold of QoS-driven adaptation: a
 // service whose observed success rate falls below it is no substitute.
-// The adaptation manager's reactive failover scan and the failover
-// eligibility table both filter by it, so a table hit and the scan agree.
+// The adaptation manager's failover walk filters alternates by it.
 const MinSuccessRate = 0.5
 
 // Options tune the monitor.
@@ -96,13 +95,6 @@ func monitorMetricsFor(hub *obs.Hub) monitorMetrics {
 	}
 }
 
-// healthListener is one SubscribeHealth registration: a success-rate
-// threshold and the callback fired when a service crosses it.
-type healthListener struct {
-	threshold float64
-	fn        func(id registry.ServiceID, healthy bool)
-}
-
 // Monitor collects run-time QoS observations per service. Safe for
 // concurrent use.
 type Monitor struct {
@@ -111,9 +103,6 @@ type Monitor struct {
 	opts    Options
 	met     monitorMetrics
 	windows map[registry.ServiceID]*window
-
-	nextListener int
-	listeners    map[int]healthListener
 }
 
 // New creates a monitor for the given property set.
@@ -123,30 +112,6 @@ func New(ps *qos.PropertySet, opts Options) *Monitor {
 		opts:    opts.withDefaults(),
 		met:     monitorMetricsFor(opts.Obs),
 		windows: make(map[registry.ServiceID]*window),
-	}
-}
-
-// SubscribeHealth registers a callback fired whenever a service's
-// observed success rate crosses the threshold in either direction
-// (healthy ⇔ rate ≥ threshold; the failover eligibility table
-// subscribes with MinSuccessRate). The unobserved prior counts as healthy, so the
-// very first failing observations of a service do notify. Callbacks run
-// synchronously on the Report goroutine but outside the monitor's lock —
-// they may call back into the monitor, but should return quickly. The
-// returned cancel function unsubscribes.
-func (m *Monitor) SubscribeHealth(threshold float64, fn func(id registry.ServiceID, healthy bool)) (cancel func()) {
-	m.mu.Lock()
-	if m.listeners == nil {
-		m.listeners = make(map[int]healthListener)
-	}
-	key := m.nextListener
-	m.nextListener++
-	m.listeners[key] = healthListener{threshold: threshold, fn: fn}
-	m.mu.Unlock()
-	return func() {
-		m.mu.Lock()
-		delete(m.listeners, key)
-		m.mu.Unlock()
 	}
 }
 
@@ -162,7 +127,6 @@ func (m *Monitor) Report(obs Observation) error {
 		w = &window{obs: make([]Observation, m.opts.WindowSize)}
 		m.windows[obs.Service] = w
 	}
-	rateBefore := w.successRate()
 	w.obs[w.next] = obs
 	w.next = (w.next + 1) % len(w.obs)
 	if w.next == 0 {
@@ -180,16 +144,6 @@ func (m *Monitor) Report(obs Observation) error {
 			w.ewma[j] = a*obs.Vector[j] + (1-a)*w.ewma[j]
 		}
 	}
-	rateAfter := w.successRate()
-	// Collect threshold crossings under the lock, notify outside it: a
-	// listener may itself read the monitor (or fan out into substitution
-	// indexes) without deadlocking Report.
-	var crossed []healthListener
-	for _, l := range m.listeners {
-		if (rateBefore >= l.threshold) != (rateAfter >= l.threshold) {
-			crossed = append(crossed, l)
-		}
-	}
 	m.met.observations.Inc()
 	if !obs.Success {
 		m.met.failures.Inc()
@@ -200,9 +154,6 @@ func (m *Monitor) Report(obs Observation) error {
 		}
 	}
 	m.mu.Unlock()
-	for _, l := range crossed {
-		l.fn(obs.Service, rateAfter >= l.threshold)
-	}
 	return nil
 }
 

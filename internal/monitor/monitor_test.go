@@ -302,77 +302,3 @@ func TestPercentileCatchesTail(t *testing.T) {
 		t.Errorf("EWMA %g should sit below the tail %g", est[0], p95)
 	}
 }
-
-func TestSubscribeHealthCrossings(t *testing.T) {
-	m := New(testProps(), Options{})
-	type event struct {
-		id      registry.ServiceID
-		healthy bool
-	}
-	var mu sync.Mutex
-	var events []event
-	cancel := m.SubscribeHealth(0.5, func(id registry.ServiceID, healthy bool) {
-		mu.Lock()
-		events = append(events, event{id, healthy})
-		mu.Unlock()
-	})
-
-	// One success: rate stays 1, no crossing.
-	if err := m.Report(mkObs("s", 100, 0.9, true)); err != nil {
-		t.Fatal(err)
-	}
-	// Two failures: rate 1/2 → 1/3, crossing 0.5 exactly once (the
-	// healthy predicate is rate ≥ threshold, so 0.5 itself is healthy).
-	m.Report(mkObs("s", 100, 0.9, false))
-	m.Report(mkObs("s", 100, 0.9, false))
-	mu.Lock()
-	got := append([]event(nil), events...)
-	mu.Unlock()
-	if len(got) != 1 || got[0].id != "s" || got[0].healthy {
-		t.Fatalf("events = %+v, want one unhealthy crossing for s", got)
-	}
-
-	// Recover: successes until the rate climbs back over the threshold.
-	for i := 0; i < 4; i++ {
-		m.Report(mkObs("s", 100, 0.9, true))
-	}
-	mu.Lock()
-	got = append([]event(nil), events...)
-	mu.Unlock()
-	if len(got) != 2 || !got[1].healthy {
-		t.Fatalf("events = %+v, want a healthy re-crossing", got)
-	}
-
-	// After cancel nothing fires.
-	cancel()
-	for i := 0; i < 10; i++ {
-		m.Report(mkObs("s", 100, 0.9, false))
-	}
-	mu.Lock()
-	n := len(events)
-	mu.Unlock()
-	if n != 2 {
-		t.Errorf("events after cancel = %d, want 2", n)
-	}
-}
-
-func TestSubscribeHealthFirstObservationNotifies(t *testing.T) {
-	m := New(testProps(), Options{})
-	fired := 0
-	m.SubscribeHealth(0.5, func(id registry.ServiceID, healthy bool) {
-		fired++
-		if healthy {
-			t.Error("first failing observation should report unhealthy")
-		}
-	})
-	// The optimistic prior (rate 1) means the very first failure crosses.
-	m.Report(mkObs("fresh", 100, 0.9, false))
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	// Callbacks may re-enter the monitor without deadlocking.
-	m.SubscribeHealth(0.9, func(id registry.ServiceID, healthy bool) {
-		_ = m.SuccessRate(id)
-	})
-	m.Report(mkObs("other", 100, 0.9, false))
-}

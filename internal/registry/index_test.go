@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"qasom/internal/qos"
@@ -128,25 +127,6 @@ func TestIndexRebuiltOnOntologyMutation(t *testing.T) {
 	}
 }
 
-func TestWatchEventsAreDeepCopies(t *testing.T) {
-	r := newTestRegistry()
-	ch, cancel := r.Watch(4)
-	defer cancel()
-	if err := r.Publish(bookService("s1", 100)); err != nil {
-		t.Fatal(err)
-	}
-	ev := <-ch
-	// A subscriber mutating its event must not corrupt registry state.
-	ev.Service.Offers[0].Value = -42
-	got, ok := r.Get("s1")
-	if !ok {
-		t.Fatal("Get failed")
-	}
-	if got.Offers[0].Value != 100 {
-		t.Errorf("watch event aliases registry state: stored offer = %v", got.Offers[0].Value)
-	}
-}
-
 func TestAllReturnsDeepCopies(t *testing.T) {
 	r := newTestRegistry()
 	if err := r.Publish(bookService("s1", 100)); err != nil {
@@ -161,49 +141,5 @@ func TestAllReturnsDeepCopies(t *testing.T) {
 	got, _ := r.Get("s1")
 	if got.Offers[0].Value != 100 || len(got.Inputs) != 0 {
 		t.Error("All should return deep copies")
-	}
-}
-
-// TestWatchCancelConcurrentWithPublish is the hygiene regression test:
-// cancelling a watcher while publishers are notifying must neither
-// panic (send on closed channel) nor deadlock nor leak the watcher.
-func TestWatchCancelConcurrentWithPublish(t *testing.T) {
-	r := newTestRegistry()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for p := 0; p < 4; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				id := fmt.Sprintf("p%d-s%d", p, i%8)
-				if err := r.Publish(bookService(id, 100)); err != nil {
-					t.Error(err)
-					return
-				}
-				r.Withdraw(ServiceID(id))
-			}
-		}(p)
-	}
-	for w := 0; w < 64; w++ {
-		ch, cancel := r.Watch(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range ch { // drain until cancel closes the channel
-			}
-		}()
-		cancel()
-		cancel() // double-cancel must be safe
-	}
-	close(stop)
-	wg.Wait()
-	if leaked := r.store.watcherCount(); leaked != 0 {
-		t.Errorf("%d watchers leaked after cancel", leaked)
 	}
 }

@@ -178,26 +178,6 @@ func compareCandidates(a, b *Candidate) int {
 	return cmp.Compare(a.Service.ID, b.Service.ID)
 }
 
-// EventKind tags registry change notifications.
-type EventKind int
-
-// Event kinds.
-const (
-	// EventPublished fires when a service joins or is updated.
-	EventPublished EventKind = iota + 1
-	// EventWithdrawn fires when a service leaves.
-	EventWithdrawn
-)
-
-// Event is a registry change notification. Tenant names the logical
-// environment the change happened in (watchers only ever receive their
-// own tenant's events).
-type Event struct {
-	Kind    EventKind
-	Tenant  TenantID
-	Service Description
-}
-
 // Metrics reports how the registry served capability lookups: how many
 // went through the concept index versus a full scan, and how often the
 // index had to be rebuilt because the shared ontology mutated.
@@ -270,15 +250,21 @@ func (r *Registry) Metrics() Metrics { return r.store.Metrics() }
 func (r *Registry) Ontology() *semantics.Ontology { return r.store.Ontology() }
 
 // Publish validates and stores a description for this tenant, replacing
-// any previous version, and notifies the tenant's watchers.
+// any previous version.
 func (r *Registry) Publish(d Description) error {
 	return r.store.publish(r.tenant, d)
 }
 
-// Withdraw removes a service of this tenant and notifies watchers; it
-// reports whether the service was present.
+// Withdraw removes a service of this tenant; it reports whether the
+// service was present.
 func (r *Registry) Withdraw(id ServiceID) bool {
 	return r.store.withdraw(r.tenant, id)
+}
+
+// Has reports whether this tenant publishes id. Unlike Get it copies
+// nothing: failover probes every alternate it walks past with it.
+func (r *Registry) Has(id ServiceID) bool {
+	return r.store.has(r.tenant, id)
 }
 
 // Get returns a copy of the description for id.
@@ -354,15 +340,4 @@ func (r *Registry) conceptCovered(required semantics.ConceptID, available []sema
 		}
 	}
 	return false
-}
-
-// Watch subscribes to this tenant's registry change events. The returned
-// cancel function unsubscribes and closes the channel. Events are
-// delivered best-effort: when the subscriber's buffer is full the event
-// is dropped rather than blocking publishers, and the store's
-// qasom_registry_watch_dropped_total counter counts it. Each event
-// carries the tenant of the changed service, and every watcher gets its
-// own deep copy.
-func (r *Registry) Watch(buffer int) (<-chan Event, func()) {
-	return r.store.watch(r.tenant, buffer)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"qasom/internal/qos"
 	"qasom/internal/semantics"
@@ -77,13 +76,16 @@ func TestWithdraw(t *testing.T) {
 	if err := r.Publish(bookService("s1", 100)); err != nil {
 		t.Fatal(err)
 	}
+	if !r.Has("s1") {
+		t.Error("Has should report a published service")
+	}
 	if !r.Withdraw("s1") {
 		t.Error("Withdraw should report presence")
 	}
 	if r.Withdraw("s1") {
 		t.Error("second Withdraw should report absence")
 	}
-	if _, ok := r.Get("s1"); ok {
+	if _, ok := r.Get("s1"); ok || r.Has("s1") {
 		t.Error("withdrawn service still present")
 	}
 }
@@ -233,65 +235,6 @@ func TestCandidatesForActivityDataCompatibility(t *testing.T) {
 	got = r.CandidatesForActivity(lax, ps)
 	if len(got) != 3 {
 		t.Errorf("activity without data declarations should accept all: %d", len(got))
-	}
-}
-
-func TestWatch(t *testing.T) {
-	r := newTestRegistry()
-	ch, cancel := r.Watch(4)
-	defer cancel()
-	if err := r.Publish(bookService("s1", 100)); err != nil {
-		t.Fatal(err)
-	}
-	r.Withdraw("s1")
-
-	var events []Event
-	timeout := time.After(time.Second)
-	for len(events) < 2 {
-		select {
-		case e := <-ch:
-			events = append(events, e)
-		case <-timeout:
-			t.Fatalf("timed out after %d events", len(events))
-		}
-	}
-	if events[0].Kind != EventPublished || events[0].Service.ID != "s1" {
-		t.Errorf("event 0 = %+v", events[0])
-	}
-	if events[1].Kind != EventWithdrawn {
-		t.Errorf("event 1 = %+v", events[1])
-	}
-}
-
-func TestWatchCancelIdempotent(t *testing.T) {
-	r := newTestRegistry()
-	ch, cancel := r.Watch(1)
-	cancel()
-	cancel() // second cancel must not panic
-	if _, open := <-ch; open {
-		t.Error("channel should be closed after cancel")
-	}
-	// Publishing after cancel must not panic.
-	if err := r.Publish(bookService("s1", 100)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWatchDoesNotBlockPublishers(t *testing.T) {
-	r := newTestRegistry()
-	_, cancel := r.Watch(1) // tiny buffer, never drained
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			_ = r.Publish(bookService(fmt.Sprintf("s%d", i), 100))
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("publisher blocked on a slow watcher")
 	}
 }
 

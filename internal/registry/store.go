@@ -49,9 +49,8 @@ type StoreOptions struct {
 	// Obs, when non-nil, receives the store's telemetry:
 	// qasom_registry_lock_wait_seconds observes write-lock acquisition
 	// waits (only the contended ones: the uncontended fast path costs
-	// one TryLock), qasom_registry_mutations_total counts Publish/Withdraw
-	// directory updates, and qasom_registry_watch_dropped_total counts
-	// watch events dropped on a full subscriber buffer.
+	// one TryLock) and qasom_registry_mutations_total counts
+	// Publish/Withdraw directory updates.
 	Obs *obs.Registry
 }
 
@@ -93,12 +92,6 @@ type capEntry struct {
 	list atomic.Pointer[[]*storedService]
 }
 
-// watcher is one Watch subscription, tenant-filtered at notify time.
-type watcher struct {
-	ch     chan Event
-	tenant TenantID
-}
-
 // Store is the multi-tenant registry core. Create instances with
 // NewStore and obtain tenant-bound views with Tenant; the plain New
 // constructor wraps a fresh single-tenant store for compatibility.
@@ -137,15 +130,10 @@ type Store struct {
 	scanLookups    atomic.Uint64
 	indexRebuilds  atomic.Uint64
 
-	watchMu  sync.RWMutex
-	watchers map[int]watcher
-	nextW    int
-
 	// The telemetry handles are nil without StoreOptions.Obs; their
 	// methods are no-ops then.
-	lockWait     *obs.Histogram
-	mutations    *obs.Counter
-	watchDropped *obs.Counter
+	lockWait  *obs.Histogram
+	mutations *obs.Counter
 }
 
 // NewStore creates a multi-tenant store bound to the shared ontology
@@ -155,7 +143,6 @@ func NewStore(o *semantics.Ontology, opts StoreOptions) *Store {
 		ontology: o,
 		services: make(map[svcKey]*storedService),
 		entries:  make(map[capKey]*capEntry),
-		watchers: make(map[int]watcher),
 	}
 	s.indexing.Store(true)
 	if opts.Obs != nil {
@@ -164,8 +151,6 @@ func NewStore(o *semantics.Ontology, opts StoreOptions) *Store {
 			[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1})
 		s.mutations = opts.Obs.Counter("qasom_registry_mutations_total",
 			"Publish/Withdraw directory mutations.")
-		s.watchDropped = opts.Obs.Counter("qasom_registry_watch_dropped_total",
-			"Watch events dropped because the subscriber's buffer was full.")
 	}
 	return s
 }
@@ -297,7 +282,7 @@ func (s *Store) closureKeys(c semantics.ConceptID) []semantics.ConceptID {
 }
 
 // publish validates and stores a description for the tenant, replacing
-// any previous version, and notifies the tenant's watchers.
+// any previous version.
 func (s *Store) publish(t TenantID, d Description) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -324,12 +309,11 @@ func (s *Store) publish(t TenantID, d Description) error {
 		s.tenantCount(t).Add(1)
 	}
 	s.mutations.Inc()
-	s.notify(Event{Kind: EventPublished, Tenant: t, Service: cp})
 	return nil
 }
 
-// withdraw removes a tenant's service and notifies watchers; it reports
-// whether the service was present.
+// withdraw removes a tenant's service; it reports whether the service
+// was present.
 func (s *Store) withdraw(t TenantID, id ServiceID) bool {
 	sk := svcKey{t, id}
 	s.lock()
@@ -346,7 +330,6 @@ func (s *Store) withdraw(t TenantID, id ServiceID) bool {
 	s.total.Add(-1)
 	s.tenantCount(t).Add(-1)
 	s.mutations.Inc()
-	s.notify(Event{Kind: EventWithdrawn, Tenant: t, Service: old.desc})
 	return true
 }
 
@@ -405,6 +388,14 @@ func containsConcept(keys []semantics.ConceptID, c semantics.ConceptID) bool {
 		}
 	}
 	return false
+}
+
+// has reports whether the tenant publishes id, copying nothing.
+func (s *Store) has(t TenantID, id ServiceID) bool {
+	s.mu.RLock()
+	_, ok := s.services[svcKey{t, id}]
+	s.mu.RUnlock()
+	return ok
 }
 
 // get returns a copy of the tenant's description for id.
@@ -605,56 +596,6 @@ func (s *Store) collect(t TenantID, canon semantics.ConceptID) (stored []*stored
 	}
 	s.scanLookups.Add(1)
 	return s.tenantServices(t, nil), false
-}
-
-// watch subscribes to the tenant's change events; see Registry.Watch.
-func (s *Store) watch(t TenantID, buffer int) (<-chan Event, func()) {
-	if buffer <= 0 {
-		buffer = 16
-	}
-	ch := make(chan Event, buffer)
-	s.watchMu.Lock()
-	id := s.nextW
-	s.nextW++
-	s.watchers[id] = watcher{ch: ch, tenant: t}
-	s.watchMu.Unlock()
-	var once sync.Once
-	cancel := func() {
-		once.Do(func() {
-			s.watchMu.Lock()
-			delete(s.watchers, id)
-			s.watchMu.Unlock()
-			close(ch)
-		})
-	}
-	return ch, cancel
-}
-
-// notify fans an event out to the event's tenant's watchers. It runs
-// outside the write lock; each watcher gets its own deep copy so a
-// subscriber mutating the event (or holding it across further writes)
-// never aliases registry-internal state or another watcher's view.
-func (s *Store) notify(e Event) {
-	s.watchMu.RLock()
-	defer s.watchMu.RUnlock()
-	for _, w := range s.watchers {
-		if w.tenant != e.Tenant {
-			continue
-		}
-		ev := Event{Kind: e.Kind, Tenant: e.Tenant, Service: e.Service.clone()}
-		select {
-		case w.ch <- ev:
-		default: // drop rather than block, and count the loss
-			s.watchDropped.Inc()
-		}
-	}
-}
-
-// watcherCount reports the live subscriptions (test hook).
-func (s *Store) watcherCount() int {
-	s.watchMu.RLock()
-	defer s.watchMu.RUnlock()
-	return len(s.watchers)
 }
 
 // candidates resolves the tenant's services able to provide the required

@@ -193,67 +193,6 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestWatchEventsCarryTenant pins the watcher fan-out: events carry the
-// originating tenant, are delivered only to that tenant's watchers, and
-// stay deep copies under concurrent writes by another tenant.
-func TestWatchEventsCarryTenant(t *testing.T) {
-	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{})
-	a, b := store.Tenant("env-a"), store.Tenant("env-b")
-	chA, cancelA := a.Watch(64)
-	defer cancelA()
-
-	// Concurrent churn in tenant-b: its writes must never corrupt
-	// tenant-a's event copies, and none of its events may reach chA.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			id := fmt.Sprintf("b-%d", i%8)
-			if err := b.Publish(bookService(id, 50)); err != nil {
-				t.Error(err)
-				return
-			}
-			b.Withdraw(ServiceID(id))
-		}
-	}()
-
-	if err := a.Publish(bookService("a-1", 40)); err != nil {
-		t.Fatal(err)
-	}
-	a.Withdraw("a-1")
-	close(stop)
-	wg.Wait()
-	cancelA()
-
-	var events []Event
-	for ev := range chA {
-		events = append(events, ev)
-	}
-	if len(events) != 2 {
-		t.Fatalf("tenant-a watcher saw %d events, want 2 (cross-tenant leak?)", len(events))
-	}
-	for i, want := range []EventKind{EventPublished, EventWithdrawn} {
-		ev := events[i]
-		if ev.Kind != want || ev.Tenant != "env-a" || ev.Service.ID != "a-1" {
-			t.Errorf("event %d = kind=%v tenant=%q id=%q, want kind=%v tenant=env-a id=a-1",
-				i, ev.Kind, ev.Tenant, ev.Service.ID, want)
-		}
-	}
-	// Deep-copy hygiene: the two events of the same service must not
-	// share slices with each other (or with the store, pinned elsewhere).
-	events[0].Service.Offers[0].Value = -1
-	if events[1].Service.Offers[0].Value == -1 {
-		t.Error("watch events alias each other's offer slices")
-	}
-}
-
 // TestDifferentialEpochMonotonicityRaced churns two tenants from
 // multiple goroutines while samplers assert that every capability-epoch
 // position is non-decreasing across snapshots (lock-free reads must
@@ -372,38 +311,6 @@ func TestShardTelemetry(t *testing.T) {
 	}
 	if !sawLockWait {
 		t.Error("lock-wait histogram not registered")
-	}
-}
-
-// TestWatchDropsAreCounted checks that a full subscriber buffer drops
-// events visibly: a Watch(1) subscriber that never reads holds the first
-// of three publishes, and the other two land in the drop counter. A
-// store without telemetry drops the same way without panicking.
-func TestWatchDropsAreCounted(t *testing.T) {
-	o := obs.NewRegistry()
-	for _, store := range []*Store{NewStore(nil, StoreOptions{Obs: o}), NewStore(nil, StoreOptions{})} {
-		r := store.Tenant(DefaultTenant)
-		ch, cancel := r.Watch(1)
-		for i := 0; i < 3; i++ {
-			if err := r.Publish(bookService(fmt.Sprintf("s%d", i), 40)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cancel()
-		if n := len(ch); n != 1 {
-			t.Errorf("buffered events = %d, want 1", n)
-		}
-	}
-	var dropped float64
-	for _, m := range o.Snapshot() {
-		if m.Name == "qasom_registry_watch_dropped_total" {
-			for _, s := range m.Series {
-				dropped += s.Value
-			}
-		}
-	}
-	if dropped != 2 {
-		t.Errorf("qasom_registry_watch_dropped_total = %g, want 2", dropped)
 	}
 }
 

@@ -33,7 +33,6 @@ import (
 	"qasom/internal/registry"
 	"qasom/internal/semantics"
 	"qasom/internal/simenv"
-	"qasom/internal/subidx"
 	"qasom/internal/task"
 )
 
@@ -205,7 +204,6 @@ type Middleware struct {
 	locals    *localMemo     // per-activity local phases under the plan cache; nil exactly when plans is
 	tasks     *taskIntern    // resolved task specs (documents, behaviour names), keyed by content
 	manager   *adapt.Manager // the one adaptation manager every composition shares
-	table     *subidx.Table  // failover eligibility table, started at the first Execute
 	opts      Options
 	tenant    string // tenant label on metrics and flight records ("default" for the zero tenant)
 }
@@ -325,14 +323,12 @@ func New(opts ...Options) (*Middleware, error) {
 		opts:      o,
 		tenant:    tenantLabel(o.TenantID),
 	}
-	m.table = subidx.NewTable(reg, m.mon, o.Obs.Metrics)
 	m.manager = &adapt.Manager{
 		Registry: reg,
 		Repo:     m.repo,
 		Selector: m.selector,
 		Monitor:  m.mon,
 		Obs:      o.Obs,
-		Table:    m.table,
 	}
 	m.manager.Options.Match.AllowSubsume = true
 	m.manager.Options.Match.AllowMerge = true
@@ -370,13 +366,12 @@ func New(opts ...Options) (*Middleware, error) {
 	return m, nil
 }
 
-// Close releases the middleware's background resources: the failover
-// eligibility table's maintenance goroutine and its registry/monitor
-// subscriptions. The instance stays usable afterwards: failover reverts
-// to the same locked walk with registry and monitor probes in place of
-// the table, so it never hands out a service withdrawn after Close. Safe
-// to call more than once.
-func (m *Middleware) Close() { m.table.Close() }
+// Close is a no-op kept for callers that release a middleware when done
+// with it: the middleware starts no goroutine and holds no subscription,
+// so there is nothing to release. The instance stays usable afterwards,
+// and failover probes the registry and monitor as before, so it never
+// hands out a withdrawn service. Safe to call more than once.
+func (m *Middleware) Close() {}
 
 // Observability returns the middleware's telemetry hub: the metrics
 // registry behind /metrics and the tracer whose Snapshot holds the most

@@ -246,11 +246,11 @@ func TestExecuteWithSubstitution(t *testing.T) {
 	}
 }
 
-// TestCloseRevertsFailoverToReactive pins the Close contract: once the
-// middleware is closed, failover stops trusting the eligibility table
-// (which no longer hears registry events) and probes the registry again,
-// so a service withdrawn after Close is never handed out.
-func TestCloseRevertsFailoverToReactive(t *testing.T) {
+// TestFailoverAfterCloseSkipsWithdrawn pins the Close contract: Close
+// may be called more than once and the middleware stays usable, and
+// failover still probes the registry, so a service withdrawn after
+// Close is never handed out.
+func TestFailoverAfterCloseSkipsWithdrawn(t *testing.T) {
 	mw, err := qasom.New(qasom.Options{Obs: obs.NewHub()})
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +263,7 @@ func TestCloseRevertsFailoverToReactive(t *testing.T) {
 	if _, err := mw.Execute(context.Background(), comp); err != nil {
 		t.Fatal(err)
 	}
+	mw.Close()
 	mw.Close()
 	head := comp.Alternates("order")[0]
 	if !mw.Withdraw(head) {

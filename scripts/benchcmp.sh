@@ -29,9 +29,8 @@ BASE="${BASE:-BENCH_qassa.json}"
 # observation per composition (one per-second bucket bump; burn rates
 # are computed when read, not per request), and the alloc/byte budgets
 # keep that instrumentation honest. BenchmarkFailover gates the recovery path the
-# same way: mode=index must stay a lock-free lookup (its ns/op and
-# alloc budgets are the index-hit fast path plus the steady-state round
-# overhead), mode=reactive keeps the fallback scan honest.
+# same way: mode=reactive is the one failover path, the probing walk over
+# the rotation, plus the steady-state round overhead.
 # BenchmarkParetoProbe gates the multi-objective vector probe (must stay
 # O(path) and zero-alloc, within a few x of the scalar EvalProbe);
 # BenchmarkParetoSelect gates both front-mode regimes end to end.
