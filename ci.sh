@@ -75,8 +75,7 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'TestFailoverAfterCloseSkipsWithdrawn' .
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-read check, nil-before-bump ordering, fresh keys racing list
-	# rebuilds under the write lock), the flat federation's
-	# member churn racing its merged lookups, raced eviction + epoch
+	# rebuilds under the write lock), raced eviction + epoch
 	# invalidation in the copy-on-write plan cache, the shared-plan leak
 	# check (substitutions copy, never write the cached Result), the
 	# first-Execute table start racing a manual Substitute, behaviour
@@ -88,7 +87,7 @@ if [ "${1:-}" = "quick" ]; then
 	# exemplar sharing the hit's clock readings), and first contract
 	# establishment racing compliance checks.
 	echo "== go test -race hot-path suite (quick)"
-	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility|TestFederation' ./internal/registry
+	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility' ./internal/registry
 	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry|TestConcurrentContracts' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);

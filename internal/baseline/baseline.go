@@ -287,12 +287,16 @@ func Greedy(req *core.Request, candidates map[string][]registry.Candidate) (*cor
 	return finalize(eval, assign, eval.Feasible(assign), evaluations), nil
 }
 
+// Fixed parameters of the random-restart local search.
+const (
+	// lsRestarts is the number of random starting assignments.
+	lsRestarts = 10
+	// lsMaxMoves bounds hill-climbing moves per restart.
+	lsMaxMoves = 200
+)
+
 // LocalSearchOptions tune the random-restart local search.
 type LocalSearchOptions struct {
-	// Restarts is the number of random starting assignments; 0 means 10.
-	Restarts int
-	// MaxMoves bounds hill-climbing moves per restart; 0 means 200.
-	MaxMoves int
 	// Penalty scales constraint violation against utility in the
 	// objective; 0 means 10.
 	Penalty float64
@@ -317,12 +321,6 @@ func LocalSearch(req *core.Request, candidates map[string][]registry.Candidate, 
 	if err != nil {
 		return nil, err
 	}
-	if opts.Restarts <= 0 {
-		opts.Restarts = 10
-	}
-	if opts.MaxMoves <= 0 {
-		opts.MaxMoves = 200
-	}
 	if opts.Penalty == 0 {
 		opts.Penalty = 10
 	}
@@ -340,13 +338,13 @@ func LocalSearch(req *core.Request, candidates map[string][]registry.Candidate, 
 	bestObj := math.Inf(-1)
 	evaluations := 0
 
-	for r := 0; r < opts.Restarts; r++ {
+	for r := 0; r < lsRestarts; r++ {
 		for a := 0; a < n; a++ {
 			eng.Assign(a, rng.Intn(eng.PoolSize(a)))
 		}
 		cur := objective()
 		evaluations++
-		for move := 0; move < opts.MaxMoves; move++ {
+		for move := 0; move < lsMaxMoves; move++ {
 			improved := false
 			for a := 0; a < n; a++ {
 				prev := eng.Current(a)

@@ -9,20 +9,25 @@ import (
 	"qasom/internal/registry"
 )
 
+// Fixed parameters of the genetic-algorithm baseline.
+const (
+	// gaPopulation is the population size.
+	gaPopulation = 40
+	// gaCrossoverRate is the single-point crossover probability.
+	gaCrossoverRate = 0.8
+	// gaMutationRate is the per-gene mutation probability.
+	gaMutationRate = 0.1
+	// gaElite is the number of individuals copied unchanged per
+	// generation.
+	gaElite = 2
+)
+
 // GeneticOptions tune the genetic-algorithm baseline (after Canfora et
 // al., the classic metaheuristic for QoS-aware selection the thesis's
 // related work surveys).
 type GeneticOptions struct {
-	// Population size; 0 means 40.
-	Population int
 	// Generations; 0 means 60.
 	Generations int
-	// CrossoverRate in [0,1]; 0 means 0.8.
-	CrossoverRate float64
-	// MutationRate per gene in [0,1]; 0 means 0.1.
-	MutationRate float64
-	// Elite individuals copied unchanged per generation; 0 means 2.
-	Elite int
 	// Penalty scales constraint violation in the fitness; 0 means 10.
 	Penalty float64
 	// Seed drives the randomness; 0 means 1.
@@ -30,20 +35,8 @@ type GeneticOptions struct {
 }
 
 func (o GeneticOptions) withDefaults() GeneticOptions {
-	if o.Population <= 0 {
-		o.Population = 40
-	}
 	if o.Generations <= 0 {
 		o.Generations = 60
-	}
-	if o.CrossoverRate <= 0 {
-		o.CrossoverRate = 0.8
-	}
-	if o.MutationRate <= 0 {
-		o.MutationRate = 0.1
-	}
-	if o.Elite <= 0 {
-		o.Elite = 2
 	}
 	if o.Penalty == 0 {
 		o.Penalty = 10
@@ -102,7 +95,7 @@ func Genetic(req *core.Request, candidates map[string][]registry.Candidate, opts
 		genes []int
 		fit   float64
 	}
-	pop := make([]individual, o.Population)
+	pop := make([]individual, gaPopulation)
 	for p := range pop {
 		genes := make([]int, n)
 		for i := range genes {
@@ -126,20 +119,20 @@ func Genetic(req *core.Request, candidates map[string][]registry.Candidate, opts
 	}
 
 	for gen := 0; gen < o.Generations; gen++ {
-		next := make([]individual, 0, o.Population)
-		for e := 0; e < o.Elite && e < len(pop); e++ {
+		next := make([]individual, 0, gaPopulation)
+		for e := 0; e < gaElite && e < len(pop); e++ {
 			elite := individual{genes: append([]int(nil), pop[e].genes...), fit: pop[e].fit}
 			next = append(next, elite)
 		}
-		for len(next) < o.Population {
+		for len(next) < gaPopulation {
 			a, b := tournament(), tournament()
 			child := append([]int(nil), a.genes...)
-			if rng.Float64() < o.CrossoverRate && n > 1 {
+			if rng.Float64() < gaCrossoverRate && n > 1 {
 				cut := 1 + rng.Intn(n-1)
 				copy(child[cut:], b.genes[cut:])
 			}
 			for i := range child {
-				if rng.Float64() < o.MutationRate {
+				if rng.Float64() < gaMutationRate {
 					child[i] = rng.Intn(len(pools[i]))
 				}
 			}

@@ -28,15 +28,18 @@ type FailoverConfig struct {
 	Services int
 	// Alternates caps the per-activity alternate list; 0 means 50.
 	Alternates int
-	// WithdrawnFrac of the victim's alternates leave the registry
-	// before measurement; 0 means 0.6.
-	WithdrawnFrac float64
-	// UnhealthyFrac of the victim's alternates fail below
-	// monitor.MinSuccessRate; 0 means 0.2.
-	UnhealthyFrac float64
 	// Seed drives the simulated environment; 0 means 1.
 	Seed int64
 }
+
+// The failover rig's dead prefix, as fractions of the victim's
+// alternates.
+const (
+	// failoverWithdrawnFrac leave the registry before measurement.
+	failoverWithdrawnFrac = 0.6
+	// failoverUnhealthyFrac fail below monitor.MinSuccessRate.
+	failoverUnhealthyFrac = 0.2
+)
 
 func (c FailoverConfig) withDefaults() FailoverConfig {
 	if c.Services <= 0 {
@@ -44,12 +47,6 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 	}
 	if c.Alternates <= 0 {
 		c.Alternates = 50
-	}
-	if c.WithdrawnFrac <= 0 {
-		c.WithdrawnFrac = 0.6
-	}
-	if c.UnhealthyFrac <= 0 {
-		c.UnhealthyFrac = 0.2
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -77,13 +74,11 @@ type FailoverRig struct {
 
 // FailoverResult aggregates the per-round Substitute latencies.
 type FailoverResult struct {
-	Rounds            int
-	P50, P99, Max     time.Duration
-	Substitutions     int
-	RotationHits      int
-	Exhausted         int
-	DeadPrefix        int // withdrawn + unhealthy alternates scanned past per round
-	HealthyAlternates int
+	Rounds        int
+	P50, P99, Max time.Duration
+	Substitutions int
+	RotationHits  int
+	Exhausted     int
 }
 
 // NewFailoverRig builds the environment, selects the composition and
@@ -160,13 +155,13 @@ func NewFailoverRig(cfg FailoverConfig) (*FailoverRig, error) {
 }
 
 // poison kills the front of the victim's alternate list: the first
-// WithdrawnFrac leave the registry entirely, the next UnhealthyFrac
-// stay published but fail until the monitor demotes them. Both kinds
-// stay dead for the life of the rig.
+// failoverWithdrawnFrac leave the registry entirely, the next
+// failoverUnhealthyFrac stay published but fail until the monitor
+// demotes them. Both kinds stay dead for the life of the rig.
 func (r *FailoverRig) poison() error {
 	alts := r.alternates()
-	withdrawn := int(r.cfg.WithdrawnFrac * float64(len(alts)))
-	unhealthy := int(r.cfg.UnhealthyFrac * float64(len(alts)))
+	withdrawn := int(failoverWithdrawnFrac * float64(len(alts)))
+	unhealthy := int(failoverUnhealthyFrac * float64(len(alts)))
 	if withdrawn+unhealthy >= len(alts) {
 		return fmt.Errorf("failover rig: dead prefix %d+%d covers all %d alternates",
 			withdrawn, unhealthy, len(alts))
@@ -240,19 +235,14 @@ func (r *FailoverRig) Rounds(n int) (*FailoverResult, error) {
 	}
 	sort.Slice(durs, func(a, b int) bool { return durs[a] < durs[b] })
 	stats := r.rt.FailoverStats()
-	alts := r.alternates()
-	withdrawn := int(r.cfg.WithdrawnFrac * float64(len(alts)))
-	unhealthy := int(r.cfg.UnhealthyFrac * float64(len(alts)))
 	return &FailoverResult{
-		Rounds:            n,
-		P50:               durs[len(durs)/2],
-		P99:               durs[len(durs)*99/100],
-		Max:               durs[len(durs)-1],
-		Substitutions:     r.rt.Substitutions(),
-		RotationHits:      stats.RotationHits,
-		Exhausted:         stats.Exhausted,
-		DeadPrefix:        withdrawn + unhealthy,
-		HealthyAlternates: len(alts) - withdrawn - unhealthy,
+		Rounds:        n,
+		P50:           durs[len(durs)/2],
+		P99:           durs[len(durs)*99/100],
+		Max:           durs[len(durs)-1],
+		Substitutions: r.rt.Substitutions(),
+		RotationHits:  stats.RotationHits,
+		Exhausted:     stats.Exhausted,
 	}, nil
 }
 

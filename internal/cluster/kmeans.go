@@ -28,10 +28,11 @@ const (
 	SeedUniform
 )
 
+// maxIterations bounds Lloyd iterations.
+const maxIterations = 50
+
 // Options tune a clustering run.
 type Options struct {
-	// MaxIterations bounds Lloyd iterations; 0 means the default (50).
-	MaxIterations int
 	// Seeding selects the initialisation strategy; 0 means SeedPlusPlus.
 	Seeding Seeding
 	// Rand drives all random choices; nil means a fixed-seed source so
@@ -40,9 +41,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 50
-	}
 	if o.Seeding == 0 {
 		o.Seeding = SeedPlusPlus
 	}
@@ -103,7 +101,7 @@ func KMeans(points [][]float64, k int, opts Options) (*Result, error) {
 	assign := make([]int, len(points))
 	sizes := make([]int, k)
 	res := &Result{}
-	for iter := 0; iter < o.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		res.Iterations = iter + 1
 		changed := assignPoints(points, centroids, assign)
 		for i := range sizes {
@@ -220,7 +218,7 @@ func (s *Scratch) KMeans1D(values []float64, k int, opts Options) (*Result, erro
 	sizes := grabInts(&s.sizes, k)
 	res := &s.result
 	*res = Result{}
-	for iter := 0; iter < o.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		res.Iterations = iter + 1
 		changed := assign1D(values, centroids, assign)
 		for i := range sizes {

@@ -8,7 +8,7 @@ package core
 // excludes (binding A to s forbids a service set for B) and co-location
 // (A and B must bind services hosted on the same device).
 //
-// Rules compile once per request into a DependencySet: dense activity
+// A rule set compiles once per request into a DependencySet: dense activity
 // indexing, per-activity rule adjacency, and structural validation with
 // typed errors (unknown activities, cyclic requires-edges, contradictory
 // requires+excludes) so a malformed rule set fails at compile time and
@@ -106,7 +106,6 @@ type DependencySet struct {
 	actIdx   map[string]int
 	touching [][]int    // per activity: indices into rules
 	adjacent [][]string // per activity: dependency-adjacent activity IDs
-	source   []Dependency
 }
 
 // CompileDependencies validates and compiles a dependency rule set
@@ -123,7 +122,6 @@ func CompileDependencies(t *task.Task, rules []Dependency) (*DependencySet, erro
 		actIdx:   make(map[string]int, len(acts)),
 		touching: make([][]int, len(acts)),
 		adjacent: make([][]string, len(acts)),
-		source:   append([]Dependency(nil), rules...),
 	}
 	for i, a := range acts {
 		ds.actIDs[i] = a.ID
@@ -252,15 +250,6 @@ func (ds *DependencySet) checkContradictions() error {
 		}
 	}
 	return nil
-}
-
-// Rules returns a copy of the declarative rules the set was compiled
-// from.
-func (ds *DependencySet) Rules() []Dependency {
-	if ds == nil {
-		return nil
-	}
-	return append([]Dependency(nil), ds.source...)
 }
 
 // Len returns the compiled rule count (0 for a nil set).

@@ -283,7 +283,7 @@ func (d *DistributedSelector) Select(ctx context.Context, req *Request) (*Result
 		return nil, err
 	}
 	acts := req.Task.Activities()
-	opts := d.selector.opts.withDefaults(len(acts))
+	opts := d.selector.opts.withDefaults()
 	for _, a := range acts {
 		if len(d.replicas[a.ID]) == 0 && len(d.fallback[a.ID]) == 0 {
 			return nil, fmt.Errorf("core: no device for activity %q", a.ID)

@@ -9,6 +9,14 @@ import (
 	"qasom/internal/registry"
 )
 
+const (
+	// repairPassesPerActivity bounds the violation-repair swaps per
+	// level: 4× the activity count.
+	repairPassesPerActivity = 4
+	// improvePasses bounds the utility hill-climbing sweeps.
+	improvePasses = 3
+)
+
 // globalState carries one global-phase run (§3.3): level-wise pool
 // widening, constraint repair and utility hill-climbing. The context is
 // checked at level-iteration and repair-pass boundaries so a cancelled
@@ -273,7 +281,7 @@ func (g *globalState) repair(limits []int) (bool, error) {
 	if cur == 0 {
 		return true, nil
 	}
-	for pass := 0; pass < g.opts.RepairPasses; pass++ {
+	for pass := 0; pass < repairPassesPerActivity*len(g.acts); pass++ {
 		if err := g.ctx.Err(); err != nil {
 			return false, err
 		}
@@ -367,7 +375,7 @@ func (g *globalState) reopenDependents(act int, limits []int, cur float64) float
 // separable per activity, so each sweep tries, per activity, the
 // pool candidates in descending utility and keeps the best feasible one.
 func (g *globalState) improve(limits []int) {
-	for pass := 0; pass < g.opts.ImprovePasses; pass++ {
+	for pass := 0; pass < improvePasses; pass++ {
 		improved := false
 		for a := range g.acts {
 			prev := g.eng.Current(a)

@@ -18,7 +18,7 @@ package core
 //   - Larger instances run a deterministic Pareto local search: archive
 //     members are explored in insertion order, every admissible one-swap
 //     neighbour is offered to the archive, and the sweep runs to closure
-//     or Options.ParetoSweepBudget probes.
+//     or paretoSweepBudget probes.
 //
 // Dependency rules gate both regimes: only assignments with zero rule
 // violations enter the archive, and the sweep consults the admissibility
@@ -30,6 +30,11 @@ import (
 
 	"qasom/internal/qos"
 )
+
+// paretoSweepBudget caps the swap probes of the archive sweep used
+// beyond the exhaustive bound (Pareto local search seeded from the
+// scalar incumbent, explored to closure or budget).
+const paretoSweepBudget = 100000
 
 // paretoEntry is one archived feasible assignment.
 type paretoEntry struct {
@@ -214,7 +219,7 @@ func (ps *paretoSearch) enumerate() error {
 // budget is spent.
 func (ps *paretoSearch) sweep() error {
 	g := ps.g
-	budget := g.opts.ParetoSweepBudget
+	budget := paretoSweepBudget
 	for qi := 0; qi < len(ps.queue); qi++ {
 		if err := g.ctx.Err(); err != nil {
 			return err

@@ -24,11 +24,6 @@ type Options struct {
 	// Seeding selects the K-means initialisation (ablation knob); 0
 	// means k-means++.
 	Seeding cluster.Seeding
-	// RepairPasses bounds the violation-repair swaps per level; 0 means
-	// 4× the activity count.
-	RepairPasses int
-	// ImprovePasses bounds the utility hill-climbing sweeps; 0 means 3.
-	ImprovePasses int
 	// FlatGlobal disables the level-wise descent: the global phase runs
 	// once over the full utility-sorted candidate lists (ablation knob).
 	FlatGlobal bool
@@ -69,25 +64,15 @@ type Options struct {
 	// exact non-dominated set (the regime the exhaustive-reference tests
 	// and the front-quality experiment run in). 0 means 4096.
 	ParetoExhaustiveBound int
-	// ParetoSweepBudget caps the swap probes of the archive sweep used
-	// beyond the exhaustive bound (Pareto local search seeded from the
-	// scalar incumbent, explored to closure or budget). 0 means 100000.
-	ParetoSweepBudget int
 	// ParetoMaxFront caps the returned front size; when the archive is
 	// larger, crowding-distance pruning keeps the best-spread members
 	// (boundary points survive). 0 means unbounded.
 	ParetoMaxFront int
 }
 
-func (o Options) withDefaults(activities int) Options {
+func (o Options) withDefaults() Options {
 	if o.K <= 0 {
 		o.K = 4
-	}
-	if o.RepairPasses <= 0 {
-		o.RepairPasses = 4 * activities
-	}
-	if o.ImprovePasses <= 0 {
-		o.ImprovePasses = 3
 	}
 	if o.MaxAlternates <= 0 {
 		o.MaxAlternates = 8
@@ -100,9 +85,6 @@ func (o Options) withDefaults(activities int) Options {
 	}
 	if o.ParetoExhaustiveBound <= 0 {
 		o.ParetoExhaustiveBound = 4096
-	}
-	if o.ParetoSweepBudget <= 0 {
-		o.ParetoSweepBudget = 100000
 	}
 	return o
 }
@@ -314,7 +296,7 @@ func (s *Selector) SelectReusing(ctx context.Context, req *Request, candidates m
 		candidates = pruneDominated(req.Properties, candidates)
 	}
 	acts := req.Task.Activities()
-	opts := s.opts.withDefaults(len(acts))
+	opts := s.opts.withDefaults()
 	weights := req.weights()
 
 	startLocal := time.Now()
@@ -437,7 +419,7 @@ func (s *Selector) SelectFromLocalContext(ctx context.Context, req *Request, loc
 	if err != nil {
 		return nil, err
 	}
-	opts := s.opts.withDefaults(req.Task.Size())
+	opts := s.opts.withDefaults()
 	return s.selectGlobal(ctx, req, eval, locals, opts)
 }
 

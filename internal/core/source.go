@@ -11,9 +11,8 @@ import (
 )
 
 // CandidateSource is where a selection gets its per-activity candidates:
-// a single registry view or a federation of the registries in reach —
-// anything that resolves an abstract activity to concrete, QoS-aligned
-// services.
+// a registry view, or anything else that resolves an abstract activity
+// to concrete, QoS-aligned services.
 type CandidateSource interface {
 	CandidatesForActivity(a *task.Activity, ps *qos.PropertySet) []registry.Candidate
 }

@@ -188,10 +188,6 @@ func (g *Graph) Edges() []Edge {
 // mutate it.
 func (g *Graph) OutNeighbors(u VertexID) []VertexID { return g.out[u] }
 
-// InNeighbors returns the predecessors of u. The slice is shared; do not
-// mutate it.
-func (g *Graph) InNeighbors(u VertexID) []VertexID { return g.in[u] }
-
 // OutDegree returns the out-degree of u.
 func (g *Graph) OutDegree(u VertexID) int { return len(g.out[u]) }
 

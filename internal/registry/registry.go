@@ -8,8 +8,7 @@
 //
 // The storage core is a multi-tenant Store (see store.go);
 // Registry is the tenant-bound view every pre-multi-tenant call site
-// keeps using unchanged. federation.go aggregates the registries of the
-// devices in reach.
+// keeps using unchanged.
 package registry
 
 import (

@@ -20,8 +20,6 @@ type Policy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth; 0 means 250ms.
 	MaxBackoff time.Duration
-	// Multiplier is the exponential growth factor; 0 means 2.
-	Multiplier float64
 	// Jitter is the relative backoff perturbation in [0,1] (0.2 = ±20%);
 	// negative disables jitter, 0 means 0.2. Jitter draws come from the
 	// caller's seeded source, so runs stay deterministic per seed.
@@ -52,9 +50,6 @@ func (p Policy) WithDefaults() Policy {
 	if p.MaxBackoff == 0 {
 		p.MaxBackoff = 250 * time.Millisecond
 	}
-	if p.Multiplier == 0 {
-		p.Multiplier = 2
-	}
 	if p.Jitter == 0 {
 		p.Jitter = 0.2
 	}
@@ -67,11 +62,14 @@ func (p Policy) WithDefaults() Policy {
 	return p
 }
 
+// backoffMultiplier is the exponential growth factor of Backoff.
+const backoffMultiplier = 2
+
 // Backoff computes the delay before retry number retry (0-based), with
 // jitter drawn from rng (nil rng or non-positive jitter: no jitter).
 // The policy must already be resolved via WithDefaults.
 func (p Policy) Backoff(retry int, rng *rand.Rand) time.Duration {
-	d := float64(p.BaseBackoff) * math.Pow(p.Multiplier, float64(retry))
+	d := float64(p.BaseBackoff) * math.Pow(backoffMultiplier, float64(retry))
 	if d > float64(p.MaxBackoff) {
 		d = float64(p.MaxBackoff)
 	}

@@ -21,8 +21,16 @@ func TestPolicyWithDefaults(t *testing.T) {
 	if p.BaseBackoff != 5*time.Millisecond || p.MaxBackoff != 250*time.Millisecond {
 		t.Errorf("backoff bounds = %s..%s, want 5ms..250ms", p.BaseBackoff, p.MaxBackoff)
 	}
-	if p.Multiplier != 2 || p.Jitter != 0.2 {
-		t.Errorf("multiplier/jitter = %v/%v, want 2/0.2", p.Multiplier, p.Jitter)
+	if p.Jitter != 0.2 {
+		t.Errorf("jitter = %v, want 0.2", p.Jitter)
+	}
+	// Without jitter each retry's delay doubles until MaxBackoff.
+	p.Jitter = -1
+	for retry := 1; retry < 8; retry++ {
+		want := min(2*p.Backoff(retry-1, nil), p.MaxBackoff)
+		if got := p.Backoff(retry, nil); got != want {
+			t.Errorf("Backoff(%d) = %s, want %s (double of the previous, capped)", retry, got, want)
+		}
 	}
 	if p.BreakerThreshold != 4 || p.BreakerCooldown != 2*time.Second {
 		t.Errorf("breaker = %d/%s, want 4/2s", p.BreakerThreshold, p.BreakerCooldown)

@@ -78,7 +78,6 @@ type Triple struct {
 
 type conceptNode struct {
 	id      ConceptID
-	comment string
 	parents map[ConceptID]struct{}
 }
 
@@ -308,28 +307,6 @@ func (o *Ontology) MustAddConcept(id ConceptID, parents ...ConceptID) {
 	}
 }
 
-// SetComment attaches a human-readable comment to a concept.
-func (o *Ontology) SetComment(id ConceptID, comment string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	node, ok := o.concepts[o.resolveLocked(id)]
-	if !ok {
-		return fmt.Errorf("semantics: unknown concept %q", id)
-	}
-	node.comment = comment
-	return nil
-}
-
-// Comment returns the comment attached to a concept, if any.
-func (o *Ontology) Comment(id ConceptID) string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	if node, ok := o.concepts[o.resolveLocked(id)]; ok {
-		return node.comment
-	}
-	return ""
-}
-
 // AddAlias declares alias as an alternative name for canonical. Aliases
 // let heterogeneous vocabularies (e.g. "Delay" vs "ResponseTime") resolve
 // to the shared model.
@@ -437,18 +414,6 @@ func (o *Ontology) Children(id ConceptID) []ConceptID {
 		if _, ok := node.parents[id]; ok {
 			out = append(out, cid)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Concepts returns all concept IDs in sorted order.
-func (o *Ontology) Concepts() []ConceptID {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	out := make([]ConceptID, 0, len(o.concepts))
-	for id := range o.concepts {
-		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -683,8 +648,8 @@ func (o *Ontology) upDistance(sub, sup ConceptID) (int, bool) {
 	return 0, false
 }
 
-// Merge copies every concept, alias and triple of src into o. Concepts
-// already present have their parent sets merged. Merge returns an error
+// Merge copies every concept, alias and triple of src into o. A concept
+// already present has its parent set merged. Merge returns an error
 // on alias/concept namespace clashes.
 func (o *Ontology) Merge(src *Ontology) error {
 	if src == nil {
@@ -693,12 +658,11 @@ func (o *Ontology) Merge(src *Ontology) error {
 	src.mu.RLock()
 	type conceptData struct {
 		id      ConceptID
-		comment string
 		parents []ConceptID
 	}
 	nodes := make([]conceptData, 0, len(src.concepts))
 	for id, node := range src.concepts {
-		cd := conceptData{id: id, comment: node.comment, parents: make([]ConceptID, 0, len(node.parents))}
+		cd := conceptData{id: id, parents: make([]ConceptID, 0, len(node.parents))}
 		for p := range node.parents {
 			cd.parents = append(cd.parents, p)
 		}
@@ -732,11 +696,6 @@ func (o *Ontology) Merge(src *Ontology) error {
 			}
 			if err := o.AddConcept(cd.id, cd.parents...); err != nil {
 				return fmt.Errorf("semantics: merging %q: %w", src.name, err)
-			}
-			if cd.comment != "" {
-				if err := o.SetComment(cd.id, cd.comment); err != nil {
-					return err
-				}
 			}
 			progressed = true
 		}

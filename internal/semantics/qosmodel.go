@@ -127,6 +127,8 @@ const (
 func CoreQoS() *Ontology {
 	o := New("qos-core")
 	o.MustAddConcept(QoSConcept)
+	// QoSProperty is the root of all quality properties; the service,
+	// infrastructure and user ontologies specialise it.
 	o.MustAddConcept(QoSProperty, QoSConcept)
 	o.MustAddConcept(QoSMetric, QoSConcept)
 	o.MustAddConcept(QoSUnit, QoSConcept)
@@ -146,9 +148,6 @@ func CoreQoS() *Ontology {
 		UnitRatio, UnitKbps, UnitMbps, UnitRequestPerSec, UnitMilliwattHour,
 	} {
 		o.MustAddConcept(u, QoSUnit)
-	}
-	if err := o.SetComment(QoSProperty, "Root of all quality properties; specialised by the service, infrastructure and user ontologies."); err != nil {
-		panic(err)
 	}
 	return o
 }

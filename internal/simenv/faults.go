@@ -9,38 +9,22 @@ import (
 
 	"qasom/internal/core"
 	"qasom/internal/randx"
-	"qasom/internal/registry"
 	"qasom/internal/resilience"
 )
 
-// Fault describes an injected failure mode for one device. The zero
-// value is a healthy device.
+// Fault describes an injected failure mode for one peer. The zero
+// value is a healthy peer.
 type Fault struct {
-	// DropProb is the probability that the device silently drops a
+	// DropProb is the probability that the peer silently drops a
 	// request (the caller sees a retryable transport error, never an
 	// application reply).
 	DropProb float64
 	// Stall delays every reply by this wall-clock duration (on top of the
 	// scaled response time), modelling congestion or a radio stall.
 	Stall time.Duration
-	// KillMidExchange makes the device sever the connection after
+	// KillMidExchange makes the peer sever the connection after
 	// accepting the request, so the caller reads a truncated reply.
 	KillMidExchange bool
-}
-
-// InjectFault installs (or replaces) the fault for a device; it applies
-// to every service the device hosts, starting with the next invocation.
-func (e *Environment) InjectFault(id registry.DeviceID, f Fault) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.faults[id] = f
-}
-
-// ClearFault removes the device's injected fault.
-func (e *Environment) ClearFault(id registry.DeviceID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	delete(e.faults, id)
 }
 
 // FaultInjector wraps core transports with per-peer faults, letting the
@@ -71,13 +55,6 @@ func (fi *FaultInjector) Set(peer string, f Fault) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	fi.faults[peer] = f
-}
-
-// Clear removes the peer's fault.
-func (fi *FaultInjector) Clear(peer string) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	delete(fi.faults, peer)
 }
 
 // draw decides this exchange's fate for the peer under its current fault.

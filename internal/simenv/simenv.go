@@ -73,7 +73,6 @@ type Environment struct {
 	devices  map[registry.DeviceID]*Device
 	services map[registry.ServiceID]*Service
 	downs    map[registry.ServiceID]bool
-	faults   map[registry.DeviceID]Fault
 	invoked  int
 
 	// Mobility / radio model (nil when disabled); see mobility.go.
@@ -95,7 +94,6 @@ func New(ps *qos.PropertySet, reg *registry.Registry, opts Options) *Environment
 		devices:  make(map[registry.DeviceID]*Device),
 		services: make(map[registry.ServiceID]*Service),
 		downs:    make(map[registry.ServiceID]bool),
-		faults:   make(map[registry.DeviceID]Fault),
 	}
 }
 
@@ -213,11 +211,6 @@ func (e *Environment) Invoke(ctx context.Context, id registry.ServiceID, act *ta
 	down := e.downs[id]
 	extraMs, reachable := e.linkEffectLocked(string(s.Desc.Provider))
 	failed := down || !reachable || e.rng.Float64() < s.FailProb
-	// Injected device faults (drop draws happen only for devices with a
-	// fault installed, so fault-free runs keep their exact draw sequence
-	// and stay deterministic per seed).
-	fault, hasFault := e.faults[s.Desc.Provider]
-	dropped := hasFault && fault.DropProb > 0 && e.rng.Float64() < fault.DropProb
 	measured := s.Actual.Clone()
 	if extraMs > 0 {
 		if j, okRT := e.ps.Index("responseTime"); okRT {
@@ -272,11 +265,6 @@ func (e *Environment) Invoke(ctx context.Context, id registry.ServiceID, act *ta
 		sleep = time.Duration(float64(latency) / float64(time.Millisecond) * float64(scale))
 		sleep += linkLatency
 	}
-	if hasFault {
-		// A stalled device delays its reply in wall-clock time (the fault
-		// models congestion/radio stalls, not service response time).
-		sleep += fault.Stall
-	}
 	if sleep > 0 {
 		t := time.NewTimer(sleep)
 		select {
@@ -285,10 +273,6 @@ func (e *Environment) Invoke(ctx context.Context, id registry.ServiceID, act *ta
 			t.Stop()
 			return exec.InvokeResult{}, resilience.CauseErr(ctx)
 		}
-	}
-	if dropped {
-		return exec.InvokeResult{}, resilience.AsRetryable(
-			fmt.Errorf("simenv: device %q dropped the request to %q", s.Desc.Provider, id))
 	}
 	if failed {
 		return exec.InvokeResult{Measured: measured, Latency: latency, Success: false}, nil

@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"qasom/internal/qos"
 	"qasom/internal/semantics"
@@ -95,6 +97,9 @@ type Task struct {
 	Concept semantics.ConceptID
 	// Root is the top of the pattern tree.
 	Root *Node
+
+	// acts caches Activities, built on its first call.
+	acts atomic.Pointer[[]*Activity]
 }
 
 // Fingerprint returns a stable hash of the task's full structure —
@@ -237,14 +242,24 @@ func validateNode(n *Node, seen map[string]struct{}) error {
 }
 
 // Activities returns the task's abstract activities in left-to-right
-// (execution) order.
+// (execution) order. The list is built on the first call and shared by
+// every later one, concurrent callers included: it is read-only, and the
+// task's tree must be complete before the first call.
 func (t *Task) Activities() []*Activity {
+	if t == nil {
+		return nil
+	}
+	if p := t.acts.Load(); p != nil {
+		return *p
+	}
 	var out []*Activity
 	t.Walk(func(n *Node) {
 		if n.Kind == PatternActivity {
 			out = append(out, n.Activity)
 		}
 	})
+	out = slices.Clip(out) // an append by a caller must not write into the shared list
+	t.acts.Store(&out)
 	return out
 }
 

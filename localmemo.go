@@ -117,7 +117,7 @@ type memoMiss struct {
 // newMemoGather starts a plan miss of te's task over the memo; snap is
 // the request's plan-epoch snapshot of te.
 func (m *Middleware) newMemoGather(te *taskEntry, w qos.Weights, snap []uint64) *memoGather {
-	acts := te.acts
+	acts := te.task.Activities()
 	g := &memoGather{m: m, acts: acts, w: w, known: make(map[string]*core.LocalResult, len(acts))}
 	g.epochs = append(g.epochBuf[:0], snap[:len(acts)]...)
 	if len(snap) > len(acts) {
