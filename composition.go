@@ -372,7 +372,8 @@ type SelectionStats struct {
 	// Workers is the local-phase worker pool size; PeakWorkersBusy the
 	// highest concurrent occupancy observed.
 	Workers, PeakWorkersBusy int
-	// LevelsExplored, Evaluations and RepairSwaps count global-phase work.
+	// LevelsExplored, Evaluations and RepairSwaps count global-phase
+	// work; Evaluations counts the evaluations made by the global search.
 	LevelsExplored, Evaluations, RepairSwaps int
 	// MatchCacheHits/Misses report the ontology match-memo effectiveness
 	// during candidate lookup.

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"math"
-	"slices"
 
 	"qasom/internal/registry"
 )
@@ -47,6 +45,8 @@ type globalState struct {
 	// over pool-index bitmaps, allocation-free.
 	depSet *DependencySet
 	deps   *boundDeps
+
+	altBuf []altKey // alternatesFor's ordering scratch, reused per activity
 }
 
 // init resolves the dense activity indexing and builds the evaluation
@@ -454,23 +454,28 @@ func (g *globalState) finish(feasible bool) *Result {
 	return res
 }
 
-// altEntry is one substitution candidate under evaluation, addressed by
-// its pool index — the registry.Candidate is materialised only for the
-// MaxAlternates winners, not for the whole pool.
-type altEntry struct {
-	idx     int
-	keepsOK bool
+// altKey is one admissible pool member of the rotation being built: its
+// evaluator-scale utility and its pool index. The flat pair is what the
+// rotation orders, so no comparison goes through the kernel.
+type altKey struct {
 	utility float64
+	idx     int
 }
 
 // alternatesFor ranks the remaining pool members of one activity as
 // substitution fallbacks: candidates that keep the composition feasible
-// when swapped in alone come first, then by utility, then by ID.
+// when swapped in alone come first, then by utility (higher first), then
+// by service ID, then by pool index. The utility table orders the
+// admissible members without a probe; they are probed in that order only
+// until MaxAlternates keepers are found, and members that break
+// feasibility fill any remaining slots in the same order. Utilities are
+// finite (Request.Validate rejects non-finite weights), so this is the
+// keepers-first stable sort of the whole probed pool, truncated.
 func (g *globalState) alternatesFor(a int) []registry.Candidate {
 	pool := g.ranked[a]
 	prev := g.eng.Current(a)
 	chosen := pool[prev].Service.ID
-	alts := make([]altEntry, 0, len(pool))
+	keys := g.altBuf[:0]
 	for i := range pool {
 		if pool[i].Service.ID == chosen {
 			continue
@@ -481,47 +486,72 @@ func (g *globalState) alternatesFor(a int) []registry.Candidate {
 		if g.deps != nil && !g.deps.admissible(a, i, g.eng) {
 			continue
 		}
-		g.eng.Assign(a, i)
-		g.stats.Evaluations++
-		alts = append(alts, altEntry{
-			idx: i,
-			// A substitution must keep the constraints AND the dependency
-			// rules intact to count as feasibility-preserving.
-			keepsOK: g.feasibleNow(),
-			utility: g.eng.CandidateUtility(a, i),
-		})
+		keys = append(keys, altKey{utility: g.eng.CandidateUtility(a, i), idx: i})
+	}
+	g.altBuf = keys
+	// The members are popped best-first from a heap built in place: the
+	// probing usually stops after a few pops, so sorting the whole pool
+	// would mostly order members that are never probed. Popped
+	// non-keepers are parked, in reverse pop order, at the tail the heap
+	// has shrunk away from.
+	n := len(keys)
+	for i := n/2 - 1; i >= 0; i-- {
+		siftAlt(keys[:n], i, pool)
+	}
+	limit := min(g.opts.MaxAlternates, len(keys))
+	out := make([]registry.Candidate, 0, limit)
+	tail := len(keys)
+	for n > 0 && len(out) < limit {
+		k := keys[0]
+		n--
+		keys[0] = keys[n]
+		siftAlt(keys[:n], 0, pool)
+		g.eng.Assign(a, k.idx)
+		// A substitution must keep the constraints AND the dependency
+		// rules intact to count as feasibility-preserving.
+		if g.feasibleNow() {
+			out = append(out, pool[k.idx].Candidate())
+		} else {
+			tail--
+			keys[tail] = k
+		}
 	}
 	g.eng.Assign(a, prev)
-	sortAlternates(alts, pool)
-	limit := g.opts.MaxAlternates
-	if limit > len(alts) {
-		limit = len(alts)
-	}
-	out := make([]registry.Candidate, limit)
-	for i := 0; i < limit; i++ {
-		out[i] = pool[alts[i].idx].Candidate()
+	for j := len(keys) - 1; j >= tail && len(out) < limit; j-- {
+		out = append(out, pool[keys[j].idx].Candidate())
 	}
 	return out
 }
 
-// sortAlternates orders substitution candidates stably: feasibility
-// keepers first, then by utility (higher first), then by service ID.
-func sortAlternates(alts []altEntry, pool []RankedCandidate) {
-	slices.SortStableFunc(alts, func(a, b altEntry) int {
-		if a.keepsOK != b.keepsOK {
-			if a.keepsOK {
-				return -1
-			}
-			return 1
+// altBefore is the rotation order before feasibility: higher utility
+// first, then service ID, then pool index. It is a strict total order,
+// so the heap pops members in exactly this order.
+func altBefore(x, y altKey, pool []RankedCandidate) bool {
+	if x.utility != y.utility {
+		return x.utility > y.utility
+	}
+	if xid, yid := pool[x.idx].Service.ID, pool[y.idx].Service.ID; xid != yid {
+		return xid < yid
+	}
+	return x.idx < y.idx
+}
+
+// siftAlt moves h[i] down until it precedes both its children.
+func siftAlt(h []altKey, i int, pool []RankedCandidate) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		if a.utility != b.utility {
-			if a.utility > b.utility {
-				return -1
-			}
-			return 1
+		if c+1 < len(h) && altBefore(h[c+1], h[c], pool) {
+			c++
 		}
-		return cmp.Compare(pool[a.idx].Service.ID, pool[b.idx].Service.ID)
-	})
+		if !altBefore(h[c], h[i], pool) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func cloneAssignment(a Assignment) Assignment {

@@ -76,36 +76,3 @@ func TestDifferentialRankOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestDifferentialAlternatesOrder checks sortAlternates against the
-// sort.SliceStable it replaced, with feasibility and utility ties,
-// duplicate IDs in the pool and NaN utilities.
-func TestDifferentialAlternatesOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range orderSizes {
-		for trial := 0; trial < 20; trial++ {
-			pool := randomRanked(rng, n)
-			got := make([]altEntry, n)
-			for i := range got {
-				got[i] = altEntry{idx: i, keepsOK: rng.Intn(2) == 0, utility: pool[i].Utility}
-			}
-			rng.Shuffle(n, func(i, j int) { got[i], got[j] = got[j], got[i] })
-			want := append([]altEntry(nil), got...)
-			sort.SliceStable(want, func(a, b int) bool {
-				if want[a].keepsOK != want[b].keepsOK {
-					return want[a].keepsOK
-				}
-				if want[a].utility != want[b].utility {
-					return want[a].utility > want[b].utility
-				}
-				return pool[want[a].idx].Service.ID < pool[want[b].idx].Service.ID
-			})
-			sortAlternates(got, pool)
-			for i := range got {
-				if got[i].idx != want[i].idx {
-					t.Fatalf("n=%d trial %d: position %d holds pool entry %d, want %d", n, trial, i, got[i].idx, want[i].idx)
-				}
-			}
-		}
-	}
-}

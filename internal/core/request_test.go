@@ -71,6 +71,28 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
+// TestSelectRejectsNonFiniteWeights pins the weight check at the request
+// boundary: an infinite weight (or a sum that overflows) used to select
+// with Utility and every Breakdown entry NaN, and a NaN utility makes the
+// alternates' utility order inconsistent.
+func TestSelectRejectsNonFiniteWeights(t *testing.T) {
+	tk := seqTask("a", "b")
+	cands := genCandidates(tk, 4)
+	for _, w := range []qos.Weights{
+		{math.Inf(1), 1},
+		{1, math.Inf(-1)},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
+		req := &Request{Task: tk, Properties: twoProps(), Weights: w}
+		if err := req.Validate(); err == nil {
+			t.Errorf("weights %v: Validate accepted them", w)
+		}
+		if res, err := NewSelector(Options{}).Select(req, cands); err == nil {
+			t.Errorf("weights %v: Select returned utility %v, want an error", w, res.Utility)
+		}
+	}
+}
+
 func TestRequestDefaults(t *testing.T) {
 	req := &Request{Task: seqTask("a"), Properties: twoProps()}
 	if req.approach() != qos.Pessimistic {

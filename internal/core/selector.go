@@ -93,7 +93,8 @@ func (o Options) withDefaults() Options {
 type Stats struct {
 	// LevelsExplored counts global-phase level iterations.
 	LevelsExplored int
-	// Evaluations counts aggregated-QoS evaluations.
+	// Evaluations counts the aggregated-QoS evaluations made by the
+	// global search; building the failover rotation is not counted.
 	Evaluations int
 	// RepairSwaps counts applied violation-repair swaps.
 	RepairSwaps int

@@ -145,21 +145,25 @@ func UniformWeights(ps *PropertySet) Weights {
 	return w
 }
 
-// Validate checks arity and non-negativity, requiring at least one
-// positive weight.
+// Validate checks arity and that every weight is finite and
+// non-negative, requiring at least one positive weight and a finite sum.
+// An infinite weight would make every utility Inf/Inf = NaN.
 func (w Weights) Validate(ps *PropertySet) error {
 	if len(w) != ps.Len() {
 		return fmt.Errorf("qos: %d weights for %d properties", len(w), ps.Len())
 	}
 	total := 0.0
 	for i, x := range w {
-		if x < 0 || math.IsNaN(x) {
-			return fmt.Errorf("qos: negative or NaN weight %g for %q", x, ps.At(i).Name)
+		if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("qos: negative or non-finite weight %g for %q", x, ps.At(i).Name)
 		}
 		total += x
 	}
 	if total == 0 {
 		return fmt.Errorf("qos: all weights are zero")
+	}
+	if math.IsInf(total, 0) {
+		return fmt.Errorf("qos: weight sum overflows")
 	}
 	return nil
 }

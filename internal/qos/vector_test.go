@@ -120,6 +120,18 @@ func TestWeights(t *testing.T) {
 	if err := zero.Validate(ps); err == nil {
 		t.Error("all-zero weights should fail")
 	}
+	for _, x := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		w := UniformWeights(ps)
+		w[1] = x
+		if err := w.Validate(ps); err == nil {
+			t.Errorf("weight %g should fail", x)
+		}
+	}
+	huge := UniformWeights(ps)
+	huge[0], huge[1] = math.MaxFloat64, math.MaxFloat64
+	if err := huge.Validate(ps); err == nil {
+		t.Error("weights whose sum overflows should fail")
+	}
 }
 
 func TestUtility(t *testing.T) {

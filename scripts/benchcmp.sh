@@ -19,6 +19,19 @@
 # committed; ops_per_sec-style throughput fields are recorded but not
 # gated — wall-clock throughput is too machine-dependent for a hard
 # threshold).
+#
+# A/B mode compares ns/op against a parent revision run on the same host
+# instead of against the committed baseline, whose ns/op may have been
+# recorded on a faster or quieter machine:
+#
+#   PARENT=HEAD~1 scripts/benchcmp.sh
+#
+# It checks the parent out into a git worktree under a temporary
+# directory, builds one test binary per tree and runs them alternately,
+# RUNS passes each (the order flips every pass, so drift in host speed
+# hits both sides alike). Each benchmark's ns/op is gated on the median
+# over passes of change/parent, at the same THRESHOLD; bytes_per_op and
+# allocs_per_op stay absolute against the baseline file.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -57,13 +70,47 @@ if [ ! -f "$BASE" ]; then
 	exit 1
 fi
 
+# Each side is built once into a test binary under a temporary
+# directory; without PARENT the only side is the working tree.
+PARENT="${PARENT:-}"
+tmp=$(mktemp -d)
+trap 'git worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
+trap 'exit 130' INT TERM
+go test -c -o "$tmp/change.test" .
+if [ -n "$PARENT" ]; then
+	git worktree add --detach "$tmp/parent" "$PARENT" >/dev/null
+	(cd "$tmp/parent" && go test -c -o "$tmp/parent.test" .)
+fi
+
+# bench SIDE: one counting pass of one side, run from its source tree.
+bench() {
+	if [ "$1" = PARENT ]; then
+		dir="$tmp/parent"
+	else
+		dir=.
+	fi
+	bin="$tmp/$(echo "$1" | tr A-Z a-z).test"
+	for re in "$BENCH" "$REGBENCH"; do
+		(cd "$dir" && "$bin" -test.timeout 10m -test.run '^$' -test.bench "$re" -test.benchtime "$BENCHTIME" -test.benchmem)
+	done
+}
+
 raw=""
 i=1
 while [ "$i" -le "$RUNS" ]; do
 	echo "benchcmp: counting pass $i/$RUNS" >&2
-	raw="$raw
-$(go test -run '^$' -bench "$BENCH" -benchtime "$BENCHTIME" -benchmem .)
-$(go test -run '^$' -bench "$REGBENCH" -benchtime "$BENCHTIME" -benchmem .)"
+	if [ -z "$PARENT" ]; then
+		sides="CHANGE"
+	elif [ $((i % 2)) -eq 1 ]; then
+		sides="PARENT CHANGE"
+	else
+		sides="CHANGE PARENT"
+	fi
+	for side in $sides; do
+		raw="$raw
+=== $side $i ===
+$(bench "$side")"
+	done
 	i=$((i + 1))
 done
 
@@ -74,7 +121,7 @@ done
 	cat "$BASE"
 	echo "=== RUNS ==="
 	echo "$raw"
-} | awk -v threshold="$THRESHOLD" '
+} | awk -v threshold="$THRESHOLD" -v ab="${PARENT:+1}" '
 function median(arr, n,    i, tmp, j, t) {
     for (i = 1; i <= n; i++) tmp[i] = arr[i]
     for (i = 2; i <= n; i++) {
@@ -97,15 +144,24 @@ section == "base" && /"ns_per_op"/ {
         if (f[i] == "allocs_per_op") base_allocs[name] = f[i + 1]
     }
 }
+section == "runs" && /^=== (PARENT|CHANGE) [0-9]+ ===$/ { side = $2; pass = $3; next }
+section == "runs" && /^Benchmark/ && side == "PARENT" {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    for (i = 2; i <= NF; i++)
+        if ($i == "ns/op") parent_ns[name, pass] = $(i - 1)
+    next
+}
 section == "runs" && /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
     for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")     { n_ns[name]++;     ns[name, n_ns[name]] = $(i - 1) }
+        if ($i == "ns/op")     { n_ns[name]++;     ns[name, n_ns[name]] = $(i - 1); change_ns[name, pass] = $(i - 1) }
         if ($i == "B/op")      { n_b[name]++;      b[name, n_b[name]] = $(i - 1) }
         if ($i == "allocs/op") { n_a[name]++;      a[name, n_a[name]] = $(i - 1) }
     }
     seen[name] = 1
+    if (pass > passes) passes = pass
 }
 END {
     failed = 0
@@ -123,7 +179,8 @@ END {
         delete s
         for (i = 1; i <= n_a[name]; i++) s[i] = a[name, i]
         m_a = median(s, n_a[name])
-        check(name, "ns/op",     m_ns, base_ns[name])
+        if (ab) abcheck(name)
+        else check(name, "ns/op", m_ns, base_ns[name])
         check(name, "B/op",      m_b,  base_bytes[name])
         check(name, "allocs/op", m_a,  base_allocs[name])
     }
@@ -131,8 +188,28 @@ END {
         print "benchcmp: no benchmark overlapped the baseline — check BENCH regex" > "/dev/stderr"
         exit 1
     }
-    printf "benchcmp: %d benchmarks compared, threshold %s%%\n", compared, threshold
+    printf "benchcmp: %d benchmarks compared, threshold %s%%%s\n", compared, threshold, ab ? ", ns/op against the parent" : ""
     if (failed) exit 1
+}
+# abcheck gates the ns/op of one benchmark on the median over passes of the
+# change/parent ratio (passes where either side lacks the row are left
+# out; a benchmark the parent does not have is not gated).
+function abcheck(name,    i, n, r, m) {
+    n = 0
+    for (i = 1; i <= passes; i++)
+        if ((name, i) in parent_ns && (name, i) in change_ns && parent_ns[name, i] > 0)
+            r[++n] = change_ns[name, i] / parent_ns[name, i]
+    if (n == 0) {
+        printf "skip %-55s %-10s not in the parent\n", name, "ns/op"
+        return
+    }
+    m = median(r, n)
+    if (m > 1 + threshold / 100) {
+        printf "FAIL %s ns/op: change/parent median ratio %.3f exceeds 1 + %s%%\n", name, m, threshold
+        failed = 1
+    } else {
+        printf "ok   %-55s %-10s %12.3f (change/parent, median of %d)\n", name, "ns/op", m, n
+    }
 }
 function check(name, metric, got, want,    limit) {
     if (want == 0) {
