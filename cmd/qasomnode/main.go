@@ -225,7 +225,7 @@ func buildDevice(name string, latency time.Duration, entries []catalogEntry) (*c
 			return nil, 0, fmt.Errorf("qasomnode: catalog entry %d (%s): %w", i, e.ID, err)
 		}
 		byActivity[e.Activity] = append(byActivity[e.Activity], registry.Candidate{
-			Service: desc, Vector: vec, Match: semantics.MatchExact,
+			Service: &desc, Vector: vec, Match: semantics.MatchExact,
 		})
 	}
 	for act, cands := range byActivity {

@@ -157,6 +157,40 @@ func TestSubstituteHappyPath(t *testing.T) {
 	}
 }
 
+// TestSubstituteUnboundActivity rotates an activity that has alternates
+// but no binding. Its displaced candidate is the zero value, whose
+// Service is nil: nothing may rejoin the rotation for it, and reading
+// through it must not panic.
+func TestSubstituteUnboundActivity(t *testing.T) {
+	m, rt, _ := fixture(t)
+	res := rt.Result()
+	alts := res.Alternates["order"]
+	if len(alts) < 2 {
+		t.Fatalf("fixture has %d alternates for order, want at least 2", len(alts))
+	}
+	delete(res.Assignment, "order")
+	rt = NewRuntime(rt.Req, res)
+	sub, err := m.Substitute(rt, "order", nil)
+	if err != nil {
+		t.Fatalf("Substitute: %v", err)
+	}
+	if sub.Service != alts[0].Service {
+		t.Errorf("bound %v, want the first alternate %v", sub.Service.ID, alts[0].Service.ID)
+	}
+	after := rt.Result()
+	if after.Assignment["order"].Service != alts[0].Service {
+		t.Error("assignment not updated")
+	}
+	if got := len(after.Alternates["order"]); got != len(alts)-1 {
+		t.Errorf("rotation has %d members, want %d", got, len(alts)-1)
+	}
+	for i, c := range after.Alternates["order"] {
+		if c.Service == nil {
+			t.Errorf("rotation position %d holds the zero candidate", i)
+		}
+	}
+}
+
 func TestSubstituteSkipsWithdrawnAndExcluded(t *testing.T) {
 	m, rt, reg := fixture(t)
 	alts := rt.Result().Alternates["order"]

@@ -22,7 +22,7 @@ func twoProps() *qos.PropertySet {
 
 func cand(id string, vals ...float64) registry.Candidate {
 	return registry.Candidate{
-		Service: registry.Description{ID: registry.ServiceID(id), Concept: "C"},
+		Service: &registry.Description{ID: registry.ServiceID(id), Concept: "C"},
 		Vector:  qos.Vector(vals),
 	}
 }

@@ -164,8 +164,9 @@ func expAdapt() *Experiment {
 			scenarios := []scenario{
 				{"no-failure", func(*adaptFixture) {}},
 				{"one-service-down", func(f *adaptFixture) {
-					bound, _ := f.rt.Bind(f.rt.Req.Task.ActivityByID("order"))
-					f.env.SetDown(bound.Service.ID, true)
+					if bound, err := f.rt.Bind(f.rt.Req.Task.ActivityByID("order")); err == nil {
+						f.env.SetDown(bound.Service.ID, true)
+					}
 				}},
 				{"capability-lost", func(f *adaptFixture) {
 					// Every OrderItem provider leaves: substitution cannot

@@ -86,7 +86,7 @@ func expMobility() *Experiment {
 				Binder: exec.BinderFunc(func(a *task.Activity) (registry.Candidate, error) {
 					d, _ := reg.Get("stream-1")
 					v, err := d.VectorFor(ps, onto)
-					return registry.Candidate{Service: d, Vector: v}, err
+					return registry.Candidate{Service: &d, Vector: v}, err
 				}),
 				Options: exec.Options{Policy: resilience.Policy{MaxAttempts: 1}},
 			}

@@ -127,7 +127,7 @@ func TestDependencySemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	cand := func(id string, dev string) registry.Candidate {
-		return registry.Candidate{Service: registry.Description{
+		return registry.Candidate{Service: &registry.Description{
 			ID: registry.ServiceID(id), Provider: registry.DeviceID(dev)}}
 	}
 	bindings := map[string]registry.Candidate{}

@@ -37,7 +37,9 @@ var localScratchPool = sync.Pool{New: func() any { return new(localScratch) }}
 // whose cluster has that rank — the service belongs to QoS class
 // QC_{r*,e}).
 type RankedCandidate struct {
-	Service registry.Description
+	// Service is the candidate's frozen registry description, shared
+	// read-only (see registry.Candidate).
+	Service *registry.Description
 	// Vector is the raw advertised QoS vector.
 	Vector qos.Vector
 	// Scores is the direction-adjusted normalized vector ([0,1], 1 best).

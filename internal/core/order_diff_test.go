@@ -25,7 +25,7 @@ func randomRanked(rng *rand.Rand, n int) []RankedCandidate {
 	out := make([]RankedCandidate, n)
 	for i := range out {
 		out[i] = RankedCandidate{
-			Service: registry.Description{
+			Service: &registry.Description{
 				ID:   registry.ServiceID(fmt.Sprintf("s%02d", rng.Intn(n/3+1))),
 				Name: strconv.Itoa(i),
 			},

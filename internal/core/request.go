@@ -220,18 +220,22 @@ func NewEvaluator(req *Request, candidates map[string][]registry.Candidate) (*Ev
 		normalizers: make(map[string]*qos.Normalizer, len(candidates)),
 		weights:     req.weights(),
 	}
+	// One vector-header scratch serves every activity: NewNormalizer
+	// reads the population and keeps none of it.
+	var vecs []qos.Vector
 	for _, a := range req.Task.Activities() {
 		pop := candidates[a.ID]
 		if len(pop) == 0 {
 			return nil, fmt.Errorf("core: activity %q has no candidate services", a.ID)
 		}
-		vecs := make([]qos.Vector, len(pop))
-		for i, c := range pop {
+		vecs = vecs[:0]
+		for i := range pop {
+			c := &pop[i]
 			if len(c.Vector) != req.Properties.Len() {
 				return nil, fmt.Errorf("core: candidate %q vector arity %d, want %d",
 					c.Service.ID, len(c.Vector), req.Properties.Len())
 			}
-			vecs[i] = c.Vector
+			vecs = append(vecs, c.Vector)
 		}
 		nz, err := qos.NewNormalizer(req.Properties, vecs)
 		if err != nil {

@@ -23,7 +23,7 @@ func twoProps() *qos.PropertySet {
 // cand builds a candidate with the given QoS values.
 func cand(id string, vals ...float64) registry.Candidate {
 	return registry.Candidate{
-		Service: registry.Description{ID: registry.ServiceID(id), Concept: "C"},
+		Service: &registry.Description{ID: registry.ServiceID(id), Concept: "C"},
 		Vector:  qos.Vector(vals),
 	}
 }
@@ -179,7 +179,7 @@ func TestNewEvaluatorErrors(t *testing.T) {
 	}
 	bad := map[string][]registry.Candidate{
 		"a": {cand("x", 1, 1)},
-		"b": {{Service: registry.Description{ID: "y"}, Vector: qos.Vector{1}}}, // wrong arity
+		"b": {{Service: &registry.Description{ID: "y"}, Vector: qos.Vector{1}}}, // wrong arity
 	}
 	if _, err := NewEvaluator(req, bad); err == nil {
 		t.Error("wrong vector arity should error")

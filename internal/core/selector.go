@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -163,28 +164,28 @@ type Result struct {
 	Stats Stats
 }
 
-// Clone returns a deep copy of the result sharing no mutable state with
-// the original: assignment and alternate candidates are deep-copied
-// (registry.Candidate.Clone), the aggregated vector and the stats maps
-// are duplicated. A Result is immutable once it leaves the selector and
-// may be shared (the selection-plan cache hands the same pointer to
-// every hit); a writer — adapt.Runtime before its first substitution —
-// takes a private copy with Clone first.
+// Clone returns a copy of the result sharing no mutable state with the
+// original: the Assignment and Alternates maps and every alternate list
+// are duplicated (adapt rotates them in place), as are the aggregated
+// vector and the stats maps. The candidates themselves are copied
+// shallowly: a registry.Candidate is immutable, so the copy shares its
+// frozen description and vector. A Result is immutable once it leaves
+// the selector and may be shared (the selection-plan cache hands the
+// same pointer to every hit); a writer — adapt.Runtime before its first
+// substitution — takes a private copy with Clone first.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
 	}
 	cp := *r
-	cp.Assignment = make(Assignment, len(r.Assignment))
-	for id, c := range r.Assignment {
-		cp.Assignment[id] = c.Clone()
+	cp.Assignment = maps.Clone(r.Assignment)
+	if cp.Assignment == nil {
+		cp.Assignment = Assignment{}
 	}
 	cp.Alternates = make(map[string][]registry.Candidate, len(r.Alternates))
 	for id, list := range r.Alternates {
 		cl := make([]registry.Candidate, len(list))
-		for i, c := range list {
-			cl[i] = c.Clone()
-		}
+		copy(cl, list)
 		cp.Alternates[id] = cl
 	}
 	cp.Aggregated = r.Aggregated.Clone()

@@ -334,6 +334,9 @@ func (r *runState) activity(ctx context.Context, act *task.Activity) error {
 	if err != nil {
 		return fmt.Errorf("exec: binding %q: %w", act.ID, err)
 	}
+	if cand.Service == nil {
+		return fmt.Errorf("exec: binding %q: binder returned no service", act.ID)
+	}
 	substituted := false
 	retries := 0
 	var lastCause error
@@ -407,6 +410,9 @@ func (r *runState) activity(ctx context.Context, act *task.Activity) error {
 		next, ferr := r.exec.OnFailure(act, cand, attempt, class)
 		if ferr != nil {
 			return fmt.Errorf("exec: activity %q unrecoverable: %w", act.ID, ferr)
+		}
+		if next.Service == nil {
+			return fmt.Errorf("exec: activity %q unrecoverable: failure handler returned no service", act.ID)
 		}
 		substituted = next.Service.ID != cand.Service.ID
 		cand = next

@@ -56,7 +56,7 @@ func (s *stubInvoker) callCount() int {
 func fixedBinder(id string) Binder {
 	return BinderFunc(func(act *task.Activity) (registry.Candidate, error) {
 		return registry.Candidate{
-			Service: registry.Description{ID: registry.ServiceID(id + "-" + act.ID), Concept: act.Concept},
+			Service: &registry.Description{ID: registry.ServiceID(id + "-" + act.ID), Concept: act.Concept},
 			Vector:  qos.Vector{50},
 		}, nil
 	})
@@ -188,13 +188,13 @@ func TestRunSubstitutionOnFailure(t *testing.T) {
 		Binder: BinderFunc(func(act *task.Activity) (registry.Candidate, error) {
 			bindCalls.Add(1)
 			return registry.Candidate{
-				Service: registry.Description{ID: registry.ServiceID("primary-" + act.ID), Concept: act.Concept},
+				Service: &registry.Description{ID: registry.ServiceID("primary-" + act.ID), Concept: act.Concept},
 				Vector:  qos.Vector{50},
 			}, nil
 		}),
 		OnFailure: func(act *task.Activity, failed registry.Candidate, attempt int, _ resilience.Class) (registry.Candidate, error) {
 			return registry.Candidate{
-				Service: registry.Description{ID: registry.ServiceID("backup-" + act.ID), Concept: act.Concept},
+				Service: &registry.Description{ID: registry.ServiceID("backup-" + act.ID), Concept: act.Concept},
 				Vector:  qos.Vector{60},
 			}, nil
 		},
@@ -376,6 +376,29 @@ func TestBinderError(t *testing.T) {
 	}
 }
 
+// TestZeroCandidateRejected: a binder or failure handler that returns
+// the zero candidate without an error has bound no service; the run
+// fails instead of reading through the nil description.
+func TestZeroCandidateRejected(t *testing.T) {
+	zero := func(*task.Activity) (registry.Candidate, error) { return registry.Candidate{}, nil }
+	e := &Executor{Invoker: newStub(), Binder: BinderFunc(zero)}
+	if _, err := e.Run(context.Background(), simpleTask()); err == nil || !strings.Contains(err.Error(), "no service") {
+		t.Errorf("zero binding: err = %v, want a no-service error", err)
+	}
+	stub := newStub()
+	stub.fail["svc-a"] = 1
+	e = &Executor{
+		Invoker: stub,
+		Binder:  fixedBinder("svc"),
+		OnFailure: func(act *task.Activity, _ registry.Candidate, _ int, _ resilience.Class) (registry.Candidate, error) {
+			return zero(act)
+		},
+	}
+	if _, err := e.Run(context.Background(), simpleTask()); err == nil || !strings.Contains(err.Error(), "no service") {
+		t.Errorf("zero substitute: err = %v, want a no-service error", err)
+	}
+}
+
 func TestRunRetryableFailureBacksOffSameBinding(t *testing.T) {
 	// A marked-retryable invoker error (a transient link drop) retries
 	// the SAME binding after a backoff; the terminal-failure handler is
@@ -431,7 +454,7 @@ func TestRunTerminalFailureSkipsBackoff(t *testing.T) {
 		OnFailure: func(act *task.Activity, failed registry.Candidate, _ int, class resilience.Class) (registry.Candidate, error) {
 			handlerClass = class
 			return registry.Candidate{
-				Service: registry.Description{ID: registry.ServiceID("backup-" + act.ID), Concept: act.Concept},
+				Service: &registry.Description{ID: registry.ServiceID("backup-" + act.ID), Concept: act.Concept},
 				Vector:  qos.Vector{60},
 			}, nil
 		},

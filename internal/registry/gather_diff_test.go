@@ -27,7 +27,7 @@ func referenceCandidates(o *semantics.Ontology, all []Description, required sema
 		if err != nil {
 			continue
 		}
-		out = append(out, Candidate{Service: d, Vector: vec, Match: level})
+		out = append(out, Candidate{Service: &d, Vector: vec, Match: level})
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Match != out[j].Match {

@@ -131,8 +131,9 @@ func (d *Description) VectorFor(ps *qos.PropertySet, o *semantics.Ontology) (qos
 	return out, nil
 }
 
-// clone deep-copies the description so registry internals never alias
-// caller slices.
+// clone deep-copies the description. Publish, Get and All are the only
+// callers: the registry never aliases a caller's slices, and a caller
+// never receives the registry's own.
 func (d Description) clone() Description {
 	d.Inputs = append([]semantics.ConceptID(nil), d.Inputs...)
 	d.Outputs = append([]semantics.ConceptID(nil), d.Outputs...)
@@ -143,19 +144,17 @@ func (d Description) clone() Description {
 // Candidate is a service resolved for an abstract activity: the
 // description, its QoS vector aligned to the request's properties, and
 // the semantic match level of its capability.
+//
+// A candidate is an immutable value. Service points at the description
+// the registry froze when it was published: every lookup of that
+// publish shares it, and a re-publish freezes a new one instead of
+// changing it. Vector is built fresh by the lookup and nothing writes it
+// afterwards. Copying a candidate is therefore enough to keep it; no
+// reader may write through Service or into Vector.
 type Candidate struct {
-	Service Description
+	Service *Description
 	Vector  qos.Vector
 	Match   semantics.MatchLevel
-}
-
-// Clone deep-copies the candidate so the copy shares no slices with the
-// original (selection results cached across requests must never alias a
-// caller's live composition).
-func (c Candidate) Clone() Candidate {
-	c.Service = c.Service.clone()
-	c.Vector = c.Vector.Clone()
-	return c
 }
 
 // sortCandidates orders a candidate list by match level (better first)
@@ -305,7 +304,7 @@ func (r *Registry) CandidatesForActivity(a *task.Activity, ps *qos.PropertySet) 
 	base := r.Candidates(a.Concept, ps)
 	out := base[:0]
 	for _, c := range base {
-		if r.dataCompatible(a, &c.Service) {
+		if r.dataCompatible(a, c.Service) {
 			out = append(out, c)
 		}
 	}

@@ -296,7 +296,7 @@ func TestEnvironmentWithExecutor(t *testing.T) {
 			if err != nil {
 				return registry.Candidate{}, err
 			}
-			return registry.Candidate{Service: d, Vector: v}, nil
+			return registry.Candidate{Service: &d, Vector: v}, nil
 		}),
 	}
 	trace, err := e.Run(context.Background(), tk)

@@ -106,7 +106,7 @@ func (g *Generator) Candidates(t *task.Task, n int, ps *qos.PropertySet, laws []
 				// a programming error.
 				panic(err)
 			}
-			list[k] = registry.Candidate{Service: d, Vector: vec, Match: semantics.MatchExact}
+			list[k] = registry.Candidate{Service: &d, Vector: vec, Match: semantics.MatchExact}
 		}
 		out[a.ID] = list
 	}

@@ -25,7 +25,7 @@ func fakeResult(id string, utility float64) *core.Result {
 	return &core.Result{
 		Assignment: core.Assignment{
 			"act": registry.Candidate{
-				Service: registry.Description{ID: registry.ServiceID(id)},
+				Service: &registry.Description{ID: registry.ServiceID(id)},
 				Vector:  qos.Vector{1, 2},
 			},
 		},

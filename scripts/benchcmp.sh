@@ -1,8 +1,8 @@
 #!/bin/sh
 # benchcmp.sh — benchmark regression gate.
 #
-# Runs the tier-1 benchmark suite RUNS times (default 3), takes the
-# per-metric median, and compares ns_per_op / bytes_per_op /
+# Runs the tier-1 benchmark suite RUNS times (default 3; 5 in A/B mode),
+# takes the per-metric median, and compares ns_per_op / bytes_per_op /
 # allocs_per_op against the committed baseline in BENCH_qassa.json. Any
 # metric whose median exceeds its baseline by more than THRESHOLD
 # (default 15%) fails the gate. The median over multiple runs is what
@@ -26,12 +26,14 @@
 #
 #   PARENT=HEAD~1 scripts/benchcmp.sh
 #
-# It checks the parent out into a git worktree under a temporary
-# directory, builds one test binary per tree and runs them alternately,
-# RUNS passes each (the order flips every pass, so drift in host speed
-# hits both sides alike). Each benchmark's ns/op is gated on the median
-# over passes of change/parent, at the same THRESHOLD; bytes_per_op and
-# allocs_per_op stay absolute against the baseline file.
+# It exports the parent's tree (git archive) into a temporary directory,
+# builds one test binary per tree and runs them alternately, RUNS passes
+# each (the order flips every pass, so drift in host speed hits both
+# sides alike). Each benchmark's ns/op is gated on the median over passes
+# of change/parent, at the same THRESHOLD; bytes_per_op and
+# allocs_per_op stay absolute against the baseline file. A/B mode
+# defaults to 5 passes: with 3, rows whose code did not change read
+# 0.82-1.10 change/parent on a 2-vCPU host, too close to the threshold.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -61,7 +63,12 @@ BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|
 # 1M rigs exist for the recorded table, not for a quick regression pass
 # (component-wise -bench regex, hence a separate run).
 REGBENCH="${REGBENCH:-BenchmarkRegistryOps/op=(lookup|churn)/n=100k}"
-RUNS="${RUNS:-3}"
+PARENT="${PARENT:-}"
+if [ -n "$PARENT" ]; then
+	RUNS="${RUNS:-5}"
+else
+	RUNS="${RUNS:-3}"
+fi
 THRESHOLD="${THRESHOLD:-15}"
 BENCHTIME="${BENCHTIME:-0.5s}"
 
@@ -72,13 +79,13 @@ fi
 
 # Each side is built once into a test binary under a temporary
 # directory; without PARENT the only side is the working tree.
-PARENT="${PARENT:-}"
 tmp=$(mktemp -d)
-trap 'git worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 go test -c -o "$tmp/change.test" .
 if [ -n "$PARENT" ]; then
-	git worktree add --detach "$tmp/parent" "$PARENT" >/dev/null
+	mkdir "$tmp/parent"
+	git archive "$PARENT" | tar -x -C "$tmp/parent"
 	(cd "$tmp/parent" && go test -c -o "$tmp/parent.test" .)
 fi
 
