@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"qasom/internal/qos"
@@ -127,19 +128,27 @@ func TestIndexRebuiltOnOntologyMutation(t *testing.T) {
 	}
 }
 
+// TestAllReturnsDeepCopies: writing every slice of All's descriptions
+// changes no later read and not the frozen description lookups share.
 func TestAllReturnsDeepCopies(t *testing.T) {
 	r := newTestRegistry()
-	if err := r.Publish(bookService("s1", 100)); err != nil {
+	want := sliceService("s1", 100)
+	if err := r.Publish(want); err != nil {
 		t.Fatal(err)
 	}
+	shared := r.Candidates(semantics.BookSale, qos.StandardSet())[0].Service
 	all := r.All()
 	if len(all) != 1 {
 		t.Fatalf("All = %d entries", len(all))
 	}
-	all[0].Offers[0].Value = -1
-	all[0].Inputs = append(all[0].Inputs, "Mutated")
-	got, _ := r.Get("s1")
-	if got.Offers[0].Value != 100 || len(got.Inputs) != 0 {
-		t.Error("All should return deep copies")
+	scribble(&all[0])
+	if got, _ := r.Get("s1"); !reflect.DeepEqual(got, want) {
+		t.Errorf("Get after writes to All = %+v, want %+v", got, want)
+	}
+	if got := r.All(); !reflect.DeepEqual(got, []Description{want}) {
+		t.Errorf("All after writes to All = %+v, want %+v", got, want)
+	}
+	if !reflect.DeepEqual(*shared, want) {
+		t.Errorf("frozen description after writes to All = %+v, want %+v", *shared, want)
 	}
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -29,6 +30,27 @@ func bookService(id string, rt float64) Description {
 	}
 }
 
+// sliceService is bookService with every slice field populated, so an
+// aliased Inputs, Outputs or Offers shows in the ownership tests.
+func sliceService(id string, rt float64) Description {
+	d := bookService(id, rt)
+	d.Inputs = []semantics.ConceptID{semantics.ConceptID("Query-" + id)}
+	d.Outputs = []semantics.ConceptID{semantics.ConceptID("Book-" + id)}
+	return d
+}
+
+// scribble writes into every slice of d (Inputs, Outputs, Offers) and
+// appends to each, as a careless caller holding the value would.
+func scribble(d *Description) {
+	d.Inputs[0] = "Scribbled"
+	d.Outputs[0] = "Scribbled"
+	d.Offers[0].Value = -1
+	d.Offers[1].Property = "Scribbled"
+	d.Inputs = append(d.Inputs, "Scribbled")
+	d.Outputs = append(d.Outputs, "Scribbled")
+	d.Offers = append(d.Offers, QoSOffer{Property: "Scribbled"})
+}
+
 func newTestRegistry() *Registry {
 	return New(semantics.PervasiveWithScenarios())
 }
@@ -49,25 +71,35 @@ func TestPublishValidation(t *testing.T) {
 	}
 }
 
+// TestPublishCopiesAtBoundary: Publish freezes a private copy of the
+// caller's description, and Get returns a private copy of it. Writing
+// every slice of either (Inputs, Outputs, Offers) changes no later Get
+// and not the frozen description lookups share.
 func TestPublishCopiesAtBoundary(t *testing.T) {
 	r := newTestRegistry()
-	d := bookService("s1", 100)
+	d, want := sliceService("s1", 100), sliceService("s1", 100)
 	if err := r.Publish(d); err != nil {
 		t.Fatal(err)
 	}
-	d.Offers[0].Value = 99999
+	ps := qos.StandardSet()
+	before := r.Candidates(semantics.BookSale, ps)
+	scribble(&d)
 	got, ok := r.Get("s1")
 	if !ok {
 		t.Fatal("Get failed")
 	}
-	if got.Offers[0].Value != 100 {
-		t.Error("Publish should copy offers at the boundary")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Get after the caller's writes = %+v, want %+v", got, want)
 	}
-	// Mutating the returned copy must not affect the registry either.
-	got.Offers[0].Value = -1
-	got2, _ := r.Get("s1")
-	if got2.Offers[0].Value != 100 {
-		t.Error("Get should return copies")
+	scribble(&got)
+	if got2, _ := r.Get("s1"); !reflect.DeepEqual(got2, want) {
+		t.Errorf("Get after writes to an earlier Get = %+v, want %+v", got2, want)
+	}
+	after := r.Candidates(semantics.BookSale, ps)
+	for _, c := range [][]Candidate{before, after} {
+		if len(c) != 1 || !reflect.DeepEqual(*c[0].Service, want) || c[0].Vector[0] != 100 {
+			t.Fatalf("candidate after the writes = %+v, want %+v", c, want)
+		}
 	}
 }
 

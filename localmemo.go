@@ -53,8 +53,8 @@ type localEntry struct {
 
 // localMemoGenSize and localMemoGenCandidates bound one generation of
 // the memo: at most twice as many keys and candidates stay resident.
-// A candidate costs about 0.8 KiB in an entry (EXPERIMENTS.md), so the
-// candidate bound holds the memo to about 25 MiB.
+// A candidate costs about 0.2 KiB in an entry (EXPERIMENTS.md), so the
+// candidate bound holds the memo to about 7 MiB.
 const (
 	localMemoGenSize       = 256
 	localMemoGenCandidates = 16384
