@@ -1,10 +1,12 @@
 #!/bin/sh
 # ci.sh — the repository's verification gate.
 #
-#   ./ci.sh          # gofmt + vet + build + tests + race detector +
-#                    # results/*.csv decision check
-#   ./ci.sh quick    # gofmt + vet + build + tests + race on the
-#                    # telemetry packages only (skips the slow full pass)
+#   ./ci.sh          # gofmt + vet + build + tests (root module and
+#                    # perfbench) + race detector + results/*.csv
+#                    # decision check
+#   ./ci.sh quick    # gofmt + vet + build + tests (root module and
+#                    # perfbench) + race on the telemetry packages only
+#                    # (skips the slow full pass)
 #
 # The -race pass matters here: the composition pipeline is concurrent
 # (parallel QASSA local phase, indexed registry under RWMutex, memoized
@@ -31,6 +33,12 @@ go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+# perfbench is its own module (it replaces qasom with ../), so the root
+# ./... never compiles it; vet and test it here, in both modes, so an
+# edit to an internal API it reads fails CI instead of the benchmark.
+echo "== perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
 
 if [ "${1:-}" = "quick" ]; then
 	# Selection decisions must not depend on scheduling: rerun the core

@@ -32,7 +32,7 @@ var forbiddenHotPathFrames = []string{
 	"registry.(*EpochProbe)",
 	"qasom.(*planCache).get",
 	"qasom.(*planCache).lookup",
-	"qasom.(*taskIntern).lookup",
+	"qasom.(*genTable[...]).lookup",
 }
 
 func TestHotPathsAcquireNoMutexes(t *testing.T) {

@@ -37,26 +37,15 @@ func newTaskEntry(t *task.Task) *taskEntry {
 	return &taskEntry{task: t, id: obs.HexID(t.Fingerprint()), concepts: concepts}
 }
 
-// internGenSize bounds one generation of the task intern table; the
-// table holds at most two generations. A rotation keeps the last full
-// generation, so at least the internGenSize most recently inserted or
-// promoted specs stay resident.
+// internGenSize bounds one generation of the task intern table
+// (Middleware.tasks), which maps task spec strings (inline documents
+// and behaviour names) to their resolved entries, so a repeated inline
+// document is parsed once per Middleware. Keys are full spec strings,
+// so a lookup compares content, never just a hash. The table holds at
+// most two generations. A rotation keeps the last full generation, so
+// at least the internGenSize most recently inserted or promoted specs
+// stay resident.
 const internGenSize = 512
-
-// taskIntern maps task spec strings (inline documents and behaviour
-// names) to their resolved entries, so a repeated inline document is
-// parsed once per Middleware. Keys are full spec strings, so a lookup
-// compares content, never just a hash.
-type taskIntern struct{ genTable[taskEntry] }
-
-func newTaskIntern() *taskIntern {
-	t := new(taskIntern)
-	t.init(internGenSize, nil)
-	return t
-}
-
-// lookup returns the entry interned under spec, or nil.
-func (t *taskIntern) lookup(spec string) *taskEntry { return t.genTable.lookup(spec) }
 
 // genTable is a bounded map from strings to shared values whose reads
 // take no lock. It keeps two generations: inserts go into the current

@@ -104,8 +104,8 @@ type DependencySet struct {
 	rules    []depRule
 	actIDs   []string
 	actIdx   map[string]int
-	touching [][]int    // per activity: indices into rules
-	adjacent [][]string // per activity: dependency-adjacent activity IDs
+	touching [][]int // per activity: indices into rules
+	adjacent [][]int // per activity: dependency-adjacent activity indices
 }
 
 // CompileDependencies validates and compiles a dependency rule set
@@ -121,7 +121,7 @@ func CompileDependencies(t *task.Task, rules []Dependency) (*DependencySet, erro
 		actIDs:   make([]string, len(acts)),
 		actIdx:   make(map[string]int, len(acts)),
 		touching: make([][]int, len(acts)),
-		adjacent: make([][]string, len(acts)),
+		adjacent: make([][]int, len(acts)),
 	}
 	for i, a := range acts {
 		ds.actIDs[i] = a.ID
@@ -165,7 +165,7 @@ func CompileDependencies(t *task.Task, rules []Dependency) (*DependencySet, erro
 			for _, other := range []int{r.from, r.to} {
 				if !seen[other] {
 					seen[other] = true
-					ds.adjacent[a] = append(ds.adjacent[a], ds.actIDs[other])
+					ds.adjacent[a] = append(ds.adjacent[a], other)
 				}
 			}
 		}
@@ -260,30 +260,6 @@ func (ds *DependencySet) Len() int {
 	return len(ds.rules)
 }
 
-// Touches reports whether any rule constrains the given activity. A nil
-// set touches nothing.
-func (ds *DependencySet) Touches(activityID string) bool {
-	if ds == nil {
-		return false
-	}
-	a, ok := ds.actIdx[activityID]
-	return ok && len(ds.touching[a]) > 0
-}
-
-// AdjacentTo returns the IDs of the activities sharing a rule with the
-// given one — the set a dependency-aware repair re-opens after swapping
-// its binding.
-func (ds *DependencySet) AdjacentTo(activityID string) []string {
-	if ds == nil {
-		return nil
-	}
-	a, ok := ds.actIdx[activityID]
-	if !ok {
-		return nil
-	}
-	return ds.adjacent[a]
-}
-
 // ruleViolated evaluates one rule against concrete bindings.
 func (r *depRule) violated(from, to registry.Candidate) bool {
 	switch r.kind {
@@ -364,11 +340,10 @@ func (ds *DependencySet) Violations(bound func(string) (registry.Candidate, bool
 type boundDeps struct {
 	ds    *DependencySet
 	rules []boundRule
-	// touching mirrors ds.touching into the bound rules.
-	touching [][]int
-	// adjacentIdx holds, per activity, the dense indices of its
-	// dependency-adjacent activities (repair re-opens these).
-	adjacentIdx [][]int
+	// touching mirrors ds.touching into the bound rules; adjacent is
+	// ds.adjacent, the activities repair re-opens after a swap. Both
+	// are shared with the compiled set, never written.
+	touching, adjacent [][]int
 }
 
 type boundRule struct {
@@ -388,15 +363,10 @@ func bindDeps(ds *DependencySet, ranked [][]RankedCandidate) *boundDeps {
 		return nil
 	}
 	b := &boundDeps{
-		ds:          ds,
-		rules:       make([]boundRule, len(ds.rules)),
-		touching:    ds.touching,
-		adjacentIdx: make([][]int, len(ds.actIDs)),
-	}
-	for a, ids := range ds.adjacent {
-		for _, id := range ids {
-			b.adjacentIdx[a] = append(b.adjacentIdx[a], ds.actIdx[id])
-		}
+		ds:       ds,
+		rules:    make([]boundRule, len(ds.rules)),
+		touching: ds.touching,
+		adjacent: ds.adjacent,
 	}
 	for ri := range ds.rules {
 		r := &ds.rules[ri]

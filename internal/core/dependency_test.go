@@ -110,8 +110,8 @@ func TestDependencyCompileErrors(t *testing.T) {
 	if err != nil || ds != nil {
 		t.Fatalf("empty rules: got (%v, %v), want (nil, nil)", ds, err)
 	}
-	if !ds.Admissible("a1", registry.Candidate{}, nil) || ds.Violations(nil) != 0 || ds.Touches("a1") {
-		t.Fatal("nil set must admit everything and touch nothing")
+	if !ds.Admissible("a1", registry.Candidate{}, nil) || ds.Violations(nil) != 0 {
+		t.Fatal("nil set must admit everything")
 	}
 }
 
@@ -187,12 +187,9 @@ func TestDependencySemantics(t *testing.T) {
 	}
 
 	// Adjacency: a2 shares rules with a1 (requires) and a3 (excludes).
-	adj := ds.AdjacentTo("a2")
-	if !reflect.DeepEqual(adj, []string{"a1", "a3"}) {
-		t.Fatalf("AdjacentTo(a2) = %v", adj)
-	}
-	if !ds.Touches("a4") || ds.Touches("zz") {
-		t.Fatal("Touches misreports")
+	adj := ds.adjacent[ds.actIdx["a2"]]
+	if want := []int{ds.actIdx["a1"], ds.actIdx["a3"]}; !reflect.DeepEqual(adj, want) {
+		t.Fatalf("adjacent(a2) = %v, want %v", adj, want)
 	}
 }
 

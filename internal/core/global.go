@@ -337,7 +337,7 @@ func (g *globalState) repair(limits []int) (bool, error) {
 // that lowers the combined violation the most (utility breaks ties).
 // Returns the resulting combined violation.
 func (g *globalState) reopenDependents(act int, limits []int, cur float64) float64 {
-	for _, b := range g.deps.adjacentIdx[act] {
+	for _, b := range g.deps.adjacent[act] {
 		prev := g.eng.Current(b)
 		bestCand := -1
 		bestViol := cur
@@ -552,12 +552,4 @@ func siftAlt(h []altKey, i int, pool []RankedCandidate) {
 		h[i], h[c] = h[c], h[i]
 		i = c
 	}
-}
-
-func cloneAssignment(a Assignment) Assignment {
-	out := make(Assignment, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
 }

@@ -400,14 +400,9 @@ func runLocalPhase(ctx context.Context, acts []*task.Activity, candidates map[st
 	return locals, peak, nil
 }
 
-// SelectFromLocal runs only the global phase over pre-computed local
-// results (the distributed mode gathers LocalResults from remote devices
-// and calls this).
-func (s *Selector) SelectFromLocal(req *Request, locals map[string]*LocalResult) (*Result, error) {
-	return s.SelectFromLocalContext(context.Background(), req, locals)
-}
-
-// SelectFromLocalContext is SelectFromLocal under a cancellable context.
+// SelectFromLocalContext runs only the global phase over pre-computed
+// local results (the distributed mode gathers LocalResults from remote
+// devices and calls this) under a cancellable context.
 func (s *Selector) SelectFromLocalContext(ctx context.Context, req *Request, locals map[string]*LocalResult) (*Result, error) {
 	candidates := make(map[string][]registry.Candidate, len(locals))
 	for id, lr := range locals {

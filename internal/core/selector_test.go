@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -190,7 +192,7 @@ func TestSelectAlternates(t *testing.T) {
 		if len(alts) == 0 {
 			continue
 		}
-		trial := cloneAssignment(res.Assignment)
+		trial := maps.Clone(res.Assignment)
 		trial[id] = alts[0]
 		eval, err := NewEvaluator(req, cands)
 		if err != nil {
@@ -283,7 +285,7 @@ func TestSelectFromLocalMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewSelector(Options{}).SelectFromLocal(req, map[string]*LocalResult{"a": lr})
+	_, err = NewSelector(Options{}).SelectFromLocalContext(context.Background(), req, map[string]*LocalResult{"a": lr})
 	if err == nil {
 		t.Error("missing local result should error")
 	}

@@ -165,18 +165,16 @@ func standardProperties() []*Property {
 // PropertySet is an immutable ordered collection of properties; vectors
 // and weights are float slices aligned to it.
 type PropertySet struct {
-	props   []*Property
-	byName  map[string]int
-	concept map[semantics.ConceptID]int
+	props  []*Property
+	byName map[string]int
 }
 
 // NewPropertySet builds a property set, validating every property and
 // rejecting duplicate names.
 func NewPropertySet(props ...*Property) (*PropertySet, error) {
 	ps := &PropertySet{
-		props:   make([]*Property, 0, len(props)),
-		byName:  make(map[string]int, len(props)),
-		concept: make(map[semantics.ConceptID]int, len(props)),
+		props:  make([]*Property, 0, len(props)),
+		byName: make(map[string]int, len(props)),
 	}
 	for _, p := range props {
 		if err := p.Validate(); err != nil {
@@ -187,9 +185,6 @@ func NewPropertySet(props ...*Property) (*PropertySet, error) {
 		}
 		cp := *p
 		ps.byName[cp.Name] = len(ps.props)
-		if cp.Concept != "" {
-			ps.concept[cp.Concept] = len(ps.props)
-		}
 		ps.props = append(ps.props, &cp)
 	}
 	if len(ps.props) == 0 {
@@ -219,14 +214,6 @@ func ExtendedSet() *PropertySet {
 	return MustNewPropertySet(standardProperties()...)
 }
 
-// SubSet returns a new property set keeping only the first n properties.
-func (ps *PropertySet) SubSet(n int) (*PropertySet, error) {
-	if n <= 0 || n > len(ps.props) {
-		return nil, fmt.Errorf("qos: SubSet(%d) out of range 1..%d", n, len(ps.props))
-	}
-	return NewPropertySet(ps.props[:n]...)
-}
-
 // Len returns the number of properties.
 func (ps *PropertySet) Len() int { return len(ps.props) }
 
@@ -236,13 +223,6 @@ func (ps *PropertySet) At(i int) *Property { return ps.props[i] }
 // Index returns the position of the named property.
 func (ps *PropertySet) Index(name string) (int, bool) {
 	i, ok := ps.byName[name]
-	return i, ok
-}
-
-// IndexByConcept returns the position of the property bound to the given
-// semantic concept.
-func (ps *PropertySet) IndexByConcept(c semantics.ConceptID) (int, bool) {
-	i, ok := ps.concept[c]
 	return i, ok
 }
 

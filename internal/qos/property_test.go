@@ -3,8 +3,6 @@ package qos
 import (
 	"math"
 	"testing"
-
-	"qasom/internal/semantics"
 )
 
 func TestPropertyValidate(t *testing.T) {
@@ -93,27 +91,9 @@ func TestStandardAndExtendedSets(t *testing.T) {
 	if !ok || std.At(j).Direction != Maximized || std.At(j).Kind != KindProbability {
 		t.Error("availability should be a maximized probability")
 	}
-	j, ok = std.IndexByConcept(semantics.ResponseTime)
-	if !ok || std.At(j).Name != "responseTime" {
-		t.Error("IndexByConcept(ResponseTime) should find responseTime")
-	}
 	names := ext.Names()
 	if names[0] != "responseTime" || names[7] != "energyCost" {
 		t.Errorf("unexpected ExtendedSet order: %v", names)
-	}
-}
-
-func TestSubSet(t *testing.T) {
-	ext := ExtendedSet()
-	sub, err := ext.SubSet(3)
-	if err != nil || sub.Len() != 3 {
-		t.Fatalf("SubSet(3) = %v, %v", sub, err)
-	}
-	if _, err := ext.SubSet(0); err == nil {
-		t.Error("SubSet(0) should error")
-	}
-	if _, err := ext.SubSet(99); err == nil {
-		t.Error("SubSet(99) should error")
 	}
 }
 

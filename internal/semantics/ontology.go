@@ -81,28 +81,20 @@ type conceptNode struct {
 	parents map[ConceptID]struct{}
 }
 
-// conceptPair keys the match and distance memo tables.
+// conceptPair keys the match memo table.
 type conceptPair struct {
 	a, b ConceptID
 }
 
-// distEntry is one memoised Distance result.
-type distEntry struct {
-	d  int
-	ok bool
-}
-
 // CacheStats reports the reasoning-cache effectiveness of an ontology:
-// how many Match/Distance calls were answered from the memo tables
-// versus derived from the hierarchy.
+// how many Match calls were answered from the memo table versus derived
+// from the hierarchy.
 type CacheStats struct {
-	MatchHits, MatchMisses       uint64
-	DistanceHits, DistanceMisses uint64
-	// MatchEvictions and DistanceEvictions count memo entries dropped by
-	// the size cap (see SetMemoCap): a long-running node reasoning over
-	// an unbounded stream of concept pairs trades recomputation for
-	// bounded memory.
-	MatchEvictions, DistanceEvictions uint64
+	MatchHits, MatchMisses uint64
+	// MatchEvictions counts memo entries dropped by the size cap
+	// (memoCapDefault): a long-running node reasoning over an unbounded
+	// stream of concept pairs trades recomputation for bounded memory.
+	MatchEvictions uint64
 }
 
 // Delta returns the counter increments since an earlier snapshot —
@@ -111,12 +103,9 @@ type CacheStats struct {
 // goroutines' cache traffic lands in the same window).
 func (s CacheStats) Delta(prev CacheStats) CacheStats {
 	return CacheStats{
-		MatchHits:         s.MatchHits - prev.MatchHits,
-		MatchMisses:       s.MatchMisses - prev.MatchMisses,
-		DistanceHits:      s.DistanceHits - prev.DistanceHits,
-		DistanceMisses:    s.DistanceMisses - prev.DistanceMisses,
-		MatchEvictions:    s.MatchEvictions - prev.MatchEvictions,
-		DistanceEvictions: s.DistanceEvictions - prev.DistanceEvictions,
+		MatchHits:      s.MatchHits - prev.MatchHits,
+		MatchMisses:    s.MatchMisses - prev.MatchMisses,
+		MatchEvictions: s.MatchEvictions - prev.MatchEvictions,
 	}
 }
 
@@ -132,14 +121,11 @@ type Ontology struct {
 	// ancestors memoises the transitive closure of the parent relation;
 	// invalidated on every mutation.
 	ancestors map[ConceptID]map[ConceptID]struct{}
-	// matchMemo and distMemo memoise Match and Distance over canonical
-	// concept pairs; invalidated together with ancestors on mutation.
+	// matchMemo memoises Match over canonical concept pairs, at most
+	// memoCapDefault entries; invalidated together with ancestors on
+	// mutation.
 	matchMemo map[conceptPair]MatchLevel
-	distMemo  map[conceptPair]distEntry
-	// memoCap bounds each memo table; 0 means memoCapDefault, negative
-	// means unbounded (see SetMemoCap).
-	memoCap int
-	stats   cacheCounters
+	stats     cacheCounters
 	// version counts hierarchy/alias mutations; dependents (e.g. the
 	// registry's capability index) use it to detect staleness.
 	version uint64
@@ -155,9 +141,7 @@ type Ontology struct {
 // from individual loads — approximate under concurrent reasoners, which
 // is all CacheStats.Delta promises anyway.
 type cacheCounters struct {
-	matchHits, matchMisses            atomic.Uint64
-	distanceHits, distanceMisses      atomic.Uint64
-	matchEvictions, distanceEvictions atomic.Uint64
+	matchHits, matchMisses, matchEvictions atomic.Uint64
 }
 
 // aliasTable is one immutable alias-resolution snapshot, paired with the
@@ -200,53 +184,17 @@ func (o *Ontology) Version() uint64 {
 // (approximate under concurrent reasoners).
 func (o *Ontology) Stats() CacheStats {
 	return CacheStats{
-		MatchHits:         o.stats.matchHits.Load(),
-		MatchMisses:       o.stats.matchMisses.Load(),
-		DistanceHits:      o.stats.distanceHits.Load(),
-		DistanceMisses:    o.stats.distanceMisses.Load(),
-		MatchEvictions:    o.stats.matchEvictions.Load(),
-		DistanceEvictions: o.stats.distanceEvictions.Load(),
+		MatchHits:      o.stats.matchHits.Load(),
+		MatchMisses:    o.stats.matchMisses.Load(),
+		MatchEvictions: o.stats.matchEvictions.Load(),
 	}
 }
 
-// memoCapDefault bounds each reasoning memo table (Match and Distance)
-// when no explicit cap has been set: generous enough that a realistic
-// ontology memoises everything it ever computes, small enough that a
-// long-running node fed adversarial or ever-growing concept vocabularies
-// cannot grow the tables without limit.
+// memoCapDefault bounds the Match memo table: generous enough that a
+// realistic ontology memoises everything it ever computes, small enough
+// that a long-running node fed adversarial or ever-growing concept
+// vocabularies cannot grow the table without limit.
 const memoCapDefault = 8192
-
-// SetMemoCap bounds the Match and Distance memo tables to n entries
-// each: inserting into a full table evicts an arbitrary resident entry
-// (counted in CacheStats.MatchEvictions/DistanceEvictions). 0 restores
-// the default cap (memoCapDefault); negative disables the bound.
-// Entries already beyond a lowered cap are evicted lazily by subsequent
-// inserts, not synchronously.
-func (o *Ontology) SetMemoCap(n int) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.memoCap = n
-}
-
-// memoCapLocked resolves the effective cap; callers hold a lock.
-func (o *Ontology) memoCapLocked() int {
-	if o.memoCap == 0 {
-		return memoCapDefault
-	}
-	return o.memoCap
-}
-
-// ResetStats zeroes the reasoning-cache counters (the memo tables
-// themselves are kept). Benchmark harnesses call it between runs so
-// each run's Stats snapshot stands alone.
-func (o *Ontology) ResetStats() {
-	o.stats.matchHits.Store(0)
-	o.stats.matchMisses.Store(0)
-	o.stats.distanceHits.Store(0)
-	o.stats.distanceMisses.Store(0)
-	o.stats.matchEvictions.Store(0)
-	o.stats.distanceEvictions.Store(0)
-}
 
 // invalidateLocked drops every derived cache and republishes the
 // alias/version snapshot; callers hold the write lock with the alias
@@ -254,7 +202,6 @@ func (o *Ontology) ResetStats() {
 func (o *Ontology) invalidateLocked() {
 	o.ancestors = nil
 	o.matchMemo = nil
-	o.distMemo = nil
 	o.version++
 	o.publishSnapLocked()
 }
@@ -434,9 +381,6 @@ func (o *Ontology) IsA(sub, sup ConceptID) bool {
 	return ok
 }
 
-// Subsumes reports whether sup subsumes sub, i.e. sub IsA sup.
-func (o *Ontology) Subsumes(sup, sub ConceptID) bool { return o.IsA(sub, sup) }
-
 // Ancestors returns all transitive ancestors of a concept (excluding the
 // concept itself), in sorted order.
 func (o *Ontology) Ancestors(id ConceptID) []ConceptID {
@@ -543,109 +487,16 @@ func (o *Ontology) Match(required, offered ConceptID) MatchLevel {
 // bookkeeping on the read path, and for a memo whose entries are all
 // equally cheap to recompute it performs within noise of LRU.
 func (o *Ontology) putMatchLocked(key conceptPair, level MatchLevel) {
-	if cap := o.memoCapLocked(); cap > 0 {
-		if _, resident := o.matchMemo[key]; !resident {
-			for len(o.matchMemo) >= cap {
-				for victim := range o.matchMemo {
-					delete(o.matchMemo, victim)
-					o.stats.matchEvictions.Add(1)
-					break
-				}
+	if _, resident := o.matchMemo[key]; !resident {
+		for len(o.matchMemo) >= memoCapDefault {
+			for victim := range o.matchMemo {
+				delete(o.matchMemo, victim)
+				o.stats.matchEvictions.Add(1)
+				break
 			}
 		}
 	}
 	o.matchMemo[key] = level
-}
-
-// Distance returns the length of the shortest directed specialisation
-// chain between two concepts (in either direction), and false when the
-// concepts are unrelated. Distance 0 means identity. It is used to rank
-// equally-levelled matches (a closer plugin match beats a remote one).
-// Results are memoised per canonical concept pair until the hierarchy
-// mutates.
-func (o *Ontology) Distance(a, b ConceptID) (int, bool) {
-	o.mu.RLock()
-	a = o.resolveLocked(a)
-	b = o.resolveLocked(b)
-	key := conceptPair{a, b}
-	if e, ok := o.distMemo[key]; ok {
-		o.mu.RUnlock()
-		o.stats.distanceHits.Add(1)
-		return e.d, e.ok
-	}
-	version := o.version
-	o.mu.RUnlock()
-
-	var entry distEntry
-	if a == b {
-		entry = distEntry{0, true}
-	} else if d, ok := o.upDistance(a, b); ok {
-		entry = distEntry{d, true}
-	} else if d, ok := o.upDistance(b, a); ok {
-		entry = distEntry{d, true}
-	}
-
-	o.mu.Lock()
-	o.stats.distanceMisses.Add(1)
-	if o.version == version {
-		if o.distMemo == nil {
-			o.distMemo = make(map[conceptPair]distEntry)
-		}
-		o.putDistLocked(key, entry)
-		// Distance is symmetric: prime the mirrored key too.
-		o.putDistLocked(conceptPair{b, a}, entry)
-	}
-	o.mu.Unlock()
-	return entry.d, entry.ok
-}
-
-// putDistLocked inserts into the distance memo under the same cap and
-// eviction policy as putMatchLocked; the symmetric prime goes through
-// here too, so the table never exceeds the cap even on double inserts.
-func (o *Ontology) putDistLocked(key conceptPair, entry distEntry) {
-	if cap := o.memoCapLocked(); cap > 0 {
-		if _, resident := o.distMemo[key]; !resident {
-			for len(o.distMemo) >= cap {
-				for victim := range o.distMemo {
-					delete(o.distMemo, victim)
-					o.stats.distanceEvictions.Add(1)
-					break
-				}
-			}
-		}
-	}
-	o.distMemo[key] = entry
-}
-
-// upDistance returns the shortest chain length from sub upward to sup.
-func (o *Ontology) upDistance(sub, sup ConceptID) (int, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	type item struct {
-		id ConceptID
-		d  int
-	}
-	seen := map[ConceptID]struct{}{sub: {}}
-	queue := []item{{sub, 0}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.id == sup {
-			return cur.d, true
-		}
-		node := o.concepts[cur.id]
-		if node == nil {
-			continue
-		}
-		for p := range node.parents {
-			if _, ok := seen[p]; ok {
-				continue
-			}
-			seen[p] = struct{}{}
-			queue = append(queue, item{p, cur.d + 1})
-		}
-	}
-	return 0, false
 }
 
 // Merge copies every concept, alias and triple of src into o. A concept

@@ -1,6 +1,7 @@
 package semantics
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -72,16 +73,6 @@ func TestIsA(t *testing.T) {
 	}
 }
 
-func TestSubsumes(t *testing.T) {
-	o := buildAnimals(t)
-	if !o.Subsumes("Animal", "Sparrow") {
-		t.Error("Animal should subsume Sparrow")
-	}
-	if o.Subsumes("Sparrow", "Animal") {
-		t.Error("Sparrow should not subsume Animal")
-	}
-}
-
 func TestMatchLevels(t *testing.T) {
 	o := buildAnimals(t)
 	tests := []struct {
@@ -117,30 +108,6 @@ func TestMatchLevelOrdering(t *testing.T) {
 	var zero MatchLevel
 	if zero.Satisfies() {
 		t.Error("zero MatchLevel should not satisfy")
-	}
-}
-
-func TestDistance(t *testing.T) {
-	o := buildAnimals(t)
-	tests := []struct {
-		name   string
-		a, b   ConceptID
-		want   int
-		wantOK bool
-	}{
-		{"identity", "Dog", "Dog", 0, true},
-		{"parent", "Dog", "Mammal", 1, true},
-		{"grandparent", "Dog", "Animal", 2, true},
-		{"downward", "Animal", "Dog", 2, true},
-		{"unrelated", "Dog", "Sparrow", 0, false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, ok := o.Distance(tt.a, tt.b)
-			if got != tt.want || ok != tt.wantOK {
-				t.Errorf("Distance(%q, %q) = (%d, %v), want (%d, %v)", tt.a, tt.b, got, ok, tt.want, tt.wantOK)
-			}
-		})
 	}
 }
 
@@ -268,14 +235,19 @@ func TestCacheStatsDeltaAndReset(t *testing.T) {
 	if d.MatchHits != 1 || d.MatchMisses != 1 {
 		t.Errorf("delta = %+v, want 1 hit / 1 miss in the window", d)
 	}
-	o.ResetStats()
-	if s := o.Stats(); s != (CacheStats{}) {
-		t.Errorf("stats after reset = %+v", s)
+	// A mutation resets the memo: the stale grade is dropped and the
+	// same query misses once more against the new hierarchy.
+	if got := o.Match("Pet", "Dog"); got != MatchFail {
+		t.Fatalf("Match(Pet, Dog) = %v before Pet exists, want fail", got)
 	}
-	// The memo tables survive the reset: the same query is now a hit.
-	o.Match("Dog", "Animal")
-	if s := o.Stats(); s.MatchHits != 1 || s.MatchMisses != 0 {
-		t.Errorf("stats after reset+match = %+v, want a pure hit", s)
+	o.MustAddConcept("Pet", "Animal")
+	o.MustAddConcept("Dog", "Pet")
+	before = o.Stats()
+	if got := o.Match("Pet", "Dog"); got != MatchPlugin {
+		t.Errorf("Match(Pet, Dog) = %v after the mutation, want plugin", got)
+	}
+	if d := o.Stats().Delta(before); d.MatchHits != 0 || d.MatchMisses != 1 {
+		t.Errorf("delta after the mutation = %+v, want a pure miss", d)
 	}
 }
 
@@ -290,41 +262,45 @@ func TestMatchLevelString(t *testing.T) {
 	}
 }
 
-// memoSizes reads the live memo-table sizes under the ontology lock
-// (white-box helper for the cap tests).
-func memoSizes(o *Ontology) (match, dist int) {
+// memoSize reads the live match-memo size under the ontology lock
+// (white-box helper for the cap test).
+func memoSize(o *Ontology) int {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return len(o.matchMemo), len(o.distMemo)
+	return len(o.matchMemo)
 }
 
 func TestMemoCapEvictsMatchEntries(t *testing.T) {
 	o := buildAnimals(t)
-	o.SetMemoCap(2)
 
-	// Three distinct pairs through a cap of two: the third insert must
-	// evict a resident entry.
-	o.Match("Dog", "Animal")
-	o.Match("Cat", "Animal")
-	o.Match("Sparrow", "Animal")
-	if m, _ := memoSizes(o); m > 2 {
-		t.Fatalf("match memo holds %d entries, cap is 2", m)
+	// memoCapDefault+1 distinct pairs through the cap: the last insert
+	// must evict exactly one resident entry. Three pairs grade subsume;
+	// the unknown-concept fillers grade fail.
+	want := map[[2]ConceptID]MatchLevel{
+		{"Dog", "Animal"}: MatchSubsume, {"Cat", "Animal"}: MatchSubsume, {"Sparrow", "Animal"}: MatchSubsume,
+	}
+	for i := 0; len(want) < memoCapDefault+1; i++ {
+		want[[2]ConceptID{ConceptID(fmt.Sprintf("Ghost%d", i)), "Animal"}] = MatchFail
+	}
+	for pair := range want {
+		o.Match(pair[0], pair[1])
+	}
+	if m := memoSize(o); m != memoCapDefault {
+		t.Fatalf("match memo holds %d entries, cap is %d", m, memoCapDefault)
 	}
 	if ev := o.Stats().MatchEvictions; ev != 1 {
 		t.Fatalf("MatchEvictions = %d, want 1", ev)
 	}
 
 	// Eviction must never change answers: every pair still grades the
-	// same, the evicted one simply recomputes (a miss, then possibly a
+	// same, an evicted one simply recomputes (a miss, then possibly a
 	// fresh eviction) instead of hitting.
-	for _, pair := range [][2]ConceptID{
-		{"Dog", "Animal"}, {"Cat", "Animal"}, {"Sparrow", "Animal"},
-	} {
-		if got := o.Match(pair[0], pair[1]); got != MatchSubsume {
-			t.Errorf("Match(%s, %s) = %v after eviction, want subsume", pair[0], pair[1], got)
+	for pair, level := range want {
+		if got := o.Match(pair[0], pair[1]); got != level {
+			t.Errorf("Match(%s, %s) = %v after eviction, want %v", pair[0], pair[1], got, level)
 		}
 	}
-	if m, _ := memoSizes(o); m > 2 {
+	if m := memoSize(o); m > memoCapDefault {
 		t.Fatalf("match memo grew to %d entries past the cap", m)
 	}
 
@@ -334,55 +310,5 @@ func TestMemoCapEvictsMatchEntries(t *testing.T) {
 	o.Match("Sparrow", "Animal")
 	if d := o.Stats().Delta(before); d.MatchHits != 1 {
 		t.Errorf("resident pair after evictions: delta %+v, want a pure hit", d)
-	}
-}
-
-func TestMemoCapEvictsDistanceEntries(t *testing.T) {
-	o := buildAnimals(t)
-	o.SetMemoCap(2)
-
-	// Each Distance primes the symmetric key too, so one query fills the
-	// whole table and the next must evict both residents.
-	if d, ok := o.Distance("Dog", "Mammal"); !ok || d != 1 {
-		t.Fatalf("Distance(Dog, Mammal) = %d, %v", d, ok)
-	}
-	if d, ok := o.Distance("Dog", "Animal"); !ok || d != 2 {
-		t.Fatalf("Distance(Dog, Animal) = %d, %v", d, ok)
-	}
-	if _, n := memoSizes(o); n > 2 {
-		t.Fatalf("distance memo holds %d entries, cap is 2", n)
-	}
-	if ev := o.Stats().DistanceEvictions; ev != 2 {
-		t.Fatalf("DistanceEvictions = %d, want 2", ev)
-	}
-	// Answers survive eviction.
-	if d, ok := o.Distance("Mammal", "Dog"); !ok || d != 1 {
-		t.Errorf("Distance(Mammal, Dog) = %d, %v after eviction", d, ok)
-	}
-}
-
-func TestMemoCapUnboundedAndDefault(t *testing.T) {
-	o := buildAnimals(t)
-	if got := o.memoCapLocked(); got != memoCapDefault {
-		t.Fatalf("default cap = %d, want %d", got, memoCapDefault)
-	}
-	o.SetMemoCap(-1)
-	// Unbounded: every distinct pair stays resident, nothing is evicted.
-	concepts := []ConceptID{"Animal", "Mammal", "Bird", "Dog", "Cat", "Sparrow"}
-	for _, a := range concepts {
-		for _, b := range concepts {
-			o.Match(a, b)
-		}
-	}
-	if m, _ := memoSizes(o); m != len(concepts)*len(concepts) {
-		t.Errorf("unbounded match memo holds %d entries, want %d", m, len(concepts)*len(concepts))
-	}
-	if s := o.Stats(); s.MatchEvictions != 0 || s.DistanceEvictions != 0 {
-		t.Errorf("unbounded cap evicted: %+v", s)
-	}
-	// Zero restores the default.
-	o.SetMemoCap(0)
-	if got := o.memoCapLocked(); got != memoCapDefault {
-		t.Errorf("cap after SetMemoCap(0) = %d, want %d", got, memoCapDefault)
 	}
 }

@@ -128,10 +128,16 @@ func TestTelemetryUnderConcurrency(t *testing.T) {
 		`qasom_compose_phase_seconds_count{phase="global"}`,
 		"qasom_exec_invocations_total",
 		"qasom_monitor_observations_total",
+		"qasom_ontology_match_cache_hits",
+		"qasom_ontology_memo_evictions",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("scrape missing %s", want)
 		}
+	}
+	// The ontology keeps one memo, for Match; no other reasoning series.
+	if strings.Contains(string(body), "qasom_ontology_distance") {
+		t.Error("scrape exposes a qasom_ontology_distance series")
 	}
 
 	// Span hierarchy: compose roots with the QASSA phases as children.

@@ -163,8 +163,7 @@ type Options struct {
 	// instance attaches to (via TenantID) instead of creating its own —
 	// the way many logical environments share one process. The store's
 	// ontology replaces the instance-private one. Deployments that need
-	// store telemetry or an ontology memo cap other than the default
-	// build their own Store.
+	// store telemetry build their own Store.
 	Store *registry.Store
 	// ParetoMode switches every selection of this instance from scalar
 	// (single best-utility composition) to multi-objective: the
@@ -201,9 +200,9 @@ type Middleware struct {
 	bgCtx     context.Context // context.Background carrying obs; Compose's context
 	met       composeMetrics
 	plans     *planCache
-	locals    *localMemo     // per-activity local phases under the plan cache; nil exactly when plans is
-	tasks     *taskIntern    // resolved task specs (documents, behaviour names), keyed by content
-	manager   *adapt.Manager // the one adaptation manager every composition shares
+	locals    *localMemo          // per-activity local phases under the plan cache; nil exactly when plans is
+	tasks     genTable[taskEntry] // resolved task specs (documents, behaviour names), keyed by content
+	manager   *adapt.Manager      // the one adaptation manager every composition shares
 	opts      Options
 	tenant    string // tenant label on metrics and flight records ("default" for the zero tenant)
 }
@@ -319,10 +318,10 @@ func New(opts ...Options) (*Middleware, error) {
 		met:       composeMetricsFor(o.Obs, tenantLabel(o.TenantID)),
 		plans:     plans,
 		locals:    newLocalMemo(plans, o.Obs.Metrics),
-		tasks:     newTaskIntern(),
 		opts:      o,
 		tenant:    tenantLabel(o.TenantID),
 	}
+	m.tasks.init(internGenSize, nil)
 	m.manager = &adapt.Manager{
 		Registry: reg,
 		Repo:     m.repo,
@@ -351,18 +350,9 @@ func New(opts ...Options) (*Middleware, error) {
 	o.Obs.Metrics.Func("qasom_ontology_match_cache_misses",
 		"Cumulative ontology Match memo misses.",
 		func() float64 { return float64(m.ontology.Stats().MatchMisses) })
-	o.Obs.Metrics.Func("qasom_ontology_distance_cache_hits",
-		"Cumulative ontology Distance memo hits.",
-		func() float64 { return float64(m.ontology.Stats().DistanceHits) })
-	o.Obs.Metrics.Func("qasom_ontology_distance_cache_misses",
-		"Cumulative ontology Distance memo misses.",
-		func() float64 { return float64(m.ontology.Stats().DistanceMisses) })
 	o.Obs.Metrics.Func("qasom_ontology_memo_evictions",
-		"Cumulative ontology memo entries dropped by the size cap (Match + Distance).",
-		func() float64 {
-			s := m.ontology.Stats()
-			return float64(s.MatchEvictions + s.DistanceEvictions)
-		})
+		"Cumulative ontology Match memo entries dropped by the size cap.",
+		func() float64 { return float64(m.ontology.Stats().MatchEvictions) })
 	return m, nil
 }
 
