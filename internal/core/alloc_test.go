@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -71,5 +72,38 @@ func TestLocalSelectPooledAllocCeiling(t *testing.T) {
 	const ceiling = 20
 	if avg := testing.AllocsPerRun(50, run); avg > ceiling {
 		t.Errorf("pooled localSelect allocates %.1f/op, want <= %d", avg, ceiling)
+	}
+}
+
+// TestSelectReusingKnownAllocCeiling pins a fully memo-served miss: with
+// every activity's local result supplied, SelectReusing normalizes no
+// pool and scores no candidate. The evaluator takes the supplied
+// results' normalizers and the engine their utilities, so what remains
+// is the global phase's own bookkeeping, independent of the number of
+// candidates: about 56 allocations here. A per-activity normalizer
+// rebuild adds at least three allocations per activity (normalizer,
+// minima, maxima), 24 over this task, which the ceiling's headroom does
+// not cover.
+func TestSelectReusingKnownAllocCeiling(t *testing.T) {
+	ps := qos.StandardSet()
+	g := workload.NewGenerator(11)
+	laws := workload.DefaultLaws(ps)
+	tk := g.Task("memo", 8, workload.ShapeMixed)
+	cands := g.Candidates(tk, 60, ps, laws)
+	req := &Request{Task: tk, Properties: ps, Constraints: g.Constraints(tk, ps, laws, workload.AtMean, 2)}
+	sel := NewSelector(Options{Workers: 1})
+	ctx := context.Background()
+	_, known, err := sel.SelectReusing(ctx, req, cands, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if _, _, err := sel.SelectReusing(ctx, req, cands, known); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ceiling = 64
+	if avg := testing.AllocsPerRun(20, run); avg > ceiling {
+		t.Errorf("fully memo-served SelectReusing allocates %.1f/op, want <= %d", avg, ceiling)
 	}
 }

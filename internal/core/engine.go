@@ -134,20 +134,21 @@ func NewEvalEngine(eval *Evaluator, pools map[string][]registry.Candidate) (*Eva
 		byAct[i] = pools[a.ID]
 	}
 	e := &EvalEngine{pools: byAct}
-	return e, e.build(eval)
+	return e, e.build(eval, nil)
 }
 
 // newEvalEngineRanked builds the engine directly over the local phase's
-// ranked shortlists (task order), addressing them in place instead of
-// converting each into a registry.Candidate pool.
-func newEvalEngineRanked(eval *Evaluator, ranked [][]RankedCandidate) (*EvalEngine, error) {
+// ranked shortlists (task order, taken from locals), addressing them in
+// place instead of converting each into a registry.Candidate pool.
+func newEvalEngineRanked(eval *Evaluator, locals map[string]*LocalResult, ranked [][]RankedCandidate) (*EvalEngine, error) {
 	e := &EvalEngine{ranked: ranked}
-	return e, e.build(eval)
+	return e, e.build(eval, locals)
 }
 
 // build fills in everything but the candidate backing (pools or ranked,
-// set by the constructor).
-func (e *EvalEngine) build(eval *Evaluator) error {
+// set by the constructor). locals are the ranked shortlists' results
+// (nil for pools).
+func (e *EvalEngine) build(eval *Evaluator, locals map[string]*LocalResult) error {
 	req := eval.req
 	acts := req.Task.Activities()
 	e.eval = eval
@@ -174,6 +175,14 @@ func (e *EvalEngine) build(eval *Evaluator) error {
 		if n == 0 {
 			return fmt.Errorf("core: engine: activity %q has no candidates", a.ID)
 		}
+		// When the evaluator scores this activity with the very normalizer
+		// its local result was ranked with, each RankedCandidate.Utility is
+		// already qos.Utility(nz.NormalizeInto(scores, v), req.weights()):
+		// the bits CandidateUtilityInto would compute.
+		var scored []RankedCandidate
+		if lr := locals[a.ID]; lr != nil && lr.nz == eval.normalizers[a.ID] {
+			scored = e.ranked[i]
+		}
 		start := len(utilsBack)
 		for k := 0; k < n; k++ {
 			c := e.Candidate(i, k)
@@ -181,7 +190,11 @@ func (e *EvalEngine) build(eval *Evaluator) error {
 				return fmt.Errorf("core: engine: candidate %q vector arity %d, want %d",
 					c.Service.ID, len(c.Vector), e.p)
 			}
-			utilsBack = append(utilsBack, eval.CandidateUtilityInto(a.ID, c, buf))
+			if scored != nil {
+				utilsBack = append(utilsBack, scored[k].Utility)
+			} else {
+				utilsBack = append(utilsBack, eval.CandidateUtilityInto(a.ID, c, buf))
+			}
 		}
 		e.acts[i] = a.ID
 		e.utils[i] = utilsBack[start:len(utilsBack):len(utilsBack)]

@@ -56,10 +56,15 @@ func (g *globalState) init() error {
 	acts := g.req.Task.Activities()
 	g.acts = make([]string, len(acts))
 	g.ranked = make([][]RankedCandidate, len(acts))
+	largest := 0
 	for i, a := range acts {
 		g.acts[i] = a.ID
 		g.ranked[i] = g.locals[a.ID].Ranked
+		largest = max(largest, len(g.ranked[i]))
 	}
+	// alternatesFor keys at most one pool at a time: size its scratch
+	// once instead of growing it from nil on every selection.
+	g.altBuf = make([]altKey, 0, largest)
 	ds, err := g.req.CompiledDependencies()
 	if err != nil {
 		return err
@@ -78,7 +83,7 @@ func (g *globalState) init() error {
 		g.eng = newNaiveKernel(g.eval, pools)
 		return nil
 	}
-	eng, err := newEvalEngineRanked(g.eval, g.ranked)
+	eng, err := newEvalEngineRanked(g.eval, g.locals, g.ranked)
 	if err != nil {
 		return err
 	}
@@ -469,7 +474,8 @@ type altKey struct {
 // admissible members without a probe; they are probed in that order only
 // until MaxAlternates keepers are found, and members that break
 // feasibility fill any remaining slots in the same order. Utilities are
-// finite (Request.Validate rejects non-finite weights), so this is the
+// finite (Request.Validate rejects non-finite weights and
+// registry.Description.Validate non-finite offers), so this is the
 // keepers-first stable sort of the whole probed pool, truncated.
 func (g *globalState) alternatesFor(a int) []registry.Candidate {
 	pool := g.ranked[a]

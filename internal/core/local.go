@@ -56,10 +56,16 @@ type RankedCandidate struct {
 // candidates ordered best-first by (Level asc, ClassSize desc, Utility
 // desc), plus the number of levels produced by the clustering. It names
 // no activity: the caller keys it, and activities that see the same
-// candidate list and weights may share one result.
+// candidate list and weights may share one result. A result the local
+// phase computed also keeps the normalizer it scored with, so the
+// global phase's Evaluator reuses it, and the engine reuses every
+// Utility, instead of normalizing and scoring the population again.
+// Results built elsewhere (a remote device's) carry none.
 type LocalResult struct {
 	Ranked []RankedCandidate
 	Levels int
+
+	nz *qos.Normalizer // the population's normalizer; shared read-only
 }
 
 // Candidate converts a ranked entry back to a registry candidate.
@@ -159,7 +165,7 @@ func localSelect(activityID string, cands []registry.Candidate, ps *qos.Property
 
 	scr.perm = sortx.SortStable(ranked, scr.perm, compareRanked)
 
-	return &LocalResult{Ranked: ranked, Levels: levels}, nil
+	return &LocalResult{Ranked: ranked, Levels: levels, nz: nz}, nil
 }
 
 // compareRanked is the local phase's best-first order: level asc, class

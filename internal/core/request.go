@@ -202,6 +202,9 @@ type Assignment map[string]registry.Candidate
 // candidate utilities, where each activity's candidates are normalized
 // over that activity's own population — identical for every algorithm
 // (QASSA and the baselines), which makes optimality ratios meaningful.
+// NewEvaluator normalizes the populations itself. A selection instead
+// reuses the normalizers its local phase built over the same
+// populations (see SelectReusing): the same scale, built once.
 type Evaluator struct {
 	req         *Request
 	normalizers map[string]*qos.Normalizer
@@ -215,35 +218,83 @@ func NewEvaluator(req *Request, candidates map[string][]registry.Candidate) (*Ev
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{
-		req:         req,
-		normalizers: make(map[string]*qos.Normalizer, len(candidates)),
-		weights:     req.weights(),
+	largest, err := checkPools(req, candidates)
+	if err != nil {
+		return nil, err
 	}
-	// One vector-header scratch serves every activity: NewNormalizer
-	// reads the population and keeps none of it.
-	var vecs []qos.Vector
+	e := newEvaluator(req)
+	// One vector-header scratch, sized once to the largest pool, serves
+	// every activity: NewNormalizer reads the population and keeps none
+	// of it.
+	vecs := make([]qos.Vector, 0, largest)
 	for _, a := range req.Task.Activities() {
-		pop := candidates[a.ID]
-		if len(pop) == 0 {
-			return nil, fmt.Errorf("core: activity %q has no candidate services", a.ID)
-		}
-		vecs = vecs[:0]
-		for i := range pop {
-			c := &pop[i]
-			if len(c.Vector) != req.Properties.Len() {
-				return nil, fmt.Errorf("core: candidate %q vector arity %d, want %d",
-					c.Service.ID, len(c.Vector), req.Properties.Len())
-			}
-			vecs = append(vecs, c.Vector)
-		}
-		nz, err := qos.NewNormalizer(req.Properties, vecs)
+		nz, err := poolNormalizer(req.Properties, candidates[a.ID], vecs)
 		if err != nil {
 			return nil, fmt.Errorf("core: activity %q: %w", a.ID, err)
 		}
 		e.normalizers[a.ID] = nz
 	}
 	return e, nil
+}
+
+// localEvaluator builds the evaluator of a selection from its local
+// phase: each activity's normalizer is the one its local result scored
+// with, built over the same pool, so every utility comes out as
+// NewEvaluator's would. A supplied result that carries no normalizer
+// gets one from its pool. The request and pools must have passed
+// Validate and checkPools.
+func localEvaluator(req *Request, candidates map[string][]registry.Candidate, locals map[string]*LocalResult) (*Evaluator, error) {
+	e := newEvaluator(req)
+	for _, a := range req.Task.Activities() {
+		nz := locals[a.ID].nz
+		if nz == nil {
+			var err error
+			if nz, err = poolNormalizer(req.Properties, candidates[a.ID], nil); err != nil {
+				return nil, fmt.Errorf("core: activity %q: %w", a.ID, err)
+			}
+		}
+		e.normalizers[a.ID] = nz
+	}
+	return e, nil
+}
+
+func newEvaluator(req *Request) *Evaluator {
+	return &Evaluator{
+		req:         req,
+		normalizers: make(map[string]*qos.Normalizer, len(req.Task.Activities())),
+		weights:     req.weights(),
+	}
+}
+
+// checkPools reports, in task order, the first activity without
+// candidates or with a candidate vector of the wrong arity, and returns
+// the largest pool size.
+func checkPools(req *Request, candidates map[string][]registry.Candidate) (int, error) {
+	largest := 0
+	for _, a := range req.Task.Activities() {
+		pop := candidates[a.ID]
+		if len(pop) == 0 {
+			return 0, fmt.Errorf("core: activity %q has no candidate services", a.ID)
+		}
+		for i := range pop {
+			if len(pop[i].Vector) != req.Properties.Len() {
+				return 0, fmt.Errorf("core: candidate %q vector arity %d, want %d",
+					pop[i].Service.ID, len(pop[i].Vector), req.Properties.Len())
+			}
+		}
+		largest = max(largest, len(pop))
+	}
+	return largest, nil
+}
+
+// poolNormalizer min–max normalizes one candidate population, listing
+// its vectors in vecs[:0].
+func poolNormalizer(ps *qos.PropertySet, pop []registry.Candidate, vecs []qos.Vector) (*qos.Normalizer, error) {
+	vecs = vecs[:0]
+	for i := range pop {
+		vecs = append(vecs, pop[i].Vector)
+	}
+	return qos.NewNormalizer(ps, vecs)
 }
 
 // Aggregate computes the aggregated QoS vector of an assignment over the

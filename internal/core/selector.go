@@ -274,6 +274,12 @@ func (s *Selector) SelectContext(ctx context.Context, req *Request, candidates m
 // and returned results are shared read-only. known is ignored when the
 // local phase would not see the gathered lists as they are: under
 // Request.Local constraints or Options.PruneDominated.
+//
+// The pools are checked as NewEvaluator checks them, then the local
+// phase runs, and the global phase's Evaluator is built from the local
+// phase's normalizers and scores (see localEvaluator), so no pool is
+// normalized or scored twice. Under Options.PruneDominated the
+// evaluator is NewEvaluator's over the unpruned pools instead.
 func (s *Selector) SelectReusing(ctx context.Context, req *Request, candidates map[string][]registry.Candidate,
 	known map[string]*LocalResult) (*Result, map[string]*LocalResult, error) {
 	if err := req.Validate(); err != nil {
@@ -286,16 +292,18 @@ func (s *Selector) SelectReusing(ctx context.Context, req *Request, candidates m
 	if err != nil {
 		return nil, nil, err
 	}
-	// The evaluator (and so the utility function) is defined over the
-	// full admissible pools; Pareto pruning only shrinks the search
-	// space — the optimum always sits on the Pareto front, so results
-	// stay comparable with unpruned runs and with the baselines.
-	eval, err := NewEvaluator(req, candidates)
-	if err != nil {
-		return nil, nil, err
-	}
+	var eval *Evaluator
 	if s.opts.PruneDominated {
+		// The evaluator (and so the utility function) is defined over the
+		// full admissible pools; Pareto pruning only shrinks the search
+		// space — the optimum always sits on the Pareto front, so results
+		// stay comparable with unpruned runs and with the baselines.
+		if eval, err = NewEvaluator(req, candidates); err != nil {
+			return nil, nil, err
+		}
 		candidates = pruneDominated(req.Properties, candidates)
+	} else if _, err := checkPools(req, candidates); err != nil {
+		return nil, nil, err
 	}
 	acts := req.Task.Activities()
 	opts := s.opts.withDefaults()
@@ -309,6 +317,11 @@ func (s *Selector) SelectReusing(ctx context.Context, req *Request, candidates m
 		return nil, nil, err
 	}
 	localDur := time.Since(startLocal)
+	if eval == nil {
+		if eval, err = localEvaluator(req, candidates, locals); err != nil {
+			return nil, nil, err
+		}
+	}
 
 	globalCtx, globalSpan := obs.StartSpan(ctx, "qassa.global")
 	res, err := s.selectGlobal(globalCtx, req, eval, locals, opts)

@@ -14,6 +14,7 @@ package registry
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"sort"
 
 	"qasom/internal/qos"
@@ -68,6 +69,14 @@ func (d *Description) Validate() error {
 		return fmt.Errorf("registry: service without ID")
 	case d.Concept == "":
 		return fmt.Errorf("registry: service %q without capability concept", d.ID)
+	}
+	// A NaN or infinite offer would score NaN in selection, and the
+	// local phase's order and the failover rotation assume finite
+	// utilities.
+	for i := range d.Offers {
+		if v := d.Offers[i].Value; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("registry: service %q offers non-finite %s %v", d.ID, d.Offers[i].Property, v)
+		}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -68,6 +69,31 @@ func TestPublishValidation(t *testing.T) {
 	}
 	if r.Len() != 1 {
 		t.Errorf("Len = %d, want 1", r.Len())
+	}
+}
+
+// TestPublishRejectsNonFiniteOffers: a NaN or infinite QoS value is
+// refused at the boundary (selection would score it NaN), whichever
+// offer carries it, and the refused service is not published.
+func TestPublishRejectsNonFiniteOffers(t *testing.T) {
+	r := newTestRegistry()
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := bookService(fmt.Sprintf("bad%d", i), 100)
+		d.Offers[i].Value = v
+		if err := d.Validate(); err == nil {
+			t.Errorf("offer %d = %v: Validate accepted it", i, v)
+		}
+		if err := r.Publish(d); err == nil {
+			t.Errorf("offer %d = %v: Publish accepted it", i, v)
+		}
+	}
+	if r.Len() != 0 {
+		t.Errorf("Len = %d after rejected publishes, want 0", r.Len())
+	}
+	d := bookService("ok", 100)
+	d.Offers[1].Value = math.MaxFloat64
+	if err := r.Publish(d); err != nil {
+		t.Errorf("finite extreme offer rejected: %v", err)
 	}
 }
 

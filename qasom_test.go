@@ -3,6 +3,7 @@ package qasom_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -103,6 +104,33 @@ func TestPublishValidationAndCount(t *testing.T) {
 	}
 	if !mw.Withdraw("x") || mw.Withdraw("x") {
 		t.Error("Withdraw semantics wrong")
+	}
+}
+
+// TestPublishRejectsNonFiniteQoS: the façade refuses a service with a
+// NaN or infinite QoS value, and a composition over the capability
+// still binds only the finite services.
+func TestPublishRejectsNonFiniteQoS(t *testing.T) {
+	mw := newMall(t)
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		q := stdQoS(1)
+		q["price"] = v
+		id := fmt.Sprintf("pay-bad-%d", i)
+		if err := mw.Publish(qasom.Service{ID: id, Capability: "CardPayment", QoS: q}); err == nil {
+			t.Errorf("price %v: Publish accepted it", v)
+		}
+	}
+	if got := mw.ServiceCount(); got != 20 {
+		t.Errorf("ServiceCount = %d, want the 20 finite services", got)
+	}
+	comp, err := mw.Compose(qasom.Request{Task: behaviourA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for act, id := range comp.Bindings() {
+		if strings.HasPrefix(id, "pay-bad") {
+			t.Errorf("activity %s bound to rejected service %s", act, id)
+		}
 	}
 }
 
