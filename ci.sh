@@ -83,7 +83,9 @@ if [ "${1:-}" = "quick" ]; then
 	go test -race -run 'TestFailoverAfterCloseSkipsWithdrawn' .
 	# The multicore hot-path suite: raced lock-free reads in the registry
 	# (torn-read check, nil-before-bump ordering, fresh keys racing list
-	# rebuilds under the write lock), raced eviction + epoch
+	# rebuilds under the write lock, the whole-store refile after an
+	# ontology change, publishes racing alias retargets and the refiles
+	# they cause), raced eviction + epoch
 	# invalidation in the copy-on-write plan cache, the shared-plan leak
 	# check (substitutions copy, never write the cached Result), the
 	# first-Execute table start racing a manual Substitute, behaviour
@@ -97,7 +99,7 @@ if [ "${1:-}" = "quick" ]; then
 	# substitutions and re-publishes of the same IDs reading the
 	# registry's shared frozen descriptions (nothing may write one).
 	echo "== go test -race hot-path suite (quick)"
-	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility' ./internal/registry
+	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications|TestRacedAliasRetarget' ./internal/registry
 	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry|TestConcurrentContracts|TestRacedSharedDescriptions' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);

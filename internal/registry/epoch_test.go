@@ -11,55 +11,55 @@ import (
 	"qasom/internal/semantics"
 )
 
-// TestEpochBumpsOnMutation checks the global generation and the
-// per-capability epochs move on every Publish/Withdraw (including
-// QoS-only re-publishes) and stay still otherwise.
+// TestEpochBumpsOnMutation checks the capability epoch moves on every
+// Publish/Withdraw (including QoS-only re-publishes) and stays still
+// otherwise.
 func TestEpochBumpsOnMutation(t *testing.T) {
 	r := newTestRegistry()
-	if r.Epoch() != 0 {
-		t.Fatalf("fresh registry epoch = %d, want 0", r.Epoch())
+	epoch := func() uint64 { return r.CapabilityEpochs(nil, semantics.BookSale)[0] }
+	if e := epoch(); e != 0 {
+		t.Fatalf("fresh registry BookSale epoch = %d, want 0", e)
 	}
-	before := r.CapabilityEpochs(nil, semantics.BookSale)
 
 	if err := r.Publish(bookService("b1", 40)); err != nil {
 		t.Fatal(err)
 	}
-	if r.Epoch() == 0 {
-		t.Error("Publish did not bump the global epoch")
-	}
-	after := r.CapabilityEpochs(nil, semantics.BookSale)
-	if after[0] == before[0] {
+	if epoch() == 0 {
 		t.Error("Publish did not bump the BookSale capability epoch")
 	}
 
 	// QoS-only update (same ID, same capability) must bump too: cached
 	// selections over the old vector are stale.
-	gen := r.Epoch()
-	cap0 := after[0]
+	e := epoch()
 	if err := r.Publish(bookService("b1", 55)); err != nil {
 		t.Fatal(err)
 	}
-	if r.Epoch() == gen {
-		t.Error("re-publish did not bump the global epoch")
-	}
-	if e := r.CapabilityEpochs(nil, semantics.BookSale); e[0] == cap0 {
+	if epoch() == e {
 		t.Error("re-publish did not bump the capability epoch")
 	}
 
+	// A lookup moves nothing.
+	e = epoch()
+	if got := r.Candidates(semantics.BookSale, qos.StandardSet()); len(got) != 1 {
+		t.Fatalf("lookup returned %d candidates, want 1", len(got))
+	}
+	if epoch() != e {
+		t.Error("a lookup bumped the capability epoch")
+	}
+
 	// Withdraw bumps; withdrawing an absent service does not.
-	gen = r.Epoch()
 	if !r.Withdraw("b1") {
 		t.Fatal("withdraw failed")
 	}
-	if r.Epoch() == gen {
-		t.Error("Withdraw did not bump the global epoch")
+	if epoch() == e {
+		t.Error("Withdraw did not bump the capability epoch")
 	}
-	gen = r.Epoch()
+	e = epoch()
 	if r.Withdraw("b1") {
 		t.Fatal("second withdraw should report absence")
 	}
-	if r.Epoch() != gen {
-		t.Error("no-op Withdraw bumped the global epoch")
+	if epoch() != e {
+		t.Error("no-op Withdraw bumped the capability epoch")
 	}
 }
 
@@ -171,8 +171,8 @@ func TestLookupsShareFrozenDescription(t *testing.T) {
 // epoch or re-resolves a concept: publish, withdraw, QoS update, an
 // alias added and retargeted, a concept added to the ontology, the first publish of a
 // capability a probe already asked for (whose missing entry must not
-// pin epoch 0), another tenant's churn, the scan-path ablation, and
-// raced concurrent publishes.
+// pin epoch 0), another tenant's churn, a lookup that refiles the store
+// after the ontology moved, and raced concurrent publishes.
 func TestDifferentialEpochProbe(t *testing.T) {
 	concepts := []semantics.ConceptID{
 		semantics.BookSale, semantics.ShoppingService, semantics.CashPayment,
@@ -256,15 +256,13 @@ func TestDifferentialEpochProbe(t *testing.T) {
 		publish(other, Description{ID: "cash", Concept: semantics.CashPayment, Offers: stdOffers(20, 0, 0.99, 0.99, 10)})
 		other.Withdraw("b1")
 		check("other tenant's churn")
-		r.SetIndexing(false)
 		publish(r, bookService("b4", 50))
-		check("publish with indexing off")
-		r.SetIndexing(true)
+		check("publish after the ontology moved")
 		if got := r.Candidates(semantics.BookSale, qos.StandardSet()); len(got) != 3 {
-			t.Fatalf("lookup after re-indexing returned %d candidates, want 3", len(got))
+			t.Fatalf("lookup after the refile returned %d candidates, want 3", len(got))
 		}
 		r.Withdraw("b4")
-		check("withdraw after re-indexing")
+		check("withdraw after the refile")
 	})
 
 	t.Run("raced", func(t *testing.T) {

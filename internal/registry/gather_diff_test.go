@@ -168,39 +168,36 @@ func newGatherFixture(t *testing.T, seed int64, services int) *gatherFixture {
 // TestDifferentialGather demands that Candidates, which matches each
 // distinct concept and offer name once per lookup, returns exactly the
 // reference lookup's candidates — same services, same order, same
-// vectors bit for bit — on the indexed and the scan path, for property
-// sets narrower and wider than an offer bitmask.
+// vectors bit for bit — for property sets narrower and wider than an
+// offer bitmask.
 func TestDifferentialGather(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f := newGatherFixture(t, seed, 150)
-		for _, mode := range []string{"indexed", "scan"} {
-			r := NewStore(f.onto, StoreOptions{}).Tenant(DefaultTenant)
-			r.SetIndexing(mode == "indexed")
-			for _, d := range f.descs {
-				if err := r.Publish(d); err != nil {
-					t.Fatal(err)
+		r := NewStore(f.onto, StoreOptions{}).Tenant(DefaultTenant)
+		for _, d := range f.descs {
+			if err := r.Publish(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		all := r.All()
+		nonEmpty := 0
+		for name, ps := range f.sets {
+			reqs := f.required
+			if name == "wide" {
+				reqs = reqs[:1] // the reference is slow on 65 properties
+			}
+			for _, req := range reqs {
+				got := r.Candidates(req, ps)
+				if err := sameCandidates(got, referenceCandidates(f.onto, all, req, ps)); err != nil {
+					t.Fatalf("seed %d, set %s, %s: %v", seed, name, req, err)
+				}
+				if len(got) > 0 {
+					nonEmpty++
 				}
 			}
-			all := r.All()
-			nonEmpty := 0
-			for name, ps := range f.sets {
-				reqs := f.required
-				if name == "wide" {
-					reqs = reqs[:1] // the reference is slow on 65 properties
-				}
-				for _, req := range reqs {
-					got := r.Candidates(req, ps)
-					if err := sameCandidates(got, referenceCandidates(f.onto, all, req, ps)); err != nil {
-						t.Fatalf("seed %d, %s, set %s, %s: %v", seed, mode, name, req, err)
-					}
-					if len(got) > 0 {
-						nonEmpty++
-					}
-				}
-			}
-			if nonEmpty < 10 {
-				t.Fatalf("seed %d, %s: only %d non-empty lookups; the fixture exercises too little", seed, mode, nonEmpty)
-			}
+		}
+		if nonEmpty < 10 {
+			t.Fatalf("seed %d: only %d non-empty lookups; the fixture exercises too little", seed, nonEmpty)
 		}
 	}
 }

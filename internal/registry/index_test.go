@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -17,47 +16,6 @@ func candidateIDs(cands []Candidate) []string {
 		out[i] = string(c.Service.ID)
 	}
 	return out
-}
-
-func TestIndexedCandidatesMatchScan(t *testing.T) {
-	onto := semantics.PervasiveWithScenarios()
-	indexed := New(onto)
-	scan := New(onto)
-	scan.SetIndexing(false)
-	ps := qos.StandardSet()
-
-	concepts := []semantics.ConceptID{
-		semantics.BookSale, semantics.NotifyService, semantics.ShoppingService,
-	}
-	for i := 0; i < 60; i++ {
-		d := Description{
-			ID:      ServiceID(fmt.Sprintf("s%02d", i)),
-			Concept: concepts[i%len(concepts)],
-			Offers:  stdOffers(50+float64(i), 5, 0.95, 0.9, 40),
-		}
-		if err := indexed.Publish(d); err != nil {
-			t.Fatal(err)
-		}
-		if err := scan.Publish(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, required := range []semantics.ConceptID{
-		semantics.BookSale, semantics.ShoppingService, semantics.NotifyService, "NoSuchConcept",
-	} {
-		got := candidateIDs(indexed.Candidates(required, ps))
-		want := candidateIDs(scan.Candidates(required, ps))
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("Candidates(%s): indexed %v, scan %v", required, got, want)
-		}
-	}
-	m := indexed.Metrics()
-	if m.IndexedLookups == 0 || m.IndexRebuilds != 1 {
-		t.Errorf("index metrics = %+v, want indexed lookups and exactly one build", m)
-	}
-	if sm := scan.Metrics(); sm.ScanLookups == 0 || sm.IndexedLookups != 0 {
-		t.Errorf("scan metrics = %+v", sm)
-	}
 }
 
 func TestIndexInvalidatedOnPublishWithdraw(t *testing.T) {
@@ -90,8 +48,14 @@ func TestIndexInvalidatedOnPublishWithdraw(t *testing.T) {
 	if got := candidateIDs(r.Candidates(semantics.BookSale, ps)); len(got) != 0 {
 		t.Fatalf("stale index entry survived capability change: %v", got)
 	}
-	if m := r.Metrics(); m.IndexRebuilds != 1 {
-		t.Errorf("expected incremental maintenance, got %d rebuilds", m.IndexRebuilds)
+	if got := candidateIDs(r.Candidates(semantics.NotifyService, ps)); len(got) != 1 || got[0] != "s2" {
+		t.Fatalf("moved service not filed under its new capability: %v", got)
+	}
+	all := r.All()
+	for _, c := range []semantics.ConceptID{semantics.MediaSale, semantics.ShoppingService} {
+		if err := sameCandidates(r.Candidates(c, ps), referenceCandidates(r.Ontology(), all, c, ps)); err != nil {
+			t.Errorf("Candidates(%s) after the move: %v", c, err)
+		}
 	}
 }
 
@@ -123,8 +87,30 @@ func TestIndexRebuiltOnOntologyMutation(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("index not rebuilt after ontology mutation: %v", got)
 	}
-	if m := r.Metrics(); m.IndexRebuilds < 2 {
-		t.Errorf("expected a rebuild after the ontology version moved, got %d", m.IndexRebuilds)
+	// A service published before its concept joined the hierarchy is
+	// refiled under its new ancestors by the next lookup.
+	if err := onto.AddConcept("LooseSale"); err != nil {
+		t.Fatal(err)
+	}
+	d3 := bookService("ls1", 60)
+	d3.Concept = "LooseSale"
+	if err := r.Publish(d3); err != nil {
+		t.Fatal(err)
+	}
+	if got := candidateIDs(r.Candidates(semantics.BookSale, ps)); len(got) != 2 {
+		t.Fatalf("unrelated service matched BookSale: %v", got)
+	}
+	if err := onto.AddConcept("LooseSale", "SpecialSale"); err != nil {
+		t.Fatal(err)
+	}
+	all := r.All()
+	for _, c := range []semantics.ConceptID{semantics.BookSale, "SpecialSale", "LooseSale"} {
+		if err := sameCandidates(r.Candidates(c, ps), referenceCandidates(onto, all, c, ps)); err != nil {
+			t.Errorf("Candidates(%s) after the refile: %v", c, err)
+		}
+	}
+	if got := candidateIDs(r.Candidates(semantics.BookSale, ps)); len(got) != 3 {
+		t.Errorf("refiled lookup = %v, want all three services", got)
 	}
 }
 

@@ -185,19 +185,6 @@ func compareCandidates(a, b *Candidate) int {
 	return cmp.Compare(a.Service.ID, b.Service.ID)
 }
 
-// Metrics reports how the registry served capability lookups: how many
-// went through the concept index versus a full scan, and how often the
-// index had to be rebuilt because the shared ontology mutated.
-type Metrics struct {
-	// IndexedLookups counts Candidates calls answered from the
-	// capability index.
-	IndexedLookups uint64
-	// ScanLookups counts Candidates calls that walked every description.
-	ScanLookups uint64
-	// IndexRebuilds counts full index (re)builds (initial build included).
-	IndexRebuilds uint64
-}
-
 // Registry is the concurrent service directory: a tenant-bound view over
 // a Store. Create single-tenant instances with New, or views
 // over a shared store with Store.Tenant. All methods are safe for
@@ -216,12 +203,6 @@ func New(o *semantics.Ontology) *Registry {
 
 // TenantID returns the tenant this view is bound to.
 func (r *Registry) TenantID() TenantID { return r.tenant }
-
-// Epoch returns the store's global generation: a counter bumped on every
-// Publish/Withdraw of any tenant. It is a single atomic load — callers
-// poll it to detect "nothing changed since my snapshot" without locking.
-// For a tenant-precise signal use CapabilityEpochs.
-func (r *Registry) Epoch() uint64 { return r.store.Epoch() }
 
 // CapabilityEpochs overwrites dst from index 0 with the current epoch of
 // each required capability concept for this tenant (bumped whenever a
@@ -243,15 +224,6 @@ func (r *Registry) CapabilityEpochs(dst []uint64, concepts ...semantics.ConceptI
 func (r *Registry) NewEpochProbe(concepts ...semantics.ConceptID) *EpochProbe {
 	return &EpochProbe{store: r.store, tenant: r.tenant, concepts: append([]semantics.ConceptID(nil), concepts...)}
 }
-
-// SetIndexing enables or disables the capability index store-wide
-// (enabled by default); disabling drops the index and reverts Candidates
-// to the full-scan path. It exists as an ablation/benchmark knob and as
-// a safety valve.
-func (r *Registry) SetIndexing(enabled bool) { r.store.SetIndexing(enabled) }
-
-// Metrics returns a snapshot of the store-wide lookup counters.
-func (r *Registry) Metrics() Metrics { return r.store.Metrics() }
 
 // Ontology returns the registry's shared ontology (may be nil).
 func (r *Registry) Ontology() *semantics.Ontology { return r.store.Ontology() }
@@ -298,9 +270,9 @@ func (r *Registry) All() []Description {
 // offers cannot cover ps are skipped. Results are sorted by match level
 // then ID.
 //
-// With indexing enabled (the default) the lookup reads exactly one index
-// entry, the required concept's, without a lock in the steady state;
-// the full scan remains as the fallback path.
+// The lookup reads exactly one capability key's filing, the required
+// concept's, without a lock in the steady state: every service is filed
+// under its capability closure when it is published.
 func (r *Registry) Candidates(required semantics.ConceptID, ps *qos.PropertySet) []Candidate {
 	return r.store.candidates(r.tenant, required, ps)
 }

@@ -14,27 +14,35 @@ import (
 // Registry type is a tenant-bound view over a Store: many logical
 // environments (tenants) share one process and one Store.
 //
-// Write rule: one RWMutex guards the directory, the capability index
-// and the writers' entry map. Publish and Withdraw hold it across the
-// directory update and the index update, so a service's filing and its
-// epoch bumps land as one step and two mutations of the same service
-// never interleave. A service is indexed under every key of its
-// capability closure; the description itself is stored once, as an
-// immutable *storedService shared by all filings. Lookups hand out a
-// pointer to the frozen description (Candidate.Service); Get and All
-// clone it on the way out, so no caller can write the registry's copy.
+// Write rule: one RWMutex guards the directory and the writers' entry
+// map, whose capEntries hold each key's filing set. Publish and Withdraw
+// hold it across the directory update and the filing update, so a
+// service's filing and its epoch bumps land as one step and two
+// mutations of the same service never interleave. A service is filed
+// when it is published, under every key of its capability closure; the
+// description itself is stored once, as an immutable *storedService
+// shared by all filings. Lookups hand out a pointer to the frozen
+// description (Candidate.Service); Get and All clone it on the way out,
+// so no caller can write the registry's copy.
+//
+// Ontology changes: a concept or alias mutation changes closures, so
+// the first lookup that sees the ontology version past the one the
+// filings were computed under refiles the whole store under the write
+// lock. A publish whose closure was computed under an older version
+// than the one it finds under the lock computes it again, so a refile
+// that runs between the two cannot leave it filed under a stale closure.
 //
 // Epochs: the epoch of capability key k is bumped under the write lock,
-// before the index change for k, so a snapshot taken before a lookup
+// before the filing change for k, so a snapshot taken before a lookup
 // still certifies "no candidate this lookup could see has changed".
 //
 // Read path: each capability key owns a capEntry (its epoch and a
 // cached candidate list), reached through a sync.Map whose Load is
 // lock-free. Writers, under the write lock, nil the list before they
 // bump the epoch; a reader that finds the list nil takes the write lock,
-// re-checks, rebuilds the list from the index and stores it. A list is
-// never stored outside the write lock, so a reader that has seen epoch E
-// can only load a list built after the mutation that set E.
+// re-checks, rebuilds the list from the filing set and stores it. A list
+// is never stored outside the write lock, so a reader that has seen
+// epoch E can only load a list built after the mutation that set E.
 // Steady-state Candidates and CapabilityEpochs take no lock.
 
 // TenantID names a logical environment sharing the store. The zero value
@@ -61,39 +69,49 @@ type svcKey struct {
 	id     ServiceID
 }
 
-// capKey is the tenant-scoped key of a capability concept: its index
-// entry and its epoch counter.
+// capKey is the tenant-scoped key of a capability concept: its filing
+// set and its epoch counter.
 type capKey struct {
 	tenant  TenantID
 	concept semantics.ConceptID
 }
 
 // storedService is one published description plus the filing metadata
-// every index entry that holds it shares. desc is the description Publish
+// every filing of it shares. desc is the description Publish
 // froze: nothing writes it, and every candidate of this publish points at
 // it (&desc; embedding it keeps a publish to one allocation). keys is
 // immutable after insertion (a re-publish swaps in a fresh
-// storedService; the whole-store rebuild, under the write lock, is the
+// storedService; the whole-store refile, under the write lock, is the
 // only writer of keys).
 type storedService struct {
 	desc Description
 	// keys is the canonical capability closure the service is filed and
 	// epoch-bumped under: its canonical capability plus every ancestor.
-	// Computed once per Publish and reused for index filing and epoch
-	// bumps.
+	// Computed once per Publish and reused for filing and epoch bumps.
 	keys []semantics.ConceptID
 }
 
-// capEntry is the read-side state of one capability key. Entries are
-// created under the write lock and never removed, so a key's epoch
-// survives index rebuilds.
+// capEntry is the state of one capability key. Entries are created
+// under the write lock and never removed, so a key's epoch survives
+// whole-store refiles.
 type capEntry struct {
 	epoch atomic.Uint64
-	// list holds the services filed under the key, built from the index;
-	// nil means it must be rebuilt. It is stored only under the write
-	// lock and never mutated after the store: callers copy before
-	// filtering or sorting.
+	// list holds the services filed under the key, built from set; nil
+	// means it must be rebuilt. It is stored only under the write lock
+	// and never mutated after the store: callers copy before filtering or
+	// sorting.
 	list atomic.Pointer[[]*storedService]
+	// set is the writers' truth of the services filed under the key,
+	// guarded by Store.mu; readers consume it only through list.
+	set map[ServiceID]*storedService
+}
+
+// file adds ss to the key's filing set. Callers hold the write lock.
+func (e *capEntry) file(id ServiceID, ss *storedService) {
+	if e.set == nil {
+		e.set = make(map[ServiceID]*storedService)
+	}
+	e.set[id] = ss
 }
 
 // Store is the multi-tenant registry core. Create instances with
@@ -109,30 +127,16 @@ type Store struct {
 	mu sync.RWMutex
 	// services is the directory of every tenant.
 	services map[svcKey]*storedService
-	// index maps each capability key to the services filed under it.
-	// Writer truth; readers consume it only through capEntry.list or
-	// under mu.
-	index map[capKey]map[ServiceID]*storedService
 	// entries is the writers' typed view of keys.
 	entries map[capKey]*capEntry
 
-	// gen is the store-global generation, bumped on every mutation of any
-	// tenant; readers poll it with one atomic load.
-	gen   atomic.Uint64
-	total atomic.Int64
 	// counts holds per-tenant service counts (TenantID → *atomic.Int64).
 	counts sync.Map
 
-	// Index lifecycle: built lazily on the first indexed lookup, then
-	// maintained incrementally; a moved ontology version forces a
-	// whole-store rebuild (concept mutations change every closure).
-	indexing     atomic.Bool
-	built        atomic.Bool
+	// indexVersion is the ontology version the filings were computed
+	// under; a lookup that finds the ontology past it refiles the whole
+	// store.
 	indexVersion atomic.Uint64
-
-	indexedLookups atomic.Uint64
-	scanLookups    atomic.Uint64
-	indexRebuilds  atomic.Uint64
 
 	// The telemetry handles are nil without StoreOptions.Obs; their
 	// methods are no-ops then.
@@ -148,7 +152,7 @@ func NewStore(o *semantics.Ontology, opts StoreOptions) *Store {
 		services: make(map[svcKey]*storedService),
 		entries:  make(map[capKey]*capEntry),
 	}
-	s.indexing.Store(true)
+	s.indexVersion.Store(s.ontologyVersion())
 	if opts.Obs != nil {
 		s.lockWait = opts.Obs.Histogram("qasom_registry_lock_wait_seconds",
 			"Contended registry write-lock acquisition waits.",
@@ -169,34 +173,13 @@ func (s *Store) Tenant(t TenantID) *Registry {
 // Ontology returns the store's shared ontology (may be nil).
 func (s *Store) Ontology() *semantics.Ontology { return s.ontology }
 
-// Epoch returns the store-global generation: bumped on every
-// Publish/Withdraw of any tenant. One atomic load.
-func (s *Store) Epoch() uint64 { return s.gen.Load() }
-
-// Len returns the number of published services across all tenants.
-func (s *Store) Len() int { return int(s.total.Load()) }
-
-// SetIndexing enables or disables the capability index store-wide
-// (enabled by default); disabling drops the index and reverts lookups
-// to the full-scan path. Ablation/benchmark knob.
-func (s *Store) SetIndexing(enabled bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.indexing.Store(enabled)
-	if !enabled {
-		s.built.Store(false)
-		s.index = nil
-		s.clearListsLocked()
+// ontologyVersion is the shared ontology's mutation version, 0 without
+// one.
+func (s *Store) ontologyVersion() uint64 {
+	if s.ontology == nil {
+		return 0
 	}
-}
-
-// Metrics returns a snapshot of the store-wide lookup counters.
-func (s *Store) Metrics() Metrics {
-	return Metrics{
-		IndexedLookups: s.indexedLookups.Load(),
-		ScanLookups:    s.scanLookups.Load(),
-		IndexRebuilds:  s.indexRebuilds.Load(),
-	}
+	return s.ontology.Version()
 }
 
 // lock takes the write lock, feeding the contended-wait histogram when
@@ -235,28 +218,19 @@ func (s *Store) entry(ck capKey) *capEntry {
 	return e
 }
 
-// clearListsLocked drops every cached list, for index changes that move
-// no epoch. Callers hold the write lock.
-func (s *Store) clearListsLocked() {
-	for _, e := range s.entries {
-		e.list.Store(nil)
-	}
-}
-
-// listOf returns the cached list of ck, rebuilding it from the index
-// under the write lock when a mutation cleared it.
-func (s *Store) listOf(ck capKey, e *capEntry) []*storedService {
+// listOf returns the cached list of e, rebuilding it from e's filing
+// set under the write lock when a mutation cleared it.
+func (s *Store) listOf(e *capEntry) []*storedService {
 	if l := e.list.Load(); l != nil {
 		return *l
 	}
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	if l := e.list.Load(); l != nil {
 		return *l
 	}
-	set := s.index[ck]
-	list := make([]*storedService, 0, len(set))
-	for _, ss := range set {
+	list := make([]*storedService, 0, len(e.set))
+	for _, ss := range e.set {
 		list = append(list, ss)
 	}
 	e.list.Store(&list)
@@ -293,12 +267,18 @@ func (s *Store) publish(t TenantID, d Description) error {
 	}
 	// The clone is the frozen description every later lookup shares.
 	cp := d.clone()
-	// Canonicalize once, outside the lock: the closure drives index
-	// filing and epoch bumps alike.
+	// Canonicalize once, outside the lock: the closure drives filing and
+	// epoch bumps alike. The version is read first, so a closure the
+	// ontology may have moved under is recomputed under the lock, where
+	// no refile can run.
+	version := s.ontologyVersion()
 	ss := &storedService{desc: cp, keys: s.closureKeys(cp.Concept)}
 	sk := svcKey{t, cp.ID}
 
 	s.lock()
+	if s.ontologyVersion() != version {
+		ss.keys = s.closureKeys(cp.Concept)
+	}
 	old := s.services[sk]
 	s.services[sk] = ss
 	var oldKeys []semantics.ConceptID
@@ -308,9 +288,7 @@ func (s *Store) publish(t TenantID, d Description) error {
 	s.applyIndexDeltaLocked(t, cp.ID, ss, oldKeys, ss.keys)
 	s.mu.Unlock()
 
-	s.gen.Add(1)
 	if old == nil {
-		s.total.Add(1)
 		s.tenantCount(t).Add(1)
 	}
 	s.mutations.Inc()
@@ -331,8 +309,6 @@ func (s *Store) withdraw(t TenantID, id ServiceID) bool {
 	s.applyIndexDeltaLocked(t, id, nil, old.keys, nil)
 	s.mu.Unlock()
 
-	s.gen.Add(1)
-	s.total.Add(-1)
 	s.tenantCount(t).Add(-1)
 	s.mutations.Inc()
 	return true
@@ -343,46 +319,27 @@ func (s *Store) withdraw(t TenantID, id ServiceID) bool {
 // epoch of each key once per appearance in either list. ss == nil means
 // withdrawal. Callers hold the write lock.
 func (s *Store) applyIndexDeltaLocked(t TenantID, id ServiceID, ss *storedService, oldKeys, newKeys []semantics.ConceptID) {
-	maintain := s.built.Load()
-	// bump invalidates the key for lock-free readers before the index
+	// bump invalidates the key for lock-free readers before the filing
 	// change. The list is nilled before the epoch moves, so a reader that
 	// sees the new epoch finds no pre-mutation list to load.
-	bump := func(ck capKey) {
-		e := s.entryLocked(ck)
+	bump := func(k semantics.ConceptID) *capEntry {
+		e := s.entryLocked(capKey{t, k})
 		e.list.Store(nil)
 		e.epoch.Add(1)
+		return e
 	}
 	for _, k := range oldKeys {
-		ck := capKey{t, k}
-		bump(ck)
-		if !maintain || (ss != nil && containsConcept(newKeys, k)) {
+		e := bump(k)
+		if ss != nil && containsConcept(newKeys, k) {
 			continue // key kept: the newKeys pass below overwrites the filing
 		}
-		if set := s.index[ck]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(s.index, ck)
-			}
-		}
+		delete(e.set, id)
 	}
 	if ss == nil {
 		return
 	}
 	for _, k := range newKeys {
-		ck := capKey{t, k}
-		bump(ck)
-		if !maintain {
-			continue
-		}
-		if s.index == nil {
-			s.index = make(map[capKey]map[ServiceID]*storedService)
-		}
-		set := s.index[ck]
-		if set == nil {
-			set = make(map[ServiceID]*storedService)
-			s.index[ck] = set
-		}
-		set[id] = ss
+		bump(k).file(id, ss)
 	}
 }
 
@@ -468,8 +425,8 @@ func (s *Store) capabilityEpochs(t TenantID, dst []uint64, concepts ...semantics
 // concept list, resolving each concept's canonical key and capEntry
 // once per ontology version instead of on every call. A resolved
 // pointer stays valid because capEntries are never removed (a key's
-// epoch survives index rebuilds and SetIndexing); an alias change moves
-// the ontology version, which forces a fresh resolution. A warm probe
+// epoch survives whole-store refiles); an alias change moves the
+// ontology version, which forces a fresh resolution. A warm probe
 // is one atomic load per concept plus the version. Safe for concurrent
 // use.
 type EpochProbe struct {
@@ -536,71 +493,47 @@ func (p *EpochProbe) resolve(version uint64) *probeResolution {
 	return res
 }
 
-// ensureIndex builds the capability index on first use and rebuilds it
-// when the ontology's version moved (concept/alias mutations change
-// every closure). The rebuild holds the write lock, recomputes each
-// stored service's closure and refiles everything.
-func (s *Store) ensureIndex() {
-	version := uint64(0)
-	if s.ontology != nil {
-		version = s.ontology.Version()
-	}
-	if s.built.Load() && s.indexVersion.Load() == version {
+// refile recomputes every stored service's closure and refiles the
+// whole store when the ontology version moved past the one the filings
+// were computed under (concept and alias mutations change closures).
+func (s *Store) refile() {
+	if s.indexVersion.Load() == s.ontologyVersion() {
 		return
 	}
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
-	if s.ontology != nil {
-		version = s.ontology.Version()
-	}
-	if s.built.Load() && s.indexVersion.Load() == version {
+	version := s.ontologyVersion()
+	if s.indexVersion.Load() == version {
 		return
 	}
-	s.index = make(map[capKey]map[ServiceID]*storedService)
+	// A refile is not a mutation: epochs stay (the ontology version,
+	// appended to every epoch snapshot, certifies closure changes). Keys
+	// a moved ontology newly files get zero-epoch entries, and every list
+	// is cleared because filings changed under unchanged epochs.
+	for _, e := range s.entries {
+		e.list.Store(nil)
+		e.set = nil
+	}
 	for sk, ss := range s.services {
 		ss.keys = s.closureKeys(ss.desc.Concept)
 		for _, k := range ss.keys {
-			ck := capKey{sk.tenant, k}
-			set := s.index[ck]
-			if set == nil {
-				set = make(map[ServiceID]*storedService)
-				s.index[ck] = set
-			}
-			set[sk.id] = ss
+			s.entryLocked(capKey{sk.tenant, k}).file(sk.id, ss)
 		}
 	}
-	// A rebuild is not a mutation: epochs stay (the ontology version,
-	// appended to every epoch snapshot, certifies closure changes). Keys
-	// a moved ontology newly files get zero-epoch entries, and every list
-	// is cleared because index contents changed under unchanged epochs.
-	for ck := range s.index {
-		s.entryLocked(ck)
-	}
-	s.clearListsLocked()
 	s.indexVersion.Store(version)
-	s.built.Store(true)
-	s.indexRebuilds.Add(1)
 }
 
-// collect gathers the stored-service pointers a candidate lookup must
-// consider: the capability's cached list on the indexed path (lock-free
-// unless a mutation cleared it), the tenant's whole directory on the
-// scan path. indexed reports which path ran.
-// The indexed result may be a shared snapshot — callers must treat it
-// as immutable and copy before filtering or sorting.
-func (s *Store) collect(t TenantID, canon semantics.ConceptID) (stored []*storedService, indexed bool) {
-	if s.indexing.Load() {
-		s.ensureIndex()
-		s.indexedLookups.Add(1)
-		ck := capKey{t, canon}
-		e := s.entry(ck)
-		if e == nil {
-			return nil, true // key never filed or bumped: nothing to find
-		}
-		return s.listOf(ck, e), true
+// collect returns the services filed under the tenant's capability:
+// its cached list, lock-free unless a mutation or a refile cleared it.
+// The result may be a shared snapshot — callers must treat it as
+// immutable and copy before filtering or sorting.
+func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService {
+	s.refile()
+	e := s.entry(capKey{t, canon})
+	if e == nil {
+		return nil // key never filed or bumped: nothing to find
 	}
-	s.scanLookups.Add(1)
-	return s.tenantServices(t, nil), false
+	return s.listOf(e)
 }
 
 // candidates resolves the tenant's services able to provide the required
@@ -612,15 +545,10 @@ func (s *Store) candidates(t TenantID, required semantics.ConceptID, ps *qos.Pro
 	if s.ontology != nil {
 		required = s.ontology.Canonical(required)
 	}
-	stored, indexed := s.collect(t, required)
-	var out []Candidate
-	if indexed {
-		// Services filed under the capability match it (exact or
-		// plug-in); only one lacking an offer drops out, so size for all
-		// of them. The scan path's list is the whole tenant directory, so
-		// there out grows with the matches instead.
-		out = make([]Candidate, 0, len(stored))
-	}
+	stored := s.collect(t, required)
+	// Services filed under the capability match it (exact or plug-in);
+	// only one lacking an offer drops out, so size for all of them.
+	out := make([]Candidate, 0, len(stored))
 	levels := make(map[semantics.ConceptID]semantics.MatchLevel)
 	names := make(map[semantics.ConceptID]uint64)
 	vocab := offerVocab{o: s.ontology, ps: ps}

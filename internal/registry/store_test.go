@@ -1,5 +1,5 @@
-// Tests for the multi-tenant store: the indexed-versus-scan
-// differential pinned to recorded candidates and epoch values, tenant
+// Tests for the multi-tenant store: the candidate differential against
+// a reference scan, pinned to recorded candidates and epoch values, tenant
 // isolation, watch-event hygiene and drop accounting, and the raced
 // epoch-monotonicity differential the CI quick gate runs under -race.
 package registry
@@ -7,6 +7,7 @@ package registry
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,37 +19,31 @@ import (
 )
 
 // TestDifferentialIndexedCandidates drives one deterministic
-// publish/withdraw/re-publish sequence into an indexed store and a
-// scan-path store, and demands bit-identical observable state from
-// both: the same candidates for every lookup and the same
-// capability-epoch values. Both are also pinned to literals: per-key
-// bump counts are a function of the operation sequence alone, never of
-// how the store lays out its locks, so a change to the write path must
-// reproduce them exactly.
+// publish/withdraw/re-publish sequence into a store and demands that
+// every lookup, mid-sequence and at the end, returns what
+// referenceCandidates finds by scanning All(): a re-publish under a new
+// capability must leave no stale filing behind. The end state is also
+// pinned to literals: per-key bump counts are a function of the
+// operation sequence alone, never of how the store lays out its locks,
+// so a change to the write path must reproduce them exactly.
 func TestDifferentialIndexedCandidates(t *testing.T) {
 	onto := semantics.PervasiveWithScenarios()
 	ps := qos.StandardSet()
 	concepts := []semantics.ConceptID{
 		semantics.BookSale, semantics.CDSale, semantics.NotifyService, semantics.CardPayment,
 	}
-
-	regs := map[string]*Registry{
-		"indexed": NewStore(onto, StoreOptions{}).Tenant(DefaultTenant),
-		"scan":    NewStore(onto, StoreOptions{}).Tenant(DefaultTenant),
-	}
-	regs["scan"].SetIndexing(false)
-
-	apply := func(f func(r *Registry) error) {
+	r := NewStore(onto, StoreOptions{}).Tenant(DefaultTenant)
+	lookup := func(c semantics.ConceptID) []Candidate {
 		t.Helper()
-		for name, r := range regs {
-			if err := f(r); err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
+		got := r.Candidates(c, ps)
+		if err := sameCandidates(got, referenceCandidates(onto, r.All(), c, ps)); err != nil {
+			t.Fatalf("Candidates(%s): %v", c, err)
 		}
+		return got
 	}
-	// Deterministic churn: publishes, interleaved lookups (so index
-	// maintenance paths differ from build-once), withdrawals and
-	// capability moves.
+
+	// Deterministic churn: publishes, interleaved lookups (so filings
+	// are read between mutations), withdrawals and capability moves.
 	rnd := uint64(12345)
 	next := func(n int) int {
 		rnd = rnd*6364136223846793005 + 1442695040888963407
@@ -57,34 +52,19 @@ func TestDifferentialIndexedCandidates(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		id := fmt.Sprintf("svc-%03d", next(120))
 		switch next(10) {
-		case 0, 1: // withdraw (may be a no-op; must be a no-op everywhere)
-			var agree *bool
-			for name, r := range regs {
-				ok := r.Withdraw(ServiceID(id))
-				if agree == nil {
-					agree = &ok
-				} else if *agree != ok {
-					t.Fatalf("Withdraw(%s) disagreement at %s", id, name)
-				}
-			}
-		case 2: // mid-sequence lookup exercises incremental maintenance
-			c := concepts[next(len(concepts))]
-			var want []Candidate
-			for _, r := range regs {
-				got := r.Candidates(c, ps)
-				if want == nil {
-					want = got
-				} else if len(got) != len(want) {
-					t.Fatalf("mid-sequence lookup diverged for %s", c)
-				}
-			}
+		case 0, 1: // withdraw (may be a no-op)
+			r.Withdraw(ServiceID(id))
+		case 2: // mid-sequence lookup reads the incrementally kept filings
+			lookup(concepts[next(len(concepts))])
 		default:
 			d := Description{
 				ID:      ServiceID(id),
 				Concept: concepts[next(len(concepts))],
 				Offers:  stdOffers(40+float64(next(60)), 5, 0.95, 0.9, 40),
 			}
-			apply(func(r *Registry) error { return r.Publish(d) })
+			if err := r.Publish(d); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -124,25 +104,17 @@ func TestDifferentialIndexedCandidates(t *testing.T) {
 	wantEpochs := []uint64{86, 85, 85, 171, 76, 86, 0, 184}
 	const wantLen = 79
 
-	for name, r := range regs {
-		if r.Len() != wantLen {
-			t.Errorf("%s: Len = %d, want %d", name, r.Len(), wantLen)
-		}
-		for _, c := range lookups {
-			got := candidateIDs(r.Candidates(c, ps))
-			if fmt.Sprint(got) != fmt.Sprint(wantIDs[c]) {
-				t.Errorf("%s: Candidates(%s) = %v, want %v", name, c, got, wantIDs[c])
-			}
-		}
-		if got := r.CapabilityEpochs(nil, lookups...); fmt.Sprint(got) != fmt.Sprint(wantEpochs) {
-			t.Errorf("%s: CapabilityEpochs = %v, want %v", name, got, wantEpochs)
+	if r.Len() != wantLen {
+		t.Errorf("Len = %d, want %d", r.Len(), wantLen)
+	}
+	for _, c := range lookups {
+		got := candidateIDs(lookup(c))
+		if fmt.Sprint(got) != fmt.Sprint(wantIDs[c]) {
+			t.Errorf("Candidates(%s) = %v, want %v", c, got, wantIDs[c])
 		}
 	}
-	if m := regs["indexed"].Metrics(); m.IndexRebuilds != 1 {
-		t.Errorf("indexed store metrics = %+v, want one lazy build", m)
-	}
-	if m := regs["scan"].Metrics(); m.ScanLookups == 0 {
-		t.Errorf("scan store metrics = %+v, want scan lookups", m)
+	if got := r.CapabilityEpochs(nil, lookups...); fmt.Sprint(got) != fmt.Sprint(wantEpochs) {
+		t.Errorf("CapabilityEpochs = %v, want %v", got, wantEpochs)
 	}
 }
 
@@ -158,8 +130,8 @@ func TestTenantIsolation(t *testing.T) {
 	if err := b.Publish(bookService("s1", 90)); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 1 || b.Len() != 1 || store.Len() != 2 {
-		t.Fatalf("Len: a=%d b=%d store=%d", a.Len(), b.Len(), store.Len())
+	if a.Len() != 1 || b.Len() != 1 {
+		t.Fatalf("Len: a=%d b=%d", a.Len(), b.Len())
 	}
 	da, _ := a.Get("s1")
 	db, _ := b.Get("s1")
@@ -282,11 +254,14 @@ func TestDifferentialEpochMonotonicityRaced(t *testing.T) {
 }
 
 // TestShardTelemetry checks the store's write telemetry: the mutation
-// counter and contended-lock-wait histogram register and the mutation
-// count equals the operations applied.
+// counter and contended-lock-wait histogram register, the mutation
+// count equals the operations applied, and a lookup that waits for the
+// write lock (to rebuild a list a publish cleared, or to refile the
+// store after an ontology change) counts as one contended wait.
 func TestShardTelemetry(t *testing.T) {
 	o := obs.NewRegistry()
-	store := NewStore(semantics.PervasiveWithScenarios(), StoreOptions{Obs: o})
+	onto := semantics.PervasiveWithScenarios()
+	store := NewStore(onto, StoreOptions{Obs: o})
 	r := store.Tenant(DefaultTenant)
 	const ops = 20
 	for i := 0; i < ops; i++ {
@@ -295,23 +270,74 @@ func TestShardTelemetry(t *testing.T) {
 		}
 	}
 	var mutations float64
-	var sawLockWait bool
-	for _, m := range o.Snapshot() {
-		switch m.Name {
-		case "qasom_registry_mutations_total":
-			for _, s := range m.Series {
-				mutations += s.Value
+	var lockWaits uint64
+	sawLockWait := false
+	read := func() {
+		mutations, lockWaits = 0, 0
+		for _, m := range o.Snapshot() {
+			switch m.Name {
+			case "qasom_registry_mutations_total":
+				for _, s := range m.Series {
+					mutations += s.Value
+				}
+			case "qasom_registry_lock_wait_seconds":
+				sawLockWait = true
+				for _, s := range m.Series {
+					lockWaits += s.Histogram.Count
+				}
 			}
-		case "qasom_registry_lock_wait_seconds":
-			sawLockWait = true
 		}
 	}
+	read()
 	if mutations != ops {
 		t.Errorf("mutation counter = %g, want %d", mutations, ops)
 	}
 	if !sawLockWait {
-		t.Error("lock-wait histogram not registered")
+		t.Fatal("lock-wait histogram not registered")
 	}
+	if lockWaits != 0 {
+		t.Errorf("uncontended publishes counted %d lock waits", lockWaits)
+	}
+
+	// blockedLookup holds the write lock while a lookup starts and lets
+	// it go once the lookup waits for it.
+	ps := qos.StandardSet()
+	blockedLookup := func(step string) {
+		t.Helper()
+		store.mu.Lock()
+		done := make(chan int)
+		go func() { done <- len(r.Candidates(semantics.BookSale, ps)) }()
+		for deadline := time.Now().Add(10 * time.Second); !lockWaiter(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				store.mu.Unlock()
+				t.Fatalf("%s: the lookup never waited for the write lock", step)
+			}
+		}
+		store.mu.Unlock()
+		if n := <-done; n != ops {
+			t.Fatalf("%s: lookup returned %d candidates, want %d", step, n, ops)
+		}
+	}
+	blockedLookup("list rebuild")
+	onto.MustAddConcept("TelemetryConcept", semantics.BookSale)
+	blockedLookup("refile")
+	read()
+	if lockWaits != 2 {
+		t.Errorf("lock-wait histogram counted %d waits, want 2 (list rebuild, refile)", lockWaits)
+	}
+}
+
+// lockWaiter reports whether some goroutine is inside the store, waiting
+// in RWMutex.Lock.
+func lockWaiter() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "registry.(*Store).") && strings.Contains(g, "sync.(*RWMutex).Lock(") {
+			return true
+		}
+	}
+	return false
 }
 
 // TestRacedSnapshotReads hammers the lock-free read path (Candidates +
@@ -507,6 +533,76 @@ func TestRebuildInvalidatesStalePublications(t *testing.T) {
 	o.MustAddConcept("kiosk", "shop")
 	if got := candidateIDs(r.Candidates("shop", ps)); len(got) != 2 {
 		t.Fatalf("post-rebuild lookup = %v, want both services", got)
+	}
+}
+
+// TestRacedAliasRetarget races publishes and lookups against an alias
+// that keeps moving between two capabilities, so a lookup's whole-store
+// refile can land between a publish's closure computation and its
+// filing. At every quiescent point each lookup must return what
+// referenceCandidates finds by scanning All() under the current
+// ontology: a publish filed under a stale closure is missing from its
+// new capability's list, whose epoch never moved for it.
+func TestRacedAliasRetarget(t *testing.T) {
+	const alias = semantics.ConceptID("RetargetSale")
+	targets := []semantics.ConceptID{semantics.MediaSale, semantics.BookSale}
+	onto := semantics.PervasiveWithScenarios()
+	onto.MustAddAlias(alias, targets[0])
+	r := NewStore(onto, StoreOptions{}).Tenant(DefaultTenant)
+	ps := qos.StandardSet()
+	lookups := []semantics.ConceptID{semantics.BookSale, semantics.MediaSale, semantics.CDSale, semantics.ShoppingService}
+	published := []semantics.ConceptID{alias, alias, alias, semantics.CDSale}
+
+	deadline := time.Now().Add(2 * time.Second)
+	for round := 0; round < 400 && time.Now().Before(deadline); round++ {
+		stop := make(chan struct{})
+		var reader, writers sync.WaitGroup
+		reader.Add(1)
+		go func() {
+			defer reader.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r.Candidates(lookups[i%len(lookups)], ps)
+			}
+		}()
+		for g := 0; g < 2; g++ {
+			writers.Add(1)
+			go func(g int) {
+				defer writers.Done()
+				for i := 0; i < 8; i++ {
+					d := Description{
+						ID:      ServiceID(fmt.Sprintf("g%d-s%d", g, (round+i)%12)),
+						Concept: published[(g+i)%len(published)],
+						Offers:  stdOffers(40+float64(i), 5, 0.95, 0.9, 40),
+					}
+					if err := r.Publish(d); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			if err := onto.AddAlias(alias, targets[(round+1)%len(targets)]); err != nil {
+				t.Error(err)
+			}
+		}()
+		writers.Wait()
+		close(stop)
+		reader.Wait()
+
+		all := r.All()
+		for _, c := range lookups {
+			if err := sameCandidates(r.Candidates(c, ps), referenceCandidates(onto, all, c, ps)); err != nil {
+				t.Fatalf("round %d, Candidates(%s): %v", round, c, err)
+			}
+		}
 	}
 }
 

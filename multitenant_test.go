@@ -56,8 +56,8 @@ func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
 	}
 	seedShoppingServices(t, mwA, "a")
 	seedShoppingServices(t, mwB, "b")
-	if store.Len() != 24 {
-		t.Fatalf("store.Len = %d, want 24 across both tenants", store.Len())
+	if n := store.Tenant("tenant-a").Len() + store.Tenant("tenant-b").Len(); n != 24 {
+		t.Fatalf("tenants hold %d services, want 24 across both", n)
 	}
 
 	const doc = `<process name="tenant-shopping" concept="Shopping">
