@@ -93,14 +93,16 @@ if [ "${1:-}" = "quick" ]; then
 	# Compose of one interned document while other inserts rotate the
 	# intern table's generations, the mutex-profile assertion that
 	# the warm read paths acquire zero locks, the warm hit's
-	# allocation ceiling and telemetry (spans, flight record and
-	# exemplar sharing the hit's clock readings), first contract
+	# allocation ceiling and telemetry (root span, flight record and
+	# exemplar sharing the hit's clock readings), flight-ring snapshots
+	# and /debug/requests reads racing the records hits hand over
+	# without a copy, first contract
 	# establishment racing compliance checks, and lookups, composes,
 	# substitutions and re-publishes of the same IDs reading the
 	# registry's shared frozen descriptions (nothing may write one).
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications|TestRacedAliasRetarget' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry|TestConcurrentContracts|TestRacedSharedDescriptions' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry|TestTelemetryUnderConcurrency|TestConcurrentContracts|TestRacedSharedDescriptions' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

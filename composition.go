@@ -96,10 +96,11 @@ func (m *Middleware) ComposeContext(ctx context.Context, req Request) (*Composit
 		Tenant:  m.tenant,
 		Start:   start,
 	}
-	comp, err := m.compose(ctx, span, req, &rec)
+	comp, err := m.compose(ctx, req, &rec)
 	end := time.Now()
 	rec.Duration = end.Sub(start)
 	m.met.composeSeconds.ObserveExemplarAt(rec.Duration.Seconds(), rec.TraceID, end)
+	m.met.observePhases(rec.Phases)
 	if err != nil {
 		m.met.composeErrors.Inc()
 		span.Annotate("error", err.Error())
@@ -113,19 +114,14 @@ func (m *Middleware) ComposeContext(ctx context.Context, req Request) (*Composit
 }
 
 // compose is the body of ComposeContext, with the per-call telemetry
-// (root span, outcome counters, end-to-end latency, flight record)
-// applied around it. rec is filled in as the pipeline progresses so a
-// failed call still documents how far it got; rec.Start is the start of
-// task resolution.
-func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, rec *obs.RequestRecord) (*Composition, error) {
-	// Nothing reads the resolve span from a context: a leaf child suffices.
-	resolveSpan := root.StartChild("compose.resolve", rec.Start)
+// (root span, outcome counters, end-to-end latency, phase histograms,
+// flight record) applied around it. rec is filled in as the pipeline
+// progresses so a failed call still documents how far it got; its
+// Phases are the one record of this request's phase timings. rec.Start
+// is the start of task resolution.
+func (m *Middleware) compose(ctx context.Context, req Request, rec *obs.RequestRecord) (*Composition, error) {
 	te, err := m.resolveTask(req.Task)
-	resolveEnd := time.Now()
-	resolveSpan.EndAt(resolveEnd)
-	resolveDur := resolveEnd.Sub(rec.Start)
-	rec.Phases.Resolve = resolveDur
-	m.met.phaseResolve.ObserveDuration(resolveDur)
+	rec.Phases.Resolve = time.Since(rec.Start)
 	if err != nil {
 		return nil, err
 	}
@@ -208,9 +204,7 @@ func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, r
 		rec.CacheMiss = outcome.missCause()
 	}
 
-	cacheBefore := m.ontology.Stats()
 	lookupStart := time.Now()
-	_, lookupSpan := obs.StartSpan(ctx, "compose.lookup")
 	var src core.CandidateSource = m.reg
 	var memo *memoGather
 	if memoised {
@@ -218,16 +212,13 @@ func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, r
 		src = memo
 	}
 	candidates, err := core.GatherCandidates(ctx, t, src, m.props)
-	lookupSpan.End()
+	rec.Phases.Lookup = time.Since(lookupStart)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, err
 		}
 		return nil, fmt.Errorf("qasom: %w", err)
 	}
-	lookupDur := time.Since(lookupStart)
-	cacheDelta := m.ontology.Stats().Delta(cacheBefore)
-	m.met.phaseLookup.ObserveDuration(lookupDur)
 
 	var res *core.Result
 	if req.Distributed {
@@ -258,11 +249,8 @@ func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, r
 	if err != nil {
 		return nil, err
 	}
-	m.met.phaseLocal.ObserveDuration(res.Stats.LocalDuration)
-	m.met.phaseGlobal.ObserveDuration(res.Stats.GlobalDuration)
 	// Phase timings describe this request only, so they are recorded on
 	// the miss path: a hit ran none of these phases.
-	rec.Phases.Lookup = lookupDur
 	rec.Phases.Local = res.Stats.LocalDuration
 	rec.Phases.Global = res.Stats.GlobalDuration
 	fillSelectionRecord(rec, res, res.BindingRecords())
@@ -275,29 +263,28 @@ func (m *Middleware) compose(ctx context.Context, root *obs.Span, req Request, r
 	}
 	st := res.Stats
 	return m.wrapComposition(te, coreReq, res, &SelectionStats{
-		CandidateLookup:  lookupDur,
-		LocalPhase:       st.LocalDuration,
-		GlobalPhase:      st.GlobalDuration,
-		Workers:          st.Workers,
-		PeakWorkersBusy:  st.PeakWorkersBusy,
-		LevelsExplored:   st.LevelsExplored,
-		Evaluations:      st.Evaluations,
-		RepairSwaps:      st.RepairSwaps,
-		MatchCacheHits:   cacheDelta.MatchHits,
-		MatchCacheMisses: cacheDelta.MatchMisses,
-		Retries:          st.Retries,
-		Hedges:           st.Hedges,
-		BreakerSkips:     st.BreakerSkips,
-		Fallbacks:        st.Fallbacks,
-		Degraded:         res.Degraded,
-		FrontSize:        st.FrontSize,
+		CandidateLookup: rec.Phases.Lookup,
+		LocalPhase:      rec.Phases.Local,
+		GlobalPhase:     rec.Phases.Global,
+		Workers:         st.Workers,
+		PeakWorkersBusy: st.PeakWorkersBusy,
+		LevelsExplored:  st.LevelsExplored,
+		Evaluations:     st.Evaluations,
+		RepairSwaps:     st.RepairSwaps,
+		Retries:         st.Retries,
+		Hedges:          st.Hedges,
+		BreakerSkips:    st.BreakerSkips,
+		Fallbacks:       st.Fallbacks,
+		Degraded:        res.Degraded,
+		FrontSize:       st.FrontSize,
 	}), nil
 }
 
 // fillSelectionRecord copies the selection outcome into the flight
 // record: resilience/degradation counters and the final bindings with
 // their per-activity utility contributions (res.BindingRecords(); a hit
-// passes the plan entry's shared copy, which Record clones).
+// passes the plan entry's shared, never-written copy, which the flight
+// recorder keeps without copying).
 func fillSelectionRecord(rec *obs.RequestRecord, res *core.Result, bindings []obs.BindingRecord) {
 	rec.Degraded = res.Degraded
 	rec.DegradedCauses = res.Stats.DegradedCauses
@@ -357,12 +344,10 @@ func (m *Middleware) resolveTask(spec string) (*taskEntry, error) {
 
 // SelectionStats attributes the cost of the Compose request that
 // produced this composition: where the time went (candidate lookup vs.
-// QASSA's local and global phases), how parallel the local phase
-// actually ran, and how effective the semantic caches were. A plan-cache
-// hit ran none of that work and reports CacheHit with every other field
-// zero. Cache counters are per-ontology deltas sampled around the
-// lookup, so under concurrent Compose calls they are approximate
-// attributions.
+// QASSA's local and global phases, the same durations the request's
+// flight record holds) and how parallel the local phase actually ran. A
+// plan-cache hit ran none of that work and reports CacheHit with every
+// other field zero.
 type SelectionStats struct {
 	// CandidateLookup is the time spent resolving candidates from the
 	// registry (semantic matching, vector alignment).
@@ -375,9 +360,6 @@ type SelectionStats struct {
 	// LevelsExplored, Evaluations and RepairSwaps count global-phase
 	// work; Evaluations counts the evaluations made by the global search.
 	LevelsExplored, Evaluations, RepairSwaps int
-	// MatchCacheHits/Misses report the ontology match-memo effectiveness
-	// during candidate lookup.
-	MatchCacheHits, MatchCacheMisses uint64
 	// Retries, Hedges, BreakerSkips and Fallbacks count the resilience
 	// layer's work during distributed selection (all zero for a
 	// centralized selection or a fault-free distributed one).

@@ -1,5 +1,5 @@
 // Warm plan-cache hit tests: what a hit allocates, and that the
-// telemetry it reports (spans, flight record, latency exemplar) is
+// telemetry it reports (root span, flight record, latency exemplar) is
 // complete and shares the hit's three clock readings.
 package qasom_test
 
@@ -12,12 +12,12 @@ import (
 )
 
 // composeHitAllocs is the allocation count of one warm hit through
-// Compose, with a hub attached: the root and resolve spans, the root
-// span's context value and its child slot, the trace ID string, the
-// latency exemplar, the flight record's bindings copy, the plan key,
-// the core request and its constraint slice, the Composition and its
-// adaptation runtime.
-const composeHitAllocs = 12
+// Compose, with a hub attached: the root span and its context value,
+// the trace ID string, the latency exemplar, the plan key, the core
+// request and its constraint slice, the Composition and its adaptation
+// runtime. The hit's phases live only in its flight record, which the
+// ring keeps without copying (it shares the plan entry's bindings).
+const composeHitAllocs = 9
 
 func TestComposeHitAllocs(t *testing.T) {
 	mw, err := qasom.New(qasom.Options{Obs: obs.NewHub()})
@@ -69,15 +69,8 @@ func TestComposeHitTelemetry(t *testing.T) {
 	if root.Name != "compose" || root.TraceID == "" {
 		t.Fatalf("last root span = %q (trace %q), want a traced compose", root.Name, root.TraceID)
 	}
-	if len(root.Children) != 1 || root.Children[0].Name != "compose.resolve" {
-		t.Fatalf("hit root children = %+v, want one compose.resolve", root.Children)
-	}
-	resolve := root.Children[0]
-	if resolve.TraceID != root.TraceID || resolve.SpanID == root.SpanID {
-		t.Errorf("resolve span identity %s/%s under root %s/%s", resolve.TraceID, resolve.SpanID, root.TraceID, root.SpanID)
-	}
-	if !resolve.Start.Equal(root.Start) || resolve.Duration <= 0 || resolve.Duration > root.Duration {
-		t.Errorf("resolve span [%v +%v] outside root [%v +%v]", resolve.Start, resolve.Duration, root.Start, root.Duration)
+	if len(root.Children) != 0 || root.Dropped != 0 {
+		t.Fatalf("hit root children = %+v, want none: the flight record holds the phases", root.Children)
 	}
 
 	recs := hub.Flight.Snapshot(obs.FlightQuery{})
@@ -91,8 +84,8 @@ func TestComposeHitTelemetry(t *testing.T) {
 	if !rec.Start.Equal(root.Start) || rec.Duration != root.Duration {
 		t.Errorf("flight record [%v +%v], root span [%v +%v]", rec.Start, rec.Duration, root.Start, root.Duration)
 	}
-	if rec.Phases.Resolve != resolve.Duration {
-		t.Errorf("Phases.Resolve %v, resolve span %v", rec.Phases.Resolve, resolve.Duration)
+	if rec.Phases.Resolve <= 0 || rec.Phases.Resolve > rec.Duration {
+		t.Errorf("Phases.Resolve %v outside (0, %v]", rec.Phases.Resolve, rec.Duration)
 	}
 	if rec.Phases.Lookup != 0 || rec.Phases.Local != 0 || rec.Phases.Global != 0 {
 		t.Errorf("a hit ran no selection phase, record has %+v", rec.Phases)

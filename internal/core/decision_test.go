@@ -10,9 +10,9 @@ import (
 
 // decision is the deterministic part of a Result: a pure function of
 // (request, candidates, seed). Differentials compare decisions only;
-// wall-clock durations, worker occupancy (Workers, PeakWorkersBusy),
-// match-cache deltas and the cache-hit flag are run telemetry that
-// legitimately varies with scheduling and history.
+// wall-clock durations, worker occupancy (Workers, PeakWorkersBusy)
+// and the cache-hit flag are run telemetry that legitimately varies
+// with scheduling and history.
 type decision struct {
 	Assignment Assignment
 	Alternates map[string][]registry.Candidate

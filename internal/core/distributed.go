@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -414,7 +415,9 @@ func (d *DistributedSelector) Select(ctx context.Context, req *Request) (*Result
 		// The core-layer flight record explains the distributed decision
 		// itself (phase split, resilience work, fallback causes, final
 		// bindings); a façade compose over this selection adds its own
-		// record under the same trace ID.
+		// record under the same trace ID. The ring keeps what it is
+		// given, and the caller of Select owns res, so the causes map
+		// goes in as a copy.
 		hub.Flight.Record(&obs.RequestRecord{
 			Kind:           "dist-select",
 			TraceID:        traceID,
@@ -423,7 +426,7 @@ func (d *DistributedSelector) Select(ctx context.Context, req *Request) (*Result
 			Duration:       time.Since(startLocal),
 			Phases:         obs.PhaseTimings{Local: localDur, Global: res.Stats.GlobalDuration},
 			Degraded:       res.Degraded,
-			DegradedCauses: res.Stats.DegradedCauses,
+			DegradedCauses: maps.Clone(res.Stats.DegradedCauses),
 			Retries:        rst.Retries,
 			Hedges:         rst.Hedges,
 			BreakerSkips:   rst.BreakerSkips,

@@ -255,8 +255,7 @@ func (ps *paretoSearch) sweep() error {
 // ordered flattens the archive into the result front: the
 // scalarized-best member first (the backward-compatible pick), then by
 // descending crowding distance (boundary and best-spread members first),
-// with utility and snapshot order as deterministic tie-breaks. A
-// ParetoMaxFront cap prunes the most crowded members.
+// with utility and snapshot order as deterministic tie-breaks.
 func (ps *paretoSearch) ordered() []*paretoEntry {
 	pts := ps.arch.Points()
 	if len(pts) == 0 {
@@ -289,9 +288,6 @@ func (ps *paretoSearch) ordered() []*paretoEntry {
 		}
 		return lessSnap(rest[x].snap, rest[y].snap)
 	})
-	if limit := ps.g.opts.ParetoMaxFront; limit > 0 && len(ents) > limit {
-		ents = ents[:limit]
-	}
 	return ents
 }
 

@@ -56,8 +56,9 @@ func TestDifferentialParetoKernels(t *testing.T) {
 
 // checkFrontInvariants asserts the structural contract of a Pareto
 // result: every front member is feasible and dependency-clean, members
-// are mutually non-dominated over the objectives, Front[0] mirrors the
-// top-level result fields, and FrontSize matches.
+// are mutually non-dominated over the objectives, Front[0] is the
+// scalarized-best member and mirrors the top-level result fields, and
+// FrontSize matches.
 func checkFrontInvariants(t *testing.T, req *Request, res *Result) {
 	t.Helper()
 	if res.Stats.FrontSize != len(res.Front) {
@@ -97,6 +98,9 @@ func checkFrontInvariants(t *testing.T, req *Request, res *Result) {
 	for i, m := range res.Front {
 		if !m.Feasible {
 			t.Fatalf("front member %d marked infeasible", i)
+		}
+		if m.Utility > first.Utility {
+			t.Fatalf("front member %d utility %v exceeds Front[0]'s %v: the scalarized-best member must come first", i, m.Utility, first.Utility)
 		}
 		if !req.Constraints.Satisfied(req.Properties, m.Aggregated) {
 			t.Fatalf("front member %d violates the global constraints", i)
@@ -141,38 +145,6 @@ func TestParetoSweepRegime(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkFrontInvariants(t, req, res)
-	}
-}
-
-// TestParetoMaxFront caps the returned front and keeps the
-// scalarized-best member in slot 0.
-func TestParetoMaxFront(t *testing.T) {
-	ps := qos.StandardSet()
-	laws := workload.DefaultLaws(ps)
-	g := workload.NewGenerator(3)
-	tk := g.Task("PM", 5, workload.ShapeLinear)
-	cands := g.Candidates(tk, 4, ps, laws)
-	req := &Request{
-		Task:       tk,
-		Properties: ps,
-		Objectives: []string{"responseTime", "price", "availability"},
-	}
-	full, err := NewSelector(Options{Workers: 1, ParetoMode: true}).Select(req, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Front) < 3 {
-		t.Skipf("front too small (%d) to exercise the cap", len(full.Front))
-	}
-	capped, err := NewSelector(Options{Workers: 1, ParetoMode: true, ParetoMaxFront: 2}).Select(req, cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped.Front) != 2 {
-		t.Fatalf("capped front has %d members, want 2", len(capped.Front))
-	}
-	if !reflect.DeepEqual(capped.Front[0].Assignment, full.Front[0].Assignment) {
-		t.Fatal("cap must keep the scalarized-best member first")
 	}
 }
 

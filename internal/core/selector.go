@@ -65,10 +65,6 @@ type Options struct {
 	// exact non-dominated set (the regime the exhaustive-reference tests
 	// and the front-quality experiment run in). 0 means 4096.
 	ParetoExhaustiveBound int
-	// ParetoMaxFront caps the returned front size; when the archive is
-	// larger, crowding-distance pruning keeps the best-spread members
-	// (boundary points survive). 0 means unbounded.
-	ParetoMaxFront int
 }
 
 func (o Options) withDefaults() Options {

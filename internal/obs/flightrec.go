@@ -72,7 +72,7 @@ type RequestRecord struct {
 }
 
 // cloneInto sets *dst to a copy of r whose reference fields are deep
-// copies, so ring entries never alias caller-owned state.
+// copies, so a snapshot never aliases ring state.
 func (r *RequestRecord) cloneInto(dst *RequestRecord) {
 	*dst = *r
 	if r.DegradedCauses != nil {
@@ -137,8 +137,10 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{ring: make([]flightSlot, capacity)}
 }
 
-// Record appends a deep copy of one request record to the ring; the
-// caller keeps ownership of rec. It is drop-don't-block: the slot a
+// Record copies one request record into the ring. The ring takes
+// ownership of the record's map and slices: the caller must not write
+// them afterwards (sharing them read-only, as a plan-cache hit shares
+// its entry's bindings, is fine). It is drop-don't-block: the slot a
 // record's ticket routes it to is free unless a snapshot is copying
 // that exact slot (or the writer slept long enough to be lapped), and
 // a busy slot costs one failed TryLock and a counter bump, never a
@@ -161,7 +163,7 @@ func (f *FlightRecorder) Record(rec *RequestRecord) {
 		return
 	}
 	slot.seq = ticket
-	rec.cloneInto(&slot.rec)
+	slot.rec = *rec
 	slot.mu.Unlock()
 	f.total.Add(1)
 }
@@ -201,10 +203,10 @@ type FlightQuery struct {
 
 // Snapshot returns deep copies of the retained records matching q,
 // oldest first (or slowest first under q.Slowest). Each slot is held
-// only long enough for a shallow copy — safe because a writer
-// overwrites a slot's record with freshly allocated copies of its maps
-// and slices, never mutating the ones a shallow copy still holds — so
-// a concurrent Record contends on at most one slot at a time.
+// only long enough for a shallow copy — safe because nothing writes a
+// recorded record's maps and slices (Record's ownership contract), and
+// a writer replaces a slot's record instead of mutating it — so a
+// concurrent Record contends on at most one slot at a time.
 func (f *FlightRecorder) Snapshot(q FlightQuery) []RequestRecord {
 	if f == nil {
 		return nil

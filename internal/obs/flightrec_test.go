@@ -71,30 +71,23 @@ func TestFlightRecorderFilters(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderClone checks records never alias caller or snapshot
-// state: mutating the caller's maps/slices after Record, or the
-// snapshot's, must not leak into the ring.
+// TestFlightRecorderClone checks snapshots never alias ring state:
+// mutating a snapshot's maps/slices must not leak into the ring.
 func TestFlightRecorderClone(t *testing.T) {
 	f := NewFlightRecorder(4)
-	rec := RequestRecord{
+	f.Record(&RequestRecord{
 		Kind:           "compose",
 		DegradedCauses: map[string]string{"a": "x"},
 		Bindings:       []BindingRecord{{Activity: "a", Service: "s1", Utility: 0.5}},
 		Events:         []string{"substitutions=1"},
-	}
-	f.Record(&rec)
-	rec.DegradedCauses["a"] = "mutated"
-	rec.Bindings[0].Service = "mutated"
-	rec.Events[0] = "mutated"
+	})
 
 	snap := f.Snapshot(FlightQuery{})
-	if snap[0].DegradedCauses["a"] != "x" || snap[0].Bindings[0].Service != "s1" || snap[0].Events[0] != "substitutions=1" {
-		t.Fatalf("ring aliased caller state: %+v", snap[0])
-	}
 	snap[0].DegradedCauses["a"] = "poked"
 	snap[0].Bindings[0].Service = "poked"
+	snap[0].Events[0] = "poked"
 	again := f.Snapshot(FlightQuery{})
-	if again[0].DegradedCauses["a"] != "x" || again[0].Bindings[0].Service != "s1" {
+	if again[0].DegradedCauses["a"] != "x" || again[0].Bindings[0].Service != "s1" || again[0].Events[0] != "substitutions=1" {
 		t.Fatalf("snapshot aliased ring state: %+v", again[0])
 	}
 }

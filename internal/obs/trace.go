@@ -236,18 +236,6 @@ func StartSpanAt(ctx context.Context, name string, start time.Time) (context.Con
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// StartChild begins a child span of s at start without building a
-// context: for a leaf operation whose callees read no span from their
-// context. The child shares s's trace and is nil when s is nil.
-func (s *Span) StartChild(name string, start time.Time) *Span {
-	if s == nil {
-		return nil
-	}
-	c := &Span{tracer: s.tracer, parent: s, name: name, start: start, spanID: nextID(), traceID: s.traceID}
-	s.addChild(c)
-	return c
-}
-
 func (s *Span) addChild(c *Span) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

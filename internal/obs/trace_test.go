@@ -21,21 +21,21 @@ func TestStartSpanWithoutHub(t *testing.T) {
 	}
 }
 
-// TestStartChildAndSharedTimes: StartChild makes a leaf child in the
-// parent's trace without a context, and spans started and ended at
-// caller-supplied times report exactly those times.
-func TestStartChildAndSharedTimes(t *testing.T) {
+// TestSpanSharedTimes: spans started and ended at caller-supplied times
+// report exactly those times, a child shares its parent's trace, and
+// the timed calls are nil-safe.
+func TestSpanSharedTimes(t *testing.T) {
 	var none *Span
-	if c := none.StartChild("leaf", time.Now()); c != nil {
-		t.Fatal("StartChild of a nil span should be nil")
-	}
 	none.EndAt(time.Now()) // nil-safe
+	if _, s := StartSpanAt(context.Background(), "noop", time.Now()); s != nil {
+		t.Fatal("StartSpanAt without a hub should return a nil span")
+	}
 
 	hub := NewHub()
 	t0 := time.Now()
 	t1, t2 := t0.Add(3*time.Microsecond), t0.Add(10*time.Microsecond)
-	_, root := StartSpanAt(WithHub(context.Background(), hub), "compose", t0)
-	leaf := root.StartChild("compose.resolve", t0)
+	ctx, root := StartSpanAt(WithHub(context.Background(), hub), "compose", t0)
+	_, leaf := StartSpanAt(ctx, "qassa.local", t0)
 	leaf.EndAt(t1)
 	leaf.EndAt(t2) // idempotent: the first end wins
 	root.EndAt(t2)
@@ -45,7 +45,7 @@ func TestStartChildAndSharedTimes(t *testing.T) {
 		t.Fatalf("snapshot = %+v, want one root with one child", snap)
 	}
 	r, c := snap[0], snap[0].Children[0]
-	if c.Name != "compose.resolve" || c.TraceID != r.TraceID || c.SpanID == r.SpanID {
+	if c.Name != "qassa.local" || c.TraceID != r.TraceID || c.SpanID == r.SpanID {
 		t.Fatalf("child %+v under root %s/%s", c, r.TraceID, r.SpanID)
 	}
 	if !r.Start.Equal(t0) || r.Duration != t2.Sub(t0) || !c.Start.Equal(t0) || c.Duration != t1.Sub(t0) {

@@ -97,18 +97,6 @@ type CacheStats struct {
 	MatchEvictions uint64
 }
 
-// Delta returns the counter increments since an earlier snapshot —
-// the per-window attribution a caller gets by snapshotting around a
-// phase (approximate under concurrent reasoners, since other
-// goroutines' cache traffic lands in the same window).
-func (s CacheStats) Delta(prev CacheStats) CacheStats {
-	return CacheStats{
-		MatchHits:      s.MatchHits - prev.MatchHits,
-		MatchMisses:    s.MatchMisses - prev.MatchMisses,
-		MatchEvictions: s.MatchEvictions - prev.MatchEvictions,
-	}
-}
-
 // Ontology is a concept store with subsumption reasoning. The zero value
 // is not usable; create instances with New. All methods are safe for
 // concurrent use.
@@ -138,8 +126,8 @@ type Ontology struct {
 
 // cacheCounters are the reasoning-cache counters as atomics, so the memo
 // hit paths never take the ontology lock. Stats assembles a snapshot
-// from individual loads — approximate under concurrent reasoners, which
-// is all CacheStats.Delta promises anyway.
+// from individual loads, so under concurrent reasoners the fields need
+// not come from one instant.
 type cacheCounters struct {
 	matchHits, matchMisses, matchEvictions atomic.Uint64
 }

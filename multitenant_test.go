@@ -136,12 +136,13 @@ func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
 					errc <- fmt.Errorf("tenant-b churn moved tenant-a epochs: %v -> %v", pinned, snap)
 					return
 				}
-				cached := mwA.plans.get(key, snap)
-				if cached == nil {
+				entry, _ := mwA.plans.lookup(key, snap)
+				if entry == nil {
 					errc <- fmt.Errorf("tenant-a cache entry invalidated by tenant-b churn")
 					return
 				}
 				localHits++
+				cached := entry.res
 				for act, cand := range cached.Assignment {
 					if strings.HasPrefix(string(cand.Service.ID), "b-") {
 						errc <- fmt.Errorf("tenant-b service %q bound to tenant-a activity %q", cand.Service.ID, act)

@@ -31,9 +31,10 @@ func scrapeValue(body, name string) (float64, bool) {
 }
 
 // TestTelemetryUnderConcurrency drives compositions and executions from
-// many goroutines while scraping /metrics and reading span snapshots —
-// the race detector checks for torn state, the assertions for monotonic
-// counters and a coherent span hierarchy.
+// many goroutines while scraping /metrics, /debug/requests and reading
+// span and flight-record snapshots — the race detector checks for torn
+// state, the assertions for monotonic counters and a coherent span
+// hierarchy.
 func TestTelemetryUnderConcurrency(t *testing.T) {
 	hub := obs.NewHub()
 	mw, err := qasom.New(qasom.Options{Obs: hub})
@@ -96,6 +97,23 @@ func TestTelemetryUnderConcurrency(t *testing.T) {
 			prev = v
 		}
 		hub.Tracer.Snapshot() // concurrent span reads must be race-free
+		// The flight ring keeps each record's maps and slices without
+		// copying (hits share their plan entry's bindings); snapshots and
+		// /debug/requests read them while hits are being recorded.
+		for _, rec := range hub.Flight.Snapshot(obs.FlightQuery{}) {
+			if rec.Kind == "compose" && rec.Err == "" && len(rec.Bindings) == 0 {
+				t.Fatalf("compose record %s has no bindings", rec.TraceID)
+			}
+		}
+		resp, err = http.Get(srv.URL + "/debug/requests")
+		if err != nil {
+			t.Fatalf("/debug/requests: %v", err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/debug/requests read: status %d, %v", resp.StatusCode, err)
+		}
 	}
 	close(errCh)
 	for err := range errCh {

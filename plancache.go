@@ -117,19 +117,11 @@ func (o planOutcome) missCause() string {
 	}
 }
 
-// get returns the stored Result under key when its stored epoch
-// snapshot equals now, and nil otherwise. The Result is shared: callers
-// must not write it.
-func (c *planCache) get(key string, now []uint64) *core.Result {
-	if e, _ := c.lookup(key, now); e != nil {
-		return e.res
-	}
-	return nil
-}
-
-// lookup is get returning the whole entry, with the probe outcome
-// attached. A stale entry (epoch mismatch) is removed on sight and
-// reported as planMissEpoch. The hit path takes no locks.
+// lookup returns the entry stored under key when its stored epoch
+// snapshot equals now, and nil otherwise, with the probe outcome
+// attached. The entry's Result is shared: callers must not write it. A
+// stale entry (epoch mismatch) is removed on sight and reported as
+// planMissEpoch. The hit path takes no locks.
 func (c *planCache) lookup(key string, now []uint64) (*planEntry, planOutcome) {
 	if c == nil {
 		return nil, planMissCold

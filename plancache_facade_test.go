@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"qasom"
 	"qasom/internal/obs"
@@ -423,10 +424,15 @@ func TestSharedPlansDoNotLeak(t *testing.T) {
 	}
 }
 
-// TestFlightRecordHitPhases: a hit's flight record reports only what the
-// hit ran. The miss timed lookup and QASSA's local/global phases; the hit
-// replayed the stored decision, so its selection phases are zero rather
-// than copied from the miss that populated the cache.
+// TestFlightRecordHitPhases: a compose's flight record is the one
+// source of its phase timings. The miss timed lookup and QASSA's
+// local/global phases; the hit replayed the stored decision, so its
+// selection phases are zero rather than copied from the miss that
+// populated the cache; a miss that gathers candidates and then fails
+// validation ran resolve and lookup only. For each, the phase
+// histogram counts exactly the phases the record holds, SelectionStats
+// reports the record's durations, and the root span carries the
+// record's trace ID.
 func TestFlightRecordHitPhases(t *testing.T) {
 	hub := obs.NewHub()
 	mw, err := qasom.New(qasom.Options{Obs: hub})
@@ -434,26 +440,64 @@ func TestFlightRecordHitPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedMall(t, mw)
+	phaseVec := hub.Metrics.HistogramVec("qasom_compose_phase_seconds", "", nil, "phase")
+	phases := [4]string{"resolve", "lookup", "local", "global"}
+	phaseCounts := func() (c [4]uint64) {
+		for i, p := range phases {
+			c[i] = phaseVec.With(p).Snapshot().Count
+		}
+		return c
+	}
 	req := qasom.Request{Task: behaviourA,
 		Constraints: []qasom.Constraint{{Property: "responseTime", Bound: 300}}}
-	for i := 0; i < 2; i++ {
-		if _, err := mw.Compose(req); err != nil {
-			t.Fatal(err)
+	failing := qasom.Request{Task: behaviourA, Weights: map[string]float64{"price": -1}}
+
+	var recs []obs.RequestRecord
+	for _, c := range []struct {
+		name    string
+		req     qasom.Request
+		wantErr bool
+	}{{"miss", req, false}, {"hit", req, false}, {"failed miss", failing, true}} {
+		before := phaseCounts()
+		comp, err := mw.Compose(c.req)
+		if (err != nil) != c.wantErr {
+			t.Fatalf("%s: compose error %v, want error %v", c.name, err, c.wantErr)
+		}
+		after := phaseCounts()
+		snap := hub.Flight.Snapshot(obs.FlightQuery{})
+		rec := snap[len(snap)-1]
+		recs = append(recs, rec)
+		ph := [4]time.Duration{rec.Phases.Resolve, rec.Phases.Lookup, rec.Phases.Local, rec.Phases.Global}
+		for i, d := range ph {
+			if ran := after[i] - before[i]; ran > 1 || (ran == 1) != (d > 0) {
+				t.Errorf("%s: phase %s observed %d times, record has %v", c.name, phases[i], ran, d)
+			}
+		}
+		if comp != nil {
+			st := comp.SelectionStats()
+			if st.CandidateLookup != rec.Phases.Lookup || st.LocalPhase != rec.Phases.Local || st.GlobalPhase != rec.Phases.Global {
+				t.Errorf("%s: SelectionStats lookup/local/global %v/%v/%v, record %+v",
+					c.name, st.CandidateLookup, st.LocalPhase, st.GlobalPhase, rec.Phases)
+			}
+		}
+		spans := hub.Tracer.Snapshot()
+		if root := spans[len(spans)-1]; root.Name != "compose" || root.TraceID != rec.TraceID {
+			t.Errorf("%s: root span %q trace %s, record trace %s", c.name, root.Name, root.TraceID, rec.TraceID)
 		}
 	}
-	recs := hub.Flight.Snapshot(obs.FlightQuery{})
-	if len(recs) != 2 {
-		t.Fatalf("%d flight records, want 2", len(recs))
-	}
-	miss, hit := recs[0], recs[1]
-	if miss.CacheHit || !hit.CacheHit {
-		t.Fatalf("records cache_hit = %v, %v; want false, true", miss.CacheHit, hit.CacheHit)
+	miss, hit, failed := recs[0], recs[1], recs[2]
+	if miss.CacheHit || !hit.CacheHit || failed.CacheHit {
+		t.Fatalf("records cache_hit = %v, %v, %v; want false, true, false", miss.CacheHit, hit.CacheHit, failed.CacheHit)
 	}
 	if miss.Phases.Lookup <= 0 || miss.Phases.Local <= 0 || miss.Phases.Global <= 0 {
 		t.Errorf("miss record lacks selection phases: %+v", miss.Phases)
 	}
 	if hit.Phases.Lookup != 0 || hit.Phases.Local != 0 || hit.Phases.Global != 0 {
 		t.Errorf("hit record reports phases it never ran: %+v", hit.Phases)
+	}
+	if failed.Err == "" || failed.Phases.Resolve <= 0 || failed.Phases.Lookup <= 0 ||
+		failed.Phases.Local != 0 || failed.Phases.Global != 0 {
+		t.Errorf("failed miss record %q: phases %+v, want resolve and lookup only", failed.Err, failed.Phases)
 	}
 	if !reflect.DeepEqual(hit.Bindings, miss.Bindings) {
 		t.Errorf("hit bindings %v, miss bindings %v", hit.Bindings, miss.Bindings)

@@ -53,7 +53,7 @@ func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 	c := newPlanCache(2, r)
 	e := []uint64{7}
 
-	if got := c.get("a", e); got != nil {
+	if got, _ := c.lookup("a", e); got != nil {
 		t.Fatal("empty cache should miss")
 	}
 	c.put("a", e, fakeResult("sa", 0.1))
@@ -62,20 +62,20 @@ func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if got := c.get("a", e); got == nil || got.Utility != 0.1 {
-		t.Fatalf("get(a) = %+v", got)
+	if got, _ := c.lookup("a", e); got == nil || got.res.Utility != 0.1 {
+		t.Fatalf("lookup(a) = %+v", got)
 	}
 	c.put("c", e, fakeResult("sc", 0.3))
 	if c.len() != 2 {
 		t.Fatalf("len after eviction = %d, want 2", c.len())
 	}
-	if got := c.get("b", e); got != nil {
+	if got, _ := c.lookup("b", e); got != nil {
 		t.Error("LRU entry b should have been evicted")
 	}
-	if got := c.get("a", e); got == nil {
+	if got, _ := c.lookup("a", e); got == nil {
 		t.Error("recently used entry a should survive")
 	}
-	if got := c.get("c", e); got == nil {
+	if got, _ := c.lookup("c", e); got == nil {
 		t.Error("newest entry c should survive")
 	}
 	if v := counterValue(t, r, "qasom_plan_cache_evictions_total"); v != 1 {
@@ -83,10 +83,10 @@ func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 	}
 
 	// Epoch mismatch drops the entry on sight and counts an invalidation.
-	if got := c.get("a", []uint64{8}); got != nil {
+	if got, _ := c.lookup("a", []uint64{8}); got != nil {
 		t.Error("epoch mismatch should miss")
 	}
-	if got := c.get("a", e); got != nil {
+	if got, _ := c.lookup("a", e); got != nil {
 		t.Error("stale entry should have been removed, not just skipped")
 	}
 	if v := counterValue(t, r, "qasom_plan_cache_epoch_invalidations_total"); v != 1 {
@@ -96,13 +96,13 @@ func TestPlanCacheLRUEvictionAndCounters(t *testing.T) {
 		t.Errorf("hits counter = %g, want 3", hits)
 	}
 
-	// The cache shares, never copies: get returns the pointer put stored
+	// The cache shares, never copies: lookup returns the pointer put stored
 	// (leak safety is the adaptation runtime's copy-on-write, pinned by
 	// TestSharedPlansDoNotLeak).
 	stored := fakeResult("sx", 0.5)
 	c.put("x", e, stored)
-	if got := c.get("x", e); got != stored {
-		t.Error("get should return the stored Result itself")
+	if got, _ := c.lookup("x", e); got == nil || got.res != stored {
+		t.Error("lookup should return the stored Result itself")
 	}
 }
 
@@ -132,15 +132,15 @@ func TestPlanCacheRaced(t *testing.T) {
 				case 0:
 					c.put(k, fresh, fakeResult(k, float64((g*7+i)%keys)))
 				case 1:
-					if got := c.get(k, fresh); got != nil {
+					if got, _ := c.lookup(k, fresh); got != nil {
 						// A hit must carry the payload stored under that key.
-						if got.Utility != float64((g*7+i)%keys) {
-							t.Errorf("get(%s) returned foreign payload %v", k, got.Utility)
+						if got.res.Utility != float64((g*7+i)%keys) {
+							t.Errorf("lookup(%s) returned foreign payload %v", k, got.res.Utility)
 							return
 						}
 					}
 				case 2:
-					_ = c.get(k, stale) // epoch mismatch: removal-on-sight
+					c.lookup(k, stale) // epoch mismatch: removal-on-sight
 				}
 			}
 		}(g)
@@ -154,14 +154,14 @@ func TestPlanCacheRaced(t *testing.T) {
 	// every stale probe removes its entry.
 	for i := 0; i < keys; i++ {
 		k := keyOf(i)
-		if got := c.get(k, fresh); got != nil {
-			if got.Utility != float64(i) || got.Assignment["act"].Vector[0] != 1 {
-				t.Errorf("entry %s corrupted: %+v", k, got)
+		if got, _ := c.lookup(k, fresh); got != nil {
+			if got.res.Utility != float64(i) || got.res.Assignment["act"].Vector[0] != 1 {
+				t.Errorf("entry %s corrupted: %+v", k, got.res)
 			}
-			if c.get(k, stale) != nil {
+			if e, _ := c.lookup(k, stale); e != nil {
 				t.Errorf("stale probe of %s returned a result", k)
 			}
-			if c.get(k, fresh) != nil {
+			if e, _ := c.lookup(k, fresh); e != nil {
 				t.Errorf("stale probe of %s did not remove the entry", k)
 			}
 		}
@@ -184,8 +184,8 @@ func TestPlanCacheDisabledIsNil(t *testing.T) {
 	if c.len() != 0 {
 		t.Error("nil cache len should be 0")
 	}
-	if c.get("k", nil) != nil {
-		t.Error("nil cache get should miss")
+	if e, _ := c.lookup("k", nil); e != nil {
+		t.Error("nil cache lookup should miss")
 	}
 	c.put("k", nil, fakeResult("s", 1)) // must not panic
 }
@@ -292,8 +292,8 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 				stopOnce.Do(func() { close(stop) })
 			}
 			snap := mw.planEpochs(nil, tk)
-			cached := mw.plans.get(key, snap)
-			if cached == nil {
+			entry, _ := mw.plans.lookup(key, snap)
+			if entry == nil {
 				// Miss: a normal compose repopulates the entry.
 				if _, err := mw.Compose(req); err != nil {
 					errc <- err
@@ -302,6 +302,7 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 				continue
 			}
 			localHits++
+			cached := entry.res
 			// Fresh recomputation through the same pipeline the cache
 			// bypassed.
 			candidates := make(map[string][]registry.Candidate, tk.task.Size())

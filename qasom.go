@@ -257,6 +257,24 @@ func composeMetricsFor(hub *obs.Hub, tenant string) composeMetrics {
 	}
 }
 
+// observePhases feeds qasom_compose_phase_seconds from one compose's
+// flight-record phases. A phase that ran took a positive monotonic
+// duration, so the zero phases are exactly the ones that did not run.
+func (cm *composeMetrics) observePhases(p obs.PhaseTimings) {
+	if p.Resolve > 0 {
+		cm.phaseResolve.ObserveDuration(p.Resolve)
+	}
+	if p.Lookup > 0 {
+		cm.phaseLookup.ObserveDuration(p.Lookup)
+	}
+	if p.Local > 0 {
+		cm.phaseLocal.ObserveDuration(p.Local)
+	}
+	if p.Global > 0 {
+		cm.phaseGlobal.ObserveDuration(p.Global)
+	}
+}
+
 // tenantLabel maps the zero tenant to a stable metric label.
 func tenantLabel(id string) string {
 	if id == "" {
