@@ -99,10 +99,12 @@ if [ "${1:-}" = "quick" ]; then
 	# without a copy, first contract
 	# establishment racing compliance checks, and lookups, composes,
 	# substitutions and re-publishes of the same IDs reading the
-	# registry's shared frozen descriptions (nothing may write one).
+	# registry's shared frozen descriptions (nothing may write one), and
+	# readers racing the first, once-only build of a cached plan's
+	# failover rotation.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications|TestRacedAliasRetarget' ./internal/registry
-	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry|TestTelemetryUnderConcurrency|TestConcurrentContracts|TestRacedSharedDescriptions' .
+	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry|TestTelemetryUnderConcurrency|TestConcurrentContracts|TestRacedSharedDescriptions|TestRacedFirstRotationRead' .
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

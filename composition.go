@@ -448,10 +448,13 @@ func (c *Composition) Front() []FrontMember {
 }
 
 // Alternates returns the ranked substitute service IDs for an activity.
+// The first call on a plan builds its failover rotation (for every
+// activity, once per plan: a cached plan's hits share it), so it costs
+// the rotation's probes; later calls only read it.
 func (c *Composition) Alternates(activityID string) []string {
 	var out []string
 	c.runtime.View(func(res *core.Result) {
-		alts := res.Alternates[activityID]
+		alts := res.Alternates()[activityID]
 		out = make([]string, len(alts))
 		for i, a := range alts {
 			out[i] = string(a.Service.ID)

@@ -115,7 +115,8 @@ func (rt *Runtime) Result() *core.Result {
 
 // ownLocked gives the runtime a private copy of its selection before
 // the first in-place write; the Result handed to NewRuntime stays
-// untouched. Caller holds rt.mu.
+// untouched. The copy's rotation is built and private (Clone). Caller
+// holds rt.mu.
 func (rt *Runtime) ownLocked() {
 	if !rt.owned {
 		rt.result = rt.result.Clone()
@@ -372,13 +373,14 @@ func (m *Manager) substituteLate(rt *Runtime, behaviour *task.Task, activityID s
 		// A behaviour switch replaced the activity while we queried.
 		return registry.Candidate{}, fmt.Errorf("%w for activity %q", ErrNoSubstitute, activityID)
 	}
-	alts := rt.result.Alternates[activityID]
+	alts := rt.result.Alternates()[activityID]
 	for _, c := range Extras(rt.Req.Properties, rt.Req.EffectiveWeights(), old, alts, cands) {
 		if exclude[c.Service.ID] || !m.probe(c.Service.ID) || !rt.depAdmissibleLocked(activityID, c) {
 			continue
 		}
 		rt.ownLocked()
-		rt.result.Alternates[activityID] = append(rt.result.Alternates[activityID], old)
+		own := rt.result.Alternates()
+		own[activityID] = append(own[activityID], old)
 		rt.result.Assignment[activityID] = c
 		rt.substitutions++
 		m.counter(substitutionMetric, substitutionHelp).Inc()
@@ -403,7 +405,8 @@ func (m *Manager) probe(id registry.ServiceID) bool {
 // rotation just shrinks. Caller holds rt.mu.
 func (m *Manager) rotateLocked(rt *Runtime, activityID string, pos int) registry.Candidate {
 	rt.ownLocked()
-	alts := rt.result.Alternates[activityID]
+	own := rt.result.Alternates()
+	alts := own[activityID]
 	chosen := alts[pos]
 	old := rt.result.Assignment[activityID]
 	copy(alts[pos:], alts[pos+1:])
@@ -412,7 +415,7 @@ func (m *Manager) rotateLocked(rt *Runtime, activityID string, pos int) registry
 	} else {
 		alts = alts[:len(alts)-1]
 	}
-	rt.result.Alternates[activityID] = alts
+	own[activityID] = alts
 	rt.result.Assignment[activityID] = chosen
 	rt.substitutions++
 	m.counter(substitutionMetric, substitutionHelp).Inc()
@@ -424,7 +427,7 @@ func (m *Manager) rotateLocked(rt *Runtime, activityID string, pos int) registry
 // lookup goes first because it is cheaper than the probe's two locked
 // reads. Caller holds rt.mu.
 func (m *Manager) walkLocked(rt *Runtime, activityID string, exclude map[registry.ServiceID]bool) (registry.Candidate, bool) {
-	for pos, alt := range rt.result.Alternates[activityID] {
+	for pos, alt := range rt.result.Alternates()[activityID] {
 		if exclude[alt.Service.ID] || !m.probe(alt.Service.ID) || !rt.depAdmissibleLocked(activityID, alt) {
 			continue
 		}

@@ -147,7 +147,7 @@ func TestSubstituteHappyPath(t *testing.T) {
 	}
 	// The displaced service is kept as a later alternate.
 	found := false
-	for _, alt := range rt.Result().Alternates["order"] {
+	for _, alt := range rt.Result().Alternates()["order"] {
 		if alt.Service.ID == orig.Service.ID {
 			found = true
 		}
@@ -164,7 +164,7 @@ func TestSubstituteHappyPath(t *testing.T) {
 func TestSubstituteUnboundActivity(t *testing.T) {
 	m, rt, _ := fixture(t)
 	res := rt.Result()
-	alts := res.Alternates["order"]
+	alts := res.Alternates()["order"]
 	if len(alts) < 2 {
 		t.Fatalf("fixture has %d alternates for order, want at least 2", len(alts))
 	}
@@ -181,10 +181,10 @@ func TestSubstituteUnboundActivity(t *testing.T) {
 	if after.Assignment["order"].Service != alts[0].Service {
 		t.Error("assignment not updated")
 	}
-	if got := len(after.Alternates["order"]); got != len(alts)-1 {
+	if got := len(after.Alternates()["order"]); got != len(alts)-1 {
 		t.Errorf("rotation has %d members, want %d", got, len(alts)-1)
 	}
-	for i, c := range after.Alternates["order"] {
+	for i, c := range after.Alternates()["order"] {
 		if c.Service == nil {
 			t.Errorf("rotation position %d holds the zero candidate", i)
 		}
@@ -193,7 +193,7 @@ func TestSubstituteUnboundActivity(t *testing.T) {
 
 func TestSubstituteSkipsWithdrawnAndExcluded(t *testing.T) {
 	m, rt, reg := fixture(t)
-	alts := rt.Result().Alternates["order"]
+	alts := rt.Result().Alternates()["order"]
 	if len(alts) < 2 {
 		t.Fatalf("need ≥2 alternates, have %d", len(alts))
 	}
@@ -213,7 +213,7 @@ func TestSubstituteSkipsUnhealthy(t *testing.T) {
 	m, rt, _ := fixture(t)
 	mon := monitor.New(stdPS(), monitor.Options{})
 	m.Monitor = mon
-	alts := rt.Result().Alternates["order"]
+	alts := rt.Result().Alternates()["order"]
 	// First alternate observed failing constantly.
 	for i := 0; i < 5; i++ {
 		if err := mon.Report(monitor.Observation{
@@ -234,7 +234,7 @@ func TestSubstituteSkipsUnhealthy(t *testing.T) {
 func TestSubstituteExhaustion(t *testing.T) {
 	m, rt, _ := fixture(t)
 	exclude := map[registry.ServiceID]bool{}
-	for _, alt := range rt.Result().Alternates["order"] {
+	for _, alt := range rt.Result().Alternates()["order"] {
 		exclude[alt.Service.ID] = true
 	}
 	_, err := m.Substitute(rt, "order", exclude)
@@ -282,7 +282,7 @@ func TestFailureHandlerExclusionByClass(t *testing.T) {
 	h := m.FailureHandler(rt)
 	act := rt.Req.Task.ActivityByID("order")
 	b0 := rt.Result().Assignment["order"]
-	alts := rt.Result().Alternates["order"]
+	alts := rt.Result().Alternates()["order"]
 	if len(alts) < 3 {
 		t.Fatalf("fixture rotation has %d alternates, want ≥ 3", len(alts))
 	}

@@ -173,9 +173,9 @@ func TestFailoverRespectsDependencyMask(t *testing.T) {
 	var res *core.Result
 	rt.View(func(r *core.Result) { res = r.Clone() })
 	res.Assignment["order"] = cands["order-1"]
-	res.Alternates["order"] = []registry.Candidate{cands["order-0"]}
+	res.Alternates()["order"] = []registry.Candidate{cands["order-0"]}
 	res.Assignment["pay"] = cands["pay-0"]
-	res.Alternates["pay"] = []registry.Candidate{cands["pay-1"], cands["pay-2"]}
+	res.Alternates()["pay"] = []registry.Candidate{cands["pay-1"], cands["pay-2"]}
 	moved := NewRuntime(rt.Req, res)
 	if sub, err := m.Substitute(moved, "order", map[registry.ServiceID]bool{"order-1": true}); err != nil || sub.Service.ID != "order-0" {
 		t.Fatalf("order failover = %s, %v; want order-0", sub.Service.ID, err)

@@ -35,7 +35,7 @@ func boundID(rt *Runtime, act string) registry.ServiceID {
 func altIDs(rt *Runtime, act string) []registry.ServiceID {
 	var out []registry.ServiceID
 	rt.View(func(res *core.Result) {
-		for _, a := range res.Alternates[act] {
+		for _, a := range res.Alternates()[act] {
 			out = append(out, a.Service.ID)
 		}
 	})
@@ -265,7 +265,7 @@ func checkBindingInvariant(t *testing.T, rt *Runtime, want map[string]map[regist
 				}
 			}
 			add(res.Assignment[act].Service.ID)
-			for _, a := range res.Alternates[act] {
+			for _, a := range res.Alternates()[act] {
 				add(a.Service.ID)
 			}
 			if len(seen) != len(expect) {
@@ -281,7 +281,7 @@ func bindingUniverse(rt *Runtime) map[string]map[registry.ServiceID]bool {
 	rt.View(func(res *core.Result) {
 		for act, cand := range res.Assignment {
 			set := map[registry.ServiceID]bool{cand.Service.ID: true}
-			for _, a := range res.Alternates[act] {
+			for _, a := range res.Alternates()[act] {
 				set[a.Service.ID] = true
 			}
 			want[act] = set

@@ -378,15 +378,16 @@ func LocalSearch(req *core.Request, candidates map[string][]registry.Candidate, 
 }
 
 func finalize(eval *core.Evaluator, assign core.Assignment, feasible bool, evaluations int) *core.Result {
-	return &core.Result{
+	res := &core.Result{
 		Assignment: assign,
-		Alternates: map[string][]registry.Candidate{},
 		Aggregated: eval.Aggregate(assign),
 		Utility:    eval.Utility(assign),
 		Feasible:   feasible,
 		Violation:  eval.Violation(assign),
 		Stats:      core.Stats{Evaluations: evaluations},
 	}
+	res.SetAlternates(map[string][]registry.Candidate{})
+	return res
 }
 
 // filterLocal enforces the request's local constraints so baselines and

@@ -192,7 +192,7 @@ func (r *FailoverRig) bound() registry.ServiceID {
 func (r *FailoverRig) alternates() []registry.ServiceID {
 	var out []registry.ServiceID
 	r.rt.View(func(res *core.Result) {
-		for _, a := range res.Alternates[r.victim] {
+		for _, a := range res.Alternates()[r.victim] {
 			out = append(out, a.Service.ID)
 		}
 	})

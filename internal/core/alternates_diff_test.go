@@ -101,7 +101,7 @@ func checkRotations(t *testing.T, label string, g *globalState, res *Result, cov
 	}
 	for a, id := range g.acts {
 		want, shape := g.referenceAlternatesFor(a)
-		got := res.Alternates[id]
+		got := res.Alternates()[id]
 		if got == nil {
 			t.Fatalf("%s: activity %s: nil rotation", label, id)
 		}

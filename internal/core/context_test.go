@@ -69,7 +69,7 @@ func TestSelectDeterministicAcrossWorkerCounts(t *testing.T) {
 		out := ""
 		for _, a := range tk.Activities() {
 			out += fmt.Sprintf("%s=%s;alts=[", a.ID, res.Assignment[a.ID].Service.ID)
-			for _, alt := range res.Alternates[a.ID] {
+			for _, alt := range res.Alternates()[a.ID] {
 				out += string(alt.Service.ID) + ","
 			}
 			out += "]\n"

@@ -34,7 +34,7 @@ type decision struct {
 func decisionOf(r *Result) decision {
 	d := decision{
 		Assignment:     r.Assignment,
-		Alternates:     r.Alternates,
+		Alternates:     r.Alternates(),
 		Aggregated:     r.Aggregated,
 		Utility:        r.Utility,
 		Breakdown:      r.Breakdown,

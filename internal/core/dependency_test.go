@@ -245,7 +245,7 @@ func TestDifferentialDependencyRepair(t *testing.T) {
 					t.Fatalf("feasible result violates %d dependency rules", n)
 				}
 				// Every advertised alternate must be a legal in-place swap.
-				for id, alts := range fast.Alternates {
+				for id, alts := range fast.Alternates() {
 					for _, alt := range alts {
 						if !ds.Admissible(id, alt, bound) {
 							t.Fatalf("alternate %s for %s violates a dependency", alt.Service.ID, id)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync"
 
 	"qasom/internal/registry"
 )
@@ -56,15 +57,10 @@ func (g *globalState) init() error {
 	acts := g.req.Task.Activities()
 	g.acts = make([]string, len(acts))
 	g.ranked = make([][]RankedCandidate, len(acts))
-	largest := 0
 	for i, a := range acts {
 		g.acts[i] = a.ID
 		g.ranked[i] = g.locals[a.ID].Ranked
-		largest = max(largest, len(g.ranked[i]))
 	}
-	// alternatesFor keys at most one pool at a time: size its scratch
-	// once instead of growing it from nil on every selection.
-	g.altBuf = make([]altKey, 0, largest)
 	ds, err := g.req.CompiledDependencies()
 	if err != nil {
 		return err
@@ -420,9 +416,10 @@ func (g *globalState) improve(limits []int) {
 	}
 }
 
-// finish assembles the result: aggregated QoS, utility, and per-activity
-// alternates ordered substitution-first (candidates that keep the
-// composition feasible when swapped in alone, then by utility).
+// finish assembles the result on the kernel's current assignment:
+// bindings, aggregated QoS, utility and the per-activity breakdown. The
+// failover rotation is not built here. The result keeps what building
+// it needs, and its first Alternates call builds it (see rotation).
 func (g *globalState) finish(feasible bool) *Result {
 	assign := make(Assignment, len(g.acts))
 	for a, id := range g.acts {
@@ -434,12 +431,13 @@ func (g *globalState) finish(feasible bool) *Result {
 	}
 	res := &Result{
 		Assignment: assign,
-		Alternates: make(map[string][]registry.Candidate, len(g.acts)),
 		Aggregated: g.eng.Aggregate(),
 		Utility:    g.eng.Utility(),
 		Feasible:   feasible,
 		Violation:  viol,
 		Breakdown:  make(map[string]float64, len(g.acts)),
+		alts: &rotation{req: g.req, eval: g.eval, locals: g.locals, opts: g.opts,
+			final: g.eng.Snapshot(nil)},
 	}
 	for a, id := range g.acts {
 		// Per-service utility contribution through the same kernel the
@@ -447,16 +445,63 @@ func (g *globalState) finish(feasible bool) *Result {
 		// engines — the differential tests rely on it).
 		res.Breakdown[id] = g.eng.CandidateUtility(a, g.eng.Current(a))
 	}
-	for a, id := range g.acts {
-		// Alternates draw from the FULL ranked shortlist, not just the
-		// level pool the winner came from: the thesis's design keeps
-		// "several concrete services per abstract activity" available for
-		// run-time substitution even when the top level alone satisfied
-		// the request.
-		res.Alternates[id] = g.alternatesFor(a)
-	}
 	res.Stats = g.stats
 	return res
+}
+
+// rotation is a result's failover rotation: per activity, the ranked
+// substitutes adapt walks when a bound service fails. Only failover and
+// its readers need it, so finish stores its inputs (the request, the
+// evaluator, the memo-owned shortlists, the options and the final
+// per-activity indices) and the first get builds it, once, then drops
+// them. A built rotation has alts set and no inputs.
+type rotation struct {
+	once   sync.Once
+	alts   map[string][]registry.Candidate
+	req    *Request
+	eval   *Evaluator
+	locals map[string]*LocalResult
+	opts   Options
+	final  []int
+}
+
+// get returns the rotation, building it on the first call.
+func (rot *rotation) get() map[string][]registry.Candidate {
+	rot.once.Do(rot.build)
+	return rot.alts
+}
+
+// build runs alternatesFor for every activity on a fresh kernel loaded
+// with the final assignment. The fresh kernel gives the same bits as
+// the selection's own: a path re-fold equals a full re-aggregation
+// (engine.go). The inputs passed validation at selection time, so init
+// fails only if the request was mutated since; the rotation is then
+// empty.
+func (rot *rotation) build() {
+	if rot.req == nil {
+		return
+	}
+	// init and alternatesFor read no context: the build runs after the
+	// selection, for whoever reads first, and is not cancellable.
+	g := &globalState{req: rot.req, eval: rot.eval, locals: rot.locals, opts: rot.opts}
+	rot.alts = make(map[string][]registry.Candidate, len(rot.final))
+	if err := g.init(); err == nil {
+		g.eng.Load(rot.final)
+		largest := 0
+		for _, pool := range g.ranked {
+			largest = max(largest, len(pool))
+		}
+		g.altBuf = make([]altKey, 0, largest)
+		for a, id := range g.acts {
+			// Alternates draw from the FULL ranked shortlist, not just the
+			// level pool the winner came from: the thesis's design keeps
+			// "several concrete services per abstract activity" available
+			// for run-time substitution even when the top level alone
+			// satisfied the request.
+			rot.alts[id] = g.alternatesFor(a)
+		}
+	}
+	rot.req, rot.eval, rot.locals, rot.final = nil, nil, nil, nil
 }
 
 // altKey is one admissible pool member of the rotation being built: its

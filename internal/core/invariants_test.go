@@ -71,7 +71,7 @@ func TestSelectInvariantsRandomized(t *testing.T) {
 					if !pools[a.ID][string(chosen.Service.ID)] {
 						t.Fatalf("activity %s assigned foreign service %s", a.ID, chosen.Service.ID)
 					}
-					for _, alt := range res.Alternates[a.ID] {
+					for _, alt := range res.Alternates()[a.ID] {
 						if !pools[a.ID][string(alt.Service.ID)] {
 							t.Fatalf("activity %s alternate %s not in pool", a.ID, alt.Service.ID)
 						}
@@ -125,7 +125,7 @@ func TestSelectLocalConstraintInvariant(t *testing.T) {
 		if got := res.Assignment[first].Vector[0]; got > 60 {
 			t.Fatalf("seed %d: chosen service violates local constraint (rt %g)", seed, got)
 		}
-		for _, alt := range res.Alternates[first] {
+		for _, alt := range res.Alternates()[first] {
 			if alt.Vector[0] > 60 {
 				t.Fatalf("seed %d: alternate violates local constraint (rt %g)", seed, alt.Vector[0])
 			}

@@ -91,7 +91,7 @@ func TestSelectWithLocalConstraints(t *testing.T) {
 		t.Errorf("local constraint violated: chose %s", got)
 	}
 	// Alternates respect the filter too.
-	for _, alt := range res.Alternates["a"] {
+	for _, alt := range res.Alternates()["a"] {
 		if alt.Vector[0] > 35 {
 			t.Errorf("alternate %s violates the local constraint (rt %g)", alt.Service.ID, alt.Vector[0])
 		}
@@ -117,15 +117,15 @@ func TestSelectPruneDominated(t *testing.T) {
 	if got := res.Assignment["a"].Service.ID; got != "hero" {
 		t.Errorf("chose %s, want hero", got)
 	}
-	if len(res.Alternates["a"]) != 0 {
-		t.Errorf("dominated candidates should be pruned from alternates: %v", res.Alternates["a"])
+	if len(res.Alternates()["a"]) != 0 {
+		t.Errorf("dominated candidates should be pruned from alternates: %v", res.Alternates()["a"])
 	}
 	// Without pruning the losers stay available as alternates.
 	res, err = NewSelector(Options{}).Select(req, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Alternates["a"]) == 0 {
+	if len(res.Alternates()["a"]) == 0 {
 		t.Error("without pruning alternates should remain")
 	}
 }
@@ -145,7 +145,7 @@ func TestSelectPruneDominatedKeepsTradeoffs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := map[string]bool{string(res.Assignment["a"].Service.ID): true}
-	for _, alt := range res.Alternates["a"] {
+	for _, alt := range res.Alternates()["a"] {
 		ids[string(alt.Service.ID)] = true
 	}
 	if !ids["fast"] || !ids["safe"] {

@@ -91,7 +91,9 @@ type Stats struct {
 	// LevelsExplored counts global-phase level iterations.
 	LevelsExplored int
 	// Evaluations counts the aggregated-QoS evaluations made by the
-	// global search; building the failover rotation is not counted.
+	// global search. The failover rotation is built after the selection,
+	// on its first read (Result.Alternates), so its probes are never
+	// counted.
 	Evaluations int
 	// RepairSwaps counts applied violation-repair swaps.
 	RepairSwaps int
@@ -120,10 +122,6 @@ type Stats struct {
 type Result struct {
 	// Assignment maps every activity to its selected service.
 	Assignment Assignment
-	// Alternates holds, per activity, ranked fallback candidates for
-	// run-time substitution (services that keep the composition feasible
-	// when swapped in come first).
-	Alternates map[string][]registry.Candidate
 	// Aggregated is the composition's aggregated QoS vector.
 	Aggregated qos.Vector
 	// Utility is the composition utility F in [0,1].
@@ -153,22 +151,56 @@ type Result struct {
 	// first element is the scalarized-best front member — the Result's
 	// own Assignment/Aggregated/Utility describe it — and the remainder
 	// is ordered by descending crowding distance (best-spread first).
-	// Front members carry Assignment, Aggregated, Utility and Breakdown;
-	// Alternates are computed for the returned best member only.
+	// Front members carry Assignment, Aggregated, Utility and Breakdown,
+	// but no rotation: their Alternates is nil. The rotation belongs to
+	// the returned best member only.
 	Front []Result
 	// Stats reports the algorithm's work.
 	Stats Stats
+
+	// alts is the failover rotation that Alternates returns: nil for a
+	// front member or a result assembled without one, and built on the
+	// first read for a selector's result. A pointer, so copying a Result
+	// copies no lock.
+	alts *rotation
+}
+
+// Alternates returns, per activity, the ranked fallback candidates for
+// run-time substitution: services that keep the composition feasible
+// when swapped in come first, then by utility. A selector's result
+// builds this rotation on the first call, once, under a sync.Once, so
+// concurrent first readers of a shared result wait for one build and
+// then read the same map; a result that is never read for its rotation
+// never builds it. The map and its lists are shared: callers must not
+// write them, except adapt.Runtime on its private Clone. Nil when the
+// result carries no rotation (a Front member).
+func (r *Result) Alternates() map[string][]registry.Candidate {
+	if r == nil || r.alts == nil {
+		return nil
+	}
+	return r.alts.get()
+}
+
+// SetAlternates installs alts as the result's built rotation. It is for
+// results assembled outside the selector (the baselines install an
+// empty one); like every other field, it must not be set once the
+// result is shared.
+func (r *Result) SetAlternates(alts map[string][]registry.Candidate) {
+	r.alts = &rotation{alts: alts}
 }
 
 // Clone returns a copy of the result sharing no mutable state with the
-// original: the Assignment and Alternates maps and every alternate list
-// are duplicated (adapt rotates them in place), as are the aggregated
-// vector and the stats maps. The candidates themselves are copied
-// shallowly: a registry.Candidate is immutable, so the copy shares its
-// frozen description and vector. A Result is immutable once it leaves
-// the selector and may be shared (the selection-plan cache hands the
-// same pointer to every hit); a writer — adapt.Runtime before its first
-// substitution — takes a private copy with Clone first.
+// original: the Assignment map, the rotation's map and every alternate
+// list are duplicated (adapt rotates them in place), as are the
+// aggregated vector and the stats maps. Cloning a result whose rotation
+// is not built yet builds it first, so the copy holds an already-built
+// private rotation and pins none of the build's inputs. The candidates
+// themselves are copied shallowly: a registry.Candidate is immutable, so
+// the copy shares its frozen description and vector. A Result is
+// immutable once it leaves the selector and may be shared (the
+// selection-plan cache hands the same pointer to every hit); a writer —
+// adapt.Runtime before its first substitution — takes a private copy
+// with Clone first.
 func (r *Result) Clone() *Result {
 	if r == nil {
 		return nil
@@ -178,11 +210,15 @@ func (r *Result) Clone() *Result {
 	if cp.Assignment == nil {
 		cp.Assignment = Assignment{}
 	}
-	cp.Alternates = make(map[string][]registry.Candidate, len(r.Alternates))
-	for id, list := range r.Alternates {
-		cl := make([]registry.Candidate, len(list))
-		copy(cl, list)
-		cp.Alternates[id] = cl
+	if r.alts != nil {
+		built := r.alts.get()
+		alts := make(map[string][]registry.Candidate, len(built))
+		for id, list := range built {
+			cl := make([]registry.Candidate, len(list))
+			copy(cl, list)
+			alts[id] = cl
+		}
+		cp.SetAlternates(alts)
 	}
 	cp.Aggregated = r.Aggregated.Clone()
 	if r.Breakdown != nil {
@@ -201,11 +237,7 @@ func (r *Result) Clone() *Result {
 	if r.Front != nil {
 		cp.Front = make([]Result, len(r.Front))
 		for i := range r.Front {
-			fc := r.Front[i].Clone()
-			if r.Front[i].Alternates == nil {
-				fc.Alternates = nil
-			}
-			cp.Front[i] = *fc
+			cp.Front[i] = *r.Front[i].Clone()
 		}
 	}
 	return &cp

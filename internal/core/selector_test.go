@@ -176,7 +176,7 @@ func TestSelectAlternates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, alts := range res.Alternates {
+	for id, alts := range res.Alternates() {
 		if len(alts) > 3 {
 			t.Errorf("activity %s has %d alternates, cap 3", id, len(alts))
 		}
@@ -188,7 +188,7 @@ func TestSelectAlternates(t *testing.T) {
 	}
 	// With a loose bound, swapping in the first alternate keeps
 	// feasibility (they are ordered substitution-first).
-	for id, alts := range res.Alternates {
+	for id, alts := range res.Alternates() {
 		if len(alts) == 0 {
 			continue
 		}

@@ -266,7 +266,7 @@ func TestDifferentialLocalMemoRaced(t *testing.T) {
 					got.Feasible != fresh.Feasible ||
 					got.Violation != fresh.Violation ||
 					!reflect.DeepEqual(got.Aggregated, fresh.Aggregated) ||
-					!reflect.DeepEqual(got.Alternates, fresh.Alternates) {
+					!reflect.DeepEqual(got.Alternates(), fresh.Alternates()) {
 					errc <- fmt.Errorf("request %v: composition diverged from a fresh selection at the same epoch: %v vs %v",
 						p.req.Constraints, got.Assignment, fresh.Assignment)
 					return

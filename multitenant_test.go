@@ -165,7 +165,7 @@ func TestDifferentialMultiTenantChurnRaced(t *testing.T) {
 					cached.Utility != fresh.Utility ||
 					cached.Feasible != fresh.Feasible ||
 					!reflect.DeepEqual(cached.Aggregated, fresh.Aggregated) ||
-					!reflect.DeepEqual(cached.Alternates, fresh.Alternates) {
+					!reflect.DeepEqual(cached.Alternates(), fresh.Alternates()) {
 					errc <- fmt.Errorf("tenant-a cached plan diverged from fresh recomputation")
 					return
 				}

@@ -337,7 +337,7 @@ func TestDifferentialPlanCacheChurnRaced(t *testing.T) {
 				cached.Feasible != fresh.Feasible ||
 				cached.Violation != fresh.Violation ||
 				!reflect.DeepEqual(cached.Aggregated, fresh.Aggregated) ||
-				!reflect.DeepEqual(cached.Alternates, fresh.Alternates) {
+				!reflect.DeepEqual(cached.Alternates(), fresh.Alternates()) {
 				errc <- fmt.Errorf("cached result diverged from fresh recomputation at the same epoch")
 				return
 			}

@@ -74,7 +74,7 @@ func wholeResult(res *core.Result) error {
 			return fmt.Errorf("binding of %s: %w", act, err)
 		}
 	}
-	for act, alts := range res.Alternates {
+	for act, alts := range res.Alternates() {
 		for _, c := range alts {
 			if err := wholePublish(c.Service); err != nil {
 				return fmt.Errorf("alternate of %s: %w", act, err)
