@@ -47,8 +47,10 @@ if [ "${1:-}" = "quick" ]; then
 	# The miss-path differentials ride along: the once-per-lookup offer
 	# matching against VectorFor, the permutation sorts against
 	# sort.SliceStable, the flat-centroid assign1D against assignPoints,
-	# the taped random source against math/rand and the plan cache's
-	# pre-resolved epoch probe against CapabilityEpochs. The root package
+	# the taped random source against math/rand, the plan cache's
+	# pre-resolved epoch probe against CapabilityEpochs, and engines over
+	# a task's one compiled tree (TestDifferentialCompiledTreeReuse)
+	# against the naive kernel and a fresh compile. The root package
 	# adds the façade differentials: plan cache and local-phase memo
 	# against the uncached middleware, and tenant isolation.
 	echo "== go test -cpu 1,2,4 -count 3 -run TestDifferential root, core, registry, sortx, cluster, randx (quick)"
@@ -99,12 +101,14 @@ if [ "${1:-}" = "quick" ]; then
 	# without a copy, first contract
 	# establishment racing compliance checks, and lookups, composes,
 	# substitutions and re-publishes of the same IDs reading the
-	# registry's shared frozen descriptions (nothing may write one), and
-	# readers racing the first, once-only build of a cached plan's
-	# failover rotation.
+	# registry's shared frozen descriptions and per-publish QoS vectors
+	# (nothing may write either), readers racing the first, once-only
+	# build of a cached plan's failover rotation, and concurrent first
+	# selections on one task racing the compile of its tree.
 	echo "== go test -race hot-path suite (quick)"
 	go test -race -run 'TestRacedSnapshotReads|TestRacedEpochOrder|TestRacedFreshKeyVisibility|TestRebuildInvalidatesStalePublications|TestRacedAliasRetarget' ./internal/registry
 	go test -race -run 'TestPlanCacheRaced|TestSharedPlansDoNotLeak|TestConcurrentExecuteAndSubstitute|TestConcurrentBehaviourReadDuringSwitch|TestConcurrentInternCompose|TestHotPathsAcquireNoMutexes|TestComposeHitAllocs|TestComposeHitTelemetry|TestTelemetryUnderConcurrency|TestConcurrentContracts|TestRacedSharedDescriptions|TestRacedFirstRotationRead' .
+	go test -race -run 'TestRacedFirstTreeCompile' ./internal/core
 	# The distributed failure matrix exercises the resilience layer's
 	# concurrency (hedged requests, breaker state, prompt cancellation);
 	# -shuffle=on catches order-dependent breaker/fault state.

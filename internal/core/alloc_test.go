@@ -78,17 +78,29 @@ func TestLocalSelectPooledAllocCeiling(t *testing.T) {
 // TestSelectReusingKnownAllocCeiling pins a fully memo-served miss: with
 // every activity's local result supplied, SelectReusing normalizes no
 // pool and scores no candidate. The evaluator takes the supplied
-// results' normalizers and the engine their utilities, so what remains
+// results' normalizers and the engine reads their utilities in place,
+// and the engine takes its compiled tree from the task, so what remains
 // is the global phase's own bookkeeping, independent of the number of
-// candidates: the evaluator, the engine's compiled plan and caches, the
-// pool limits and starting points per level, the result's maps, and the
-// rotation record with the final indices it keeps. The failover
-// rotation itself is built on its first read, which this run never
-// makes. That is 47 allocations here. A per-activity normalizer rebuild
-// adds at least three allocations per activity (normalizer, minima,
-// maxima), 24 over this task, and an eager rotation at least one per
-// activity and one for its map, 9 over this task; the ceiling's headroom
-// covers neither.
+// candidates. That is 29 allocations here:
+//   - the weights (2) and the local-phase map (2);
+//   - the evaluator and its maps (3);
+//   - the global state (1), its activity IDs and shortlist headers (2);
+//   - the engine (5): the struct, the property list, one float backing
+//     for node values, prefix rows and scratch, the assignment and the
+//     constraints;
+//   - pool limits (1), the starting points (4) and the utility-best
+//     start (1);
+//   - the result (8): the struct, its assignment and breakdown maps,
+//     the aggregated vector, and the rotation record with the final
+//     indices it keeps (the rotation itself is built on its first read,
+//     which this run never makes).
+//
+// Compiling the tree again per engine adds at least a node array, an
+// activity index map and one child list per pattern node, 8 or more
+// over this task; copying the ranked utilities adds at least their
+// backing and its row headers; a per-activity normalizer rebuild adds
+// three allocations per activity, 24 over this task. The ceiling's
+// headroom covers none of them.
 func TestSelectReusingKnownAllocCeiling(t *testing.T) {
 	ps := qos.StandardSet()
 	g := workload.NewGenerator(11)
@@ -107,7 +119,7 @@ func TestSelectReusingKnownAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const ceiling = 50
+	const ceiling = 32
 	if avg := testing.AllocsPerRun(20, run); avg > ceiling {
 		t.Errorf("fully memo-served SelectReusing allocates %.1f/op, want <= %d", avg, ceiling)
 	}

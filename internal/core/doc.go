@@ -21,8 +21,8 @@ package core
 //
 // Global phase: each level iteration evaluates one aggregated QoS per
 // candidate swap. A naive aggregation costs O(n·p) over the task tree;
-// the incremental evaluation engine (engine.go) compiles the request's
-// fixed tree once per selection and re-folds only the swapped leaf's
+// the incremental evaluation engine (engine.go) evaluates on the task's
+// tree, compiled once per task, and re-folds only the swapped leaf's
 // root path, so a probe costs O(d·p) where d is the tree depth —
 // O(log n) for balanced trees, n only in the degenerate fully-nested
 // case — with zero allocations (prefix arrays are reused in place).

@@ -9,9 +9,10 @@ package core
 // selection and a swap changes exactly one leaf, so almost all of that
 // work recomputes values that cannot have moved.
 //
-// EvalEngine compiles the tree once into a flat children-before-parents
-// node array with dense integer activity indexing, caches every node's
-// aggregated vector, and on a swap re-folds only the leaf-to-root path:
+// EvalEngine evaluates over the task's flat children-before-parents
+// node array with dense integer activity indexing (task.Flat, compiled
+// once per task and shared by every engine over it), caches every
+// node's aggregated vector, and on a swap re-folds only the leaf-to-root path:
 // sequence and parallel nodes keep left-fold prefix arrays so only the
 // suffix after the changed child is re-folded; choice and loop nodes
 // (narrow in practice) re-fold their children in full. Propagation
@@ -68,18 +69,6 @@ type evalKernel interface {
 	CandidateUtility(act, cand int) float64
 }
 
-// planNode is one compiled task-tree node. Children precede parents in
-// EvalEngine.nodes, so a single forward sweep recomputes everything.
-type planNode struct {
-	kind     task.Pattern
-	parent   int32 // -1 at the root
-	childPos int32 // position among the parent's children
-	children []int32
-	probs    []float64
-	loop     qos.Loop
-	act      int32 // dense activity index at leaves, -1 otherwise
-}
-
 // compiledConstraint is one global constraint resolved to a property
 // index, with the direction and the violation denominator precomputed.
 type compiledConstraint struct {
@@ -102,27 +91,32 @@ type EvalEngine struct {
 	approach qos.Approach
 	p        int // property count
 
-	acts []string // dense activity index → ID, task order
+	acts []*task.Activity // dense activity index → activity, task order (shared)
 	// Exactly one of pools/ranked backs the candidate addressing: the
 	// exported constructor takes plain candidate pools; the global phase
 	// hands its ranked shortlists over as-is (building a parallel
 	// []registry.Candidate per activity was pure allocation).
 	pools  [][]registry.Candidate
 	ranked [][]RankedCandidate
-	utils  [][]float64 // per activity, per candidate: cached utility
-	cur    []int       // per activity: bound candidate index
-	leaf   []int32     // per activity: node index of its leaf
+	// utils holds, per activity, the candidate utilities the engine
+	// scored itself. It is nil, or nil at an activity, where the ranked
+	// shortlist's own Utility is already on the evaluator's scale: the
+	// engine reads those in place.
+	utils [][]float64
+	cur   []int // per activity: bound candidate index
 
-	nodes   []planNode
+	// nodes and leaf are the task's shared task.Flat (read-only).
+	nodes   []task.FlatNode
+	leaf    []int32 // per activity: node index of its leaf
 	root    int32
-	vals    []float64   // len(nodes)·p node value vectors, flattened
-	prefix  [][]float64 // per node: (k+1)·p left-fold prefixes (seq/par)
-	scratch []float64   // choice fold scratch, max node arity
+	vals    []float64 // len(nodes)·p node value vectors, flattened
+	prefix  []float64 // FoldRows·p left-fold prefix rows (seq/par nodes)
+	scratch []float64 // choice fold scratch, max node arity
 	cons    []compiledConstraint
 }
 
-// NewEvalEngine compiles the request's task tree and candidate pools
-// into an incremental engine. The pools may differ from the evaluator's
+// NewEvalEngine builds an incremental engine over the request's task
+// tree and candidate pools. The pools may differ from the evaluator's
 // populations (pruned, re-sorted) — utilities are still scored on the
 // evaluator's scale. Every activity needs a non-empty pool and every
 // vector the property-set arity. The engine starts with candidate 0
@@ -147,63 +141,86 @@ func newEvalEngineRanked(eval *Evaluator, locals map[string]*LocalResult, ranked
 
 // build fills in everything but the candidate backing (pools or ranked,
 // set by the constructor). locals are the ranked shortlists' results
-// (nil for pools).
+// (nil for pools). The tree comes compiled from the task, so the build
+// allocates only the engine's mutable state: the assignment, one float
+// backing for node values, prefix rows, fold scratch and the utilities
+// the engine scores itself, and the compiled constraints.
 func (e *EvalEngine) build(eval *Evaluator, locals map[string]*LocalResult) error {
 	req := eval.req
 	acts := req.Task.Activities()
+	tree := req.Task.Flat()
 	e.eval = eval
 	e.ps = req.Properties
 	e.props = req.Properties.Properties()
 	e.approach = req.approach()
 	e.p = req.Properties.Len()
-	e.acts = make([]string, len(acts))
-	e.utils = make([][]float64, len(acts))
-	e.cur = make([]int, len(acts))
-	e.leaf = make([]int32, len(acts))
-	actIdx := make(map[string]int32, len(acts))
-	total := 0
-	for i := range acts {
-		total += e.poolLen(i)
+	e.acts = acts
+	e.nodes, e.leaf, e.root = tree.Nodes, tree.Leaf, tree.Root
+	// An activity needs its own utility row unless the evaluator scores
+	// it with the very normalizer its local result was ranked with: then
+	// each RankedCandidate.Utility is already
+	// qos.Utility(nz.NormalizeInto(scores, v), req.weights()), the bits
+	// CandidateUtilityInto would compute.
+	inPlace := func(id string) bool {
+		lr := locals[id]
+		return lr != nil && lr.nz == eval.normalizers[id]
 	}
-	// One backing array for every activity's utility cache, scored through
-	// a shared normalization buffer: the engine build is two allocations
-	// here instead of two per candidate.
-	utilsBack := make([]float64, 0, total)
-	buf := make(qos.Vector, e.p)
+	scored := 0
 	for i, a := range acts {
 		n := e.poolLen(i)
 		if n == 0 {
 			return fmt.Errorf("core: engine: activity %q has no candidates", a.ID)
 		}
-		// When the evaluator scores this activity with the very normalizer
-		// its local result was ranked with, each RankedCandidate.Utility is
-		// already qos.Utility(nz.NormalizeInto(scores, v), req.weights()):
-		// the bits CandidateUtilityInto would compute.
-		var scored []RankedCandidate
-		if lr := locals[a.ID]; lr != nil && lr.nz == eval.normalizers[a.ID] {
-			scored = e.ranked[i]
-		}
-		start := len(utilsBack)
 		for k := 0; k < n; k++ {
-			c := e.Candidate(i, k)
-			if len(c.Vector) != e.p {
+			if v := e.vecAt(i, k); len(v) != e.p {
 				return fmt.Errorf("core: engine: candidate %q vector arity %d, want %d",
-					c.Service.ID, len(c.Vector), e.p)
-			}
-			if scored != nil {
-				utilsBack = append(utilsBack, scored[k].Utility)
-			} else {
-				utilsBack = append(utilsBack, eval.CandidateUtilityInto(a.ID, c, buf))
+					e.Candidate(i, k).Service.ID, len(v), e.p)
 			}
 		}
-		e.acts[i] = a.ID
-		e.utils[i] = utilsBack[start:len(utilsBack):len(utilsBack)]
-		actIdx[a.ID] = int32(i)
+		if !inPlace(a.ID) {
+			scored += n
+		}
 	}
-	e.compile(req.Task.Root, actIdx)
+	back := make([]float64, (len(e.nodes)+tree.FoldRows)*e.p+tree.MaxArity+e.p+scored)
+	carve := func(n int) []float64 {
+		s := back[:n:n]
+		back = back[n:]
+		return s
+	}
+	e.vals = carve(len(e.nodes) * e.p)
+	e.prefix = carve(tree.FoldRows * e.p)
+	e.scratch = carve(tree.MaxArity)
+	buf := qos.Vector(carve(e.p)) // normalization scratch
+	if scored > 0 {
+		e.utils = make([][]float64, len(acts))
+	}
+	for i, a := range acts {
+		if inPlace(a.ID) {
+			continue
+		}
+		row := carve(e.poolLen(i))
+		for k := range row {
+			row[k] = eval.CandidateUtilityInto(a.ID, e.Candidate(i, k), buf)
+		}
+		e.utils[i] = row
+	}
+	for ni := range e.nodes {
+		n := &e.nodes[ni]
+		if n.Fold < 0 {
+			continue
+		}
+		pre := e.prefix[int(n.Fold)*e.p:]
+		for q := 0; q < e.p; q++ {
+			if n.Kind == task.PatternSequence {
+				pre[q] = qos.SequenceIdentity(e.props[q])
+			} else {
+				pre[q] = qos.ParallelIdentity(e.props[q])
+			}
+		}
+	}
 	e.compileConstraints(req.Constraints)
-	idx := make([]int, len(acts))
-	e.Load(idx)
+	e.cur = make([]int, len(acts))
+	e.Load(e.cur)
 	return nil
 }
 
@@ -222,72 +239,6 @@ func (e *EvalEngine) vecAt(act, cand int) qos.Vector {
 		return e.ranked[act][cand].Vector
 	}
 	return e.pools[act][cand].Vector
-}
-
-// compile flattens the tree into nodes (children before parents) and
-// allocates the value and prefix buffers.
-func (e *EvalEngine) compile(root *task.Node, actIdx map[string]int32) {
-	maxArity := 1
-	var build func(n *task.Node) int32
-	build = func(n *task.Node) int32 {
-		children := make([]int32, len(n.Children))
-		for i, c := range n.Children {
-			children[i] = build(c)
-		}
-		self := int32(len(e.nodes))
-		pn := planNode{
-			kind:     n.Kind,
-			parent:   -1,
-			children: children,
-			probs:    n.Probs,
-			loop:     n.Loop,
-			act:      -1,
-		}
-		if n.Kind == task.PatternActivity {
-			pn.act = actIdx[n.Activity.ID]
-			e.leaf[pn.act] = self
-		}
-		if len(children) > maxArity {
-			maxArity = len(children)
-		}
-		for pos, ci := range children {
-			e.nodes[ci].parent = self
-			e.nodes[ci].childPos = int32(pos)
-		}
-		e.nodes = append(e.nodes, pn)
-		return self
-	}
-	e.root = build(root)
-	e.vals = make([]float64, len(e.nodes)*e.p)
-	e.scratch = make([]float64, maxArity)
-	e.prefix = make([][]float64, len(e.nodes))
-	// One backing array for every fold node's prefix rows.
-	preTotal := 0
-	for ni := range e.nodes {
-		n := &e.nodes[ni]
-		if n.kind == task.PatternSequence || n.kind == task.PatternParallel {
-			preTotal += (len(n.children) + 1) * e.p
-		}
-	}
-	preBack := make([]float64, preTotal)
-	off := 0
-	for ni := range e.nodes {
-		n := &e.nodes[ni]
-		if n.kind != task.PatternSequence && n.kind != task.PatternParallel {
-			continue
-		}
-		sz := (len(n.children) + 1) * e.p
-		pre := preBack[off : off+sz : off+sz]
-		off += sz
-		for q := 0; q < e.p; q++ {
-			if n.kind == task.PatternSequence {
-				pre[q] = qos.SequenceIdentity(e.props[q])
-			} else {
-				pre[q] = qos.ParallelIdentity(e.props[q])
-			}
-		}
-		e.prefix[ni] = pre
-	}
 }
 
 // compileConstraints resolves the global constraint set once, mirroring
@@ -325,7 +276,7 @@ func (e *EvalEngine) val(ni int32) []float64 {
 func (e *EvalEngine) Activities() int { return len(e.acts) }
 
 // ActivityID returns the ID of dense activity index act.
-func (e *EvalEngine) ActivityID(act int) string { return e.acts[act] }
+func (e *EvalEngine) ActivityID(act int) string { return e.acts[act].ID }
 
 // PoolSize returns the candidate pool size of activity act.
 func (e *EvalEngine) PoolSize(act int) int { return e.poolLen(act) }
@@ -351,8 +302,8 @@ func (e *EvalEngine) Snapshot(dst []int) []int {
 // rest of the system consumes.
 func (e *EvalEngine) Assignment() Assignment {
 	out := make(Assignment, len(e.acts))
-	for a, id := range e.acts {
-		out[id] = e.Candidate(a, e.cur[a])
+	for a, act := range e.acts {
+		out[act.ID] = e.Candidate(a, e.cur[a])
 	}
 	return out
 }
@@ -378,13 +329,13 @@ func (e *EvalEngine) Assign(act, cand int) {
 	copy(dst, v)
 	for {
 		n := &e.nodes[ni]
-		if n.parent < 0 {
+		if n.Parent < 0 {
 			return
 		}
-		if !e.refold(n.parent, int(n.childPos)) {
+		if !e.refold(n.Parent, int(n.ChildPos)) {
 			return // bit-unchanged: ancestors cannot move
 		}
-		ni = n.parent
+		ni = n.Parent
 	}
 }
 
@@ -396,7 +347,7 @@ func (e *EvalEngine) Load(idx []int) {
 		copy(e.val(e.leaf[a]), e.vecAt(a, idx[a]))
 	}
 	for ni := range e.nodes {
-		if e.nodes[ni].act < 0 {
+		if e.nodes[ni].Act < 0 {
 			e.refold(int32(ni), 0)
 		}
 	}
@@ -409,12 +360,12 @@ func (e *EvalEngine) refold(ni int32, from int) bool {
 	n := &e.nodes[ni]
 	out := e.val(ni)
 	p := e.p
-	switch n.kind {
+	switch n.Kind {
 	case task.PatternSequence, task.PatternParallel:
-		pre := e.prefix[ni]
-		seq := n.kind == task.PatternSequence
-		for i := from; i < len(n.children); i++ {
-			cv := e.val(n.children[i])
+		pre := e.prefix[int(n.Fold)*p : (int(n.Fold)+len(n.Children)+1)*p]
+		seq := n.Kind == task.PatternSequence
+		for i := from; i < len(n.Children); i++ {
+			cv := e.val(n.Children[i])
 			row := pre[i*p : (i+1)*p]
 			next := pre[(i+1)*p : (i+2)*p]
 			if seq {
@@ -427,15 +378,15 @@ func (e *EvalEngine) refold(ni int32, from int) bool {
 				}
 			}
 		}
-		return storeChanged(out, pre[len(n.children)*p:])
+		return storeChanged(out, pre[len(n.Children)*p:])
 	case task.PatternChoice:
 		changed := false
-		k := len(n.children)
+		k := len(n.Children)
 		for q := 0; q < p; q++ {
-			for i, ci := range n.children {
+			for i, ci := range n.Children {
 				e.scratch[i] = e.val(ci)[q]
 			}
-			nv := qos.AggregateChoice(e.props[q], e.scratch[:k], n.probs, e.approach)
+			nv := qos.AggregateChoice(e.props[q], e.scratch[:k], n.Probs, e.approach)
 			if !(nv == out[q]) {
 				out[q] = nv
 				changed = true
@@ -443,10 +394,10 @@ func (e *EvalEngine) refold(ni int32, from int) bool {
 		}
 		return changed
 	case task.PatternLoop:
-		cv := e.val(n.children[0])
+		cv := e.val(n.Children[0])
 		changed := false
 		for q := 0; q < p; q++ {
-			nv := qos.AggregateLoop(e.props[q], cv[q], n.loop, e.approach)
+			nv := qos.AggregateLoop(e.props[q], cv[q], n.Loop, e.approach)
 			if !(nv == out[q]) {
 				out[q] = nv
 				changed = true
@@ -530,14 +481,20 @@ func (e *EvalEngine) Utility() float64 {
 	}
 	total := 0.0
 	for a := range e.acts {
-		total += e.utils[a][e.cur[a]]
+		total += e.CandidateUtility(a, e.cur[a])
 	}
 	return total / float64(len(e.acts))
 }
 
 // CandidateUtility returns the cached utility of pool member cand of
-// activity act.
-func (e *EvalEngine) CandidateUtility(act, cand int) float64 { return e.utils[act][cand] }
+// activity act: the engine's own row, or the ranked entry's Utility
+// where the engine has none.
+func (e *EvalEngine) CandidateUtility(act, cand int) float64 {
+	if e.utils != nil && e.utils[act] != nil {
+		return e.utils[act][cand]
+	}
+	return e.ranked[act][cand].Utility
+}
 
 // naiveKernel routes the same probe interface through the reference
 // Evaluator: every query re-aggregates the full task tree. It is the

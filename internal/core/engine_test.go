@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -231,5 +232,44 @@ func TestDifferentialEngineNested(t *testing.T) {
 			}
 		}
 		rec(0)
+	}
+}
+
+// BenchmarkEngineBuild measures one global-phase engine build over
+// memo-served local results: a 10-activity mixed tree of 50 candidates
+// per activity, the shape of BenchmarkEvalProbe. The tree comes compiled
+// from the task and the utilities are read from the ranked shortlists,
+// so allocs/op counts only the engine's mutable state.
+func BenchmarkEngineBuild(b *testing.B) {
+	ps := qos.StandardSet()
+	g := workload.NewGenerator(1)
+	laws := workload.DefaultLaws(ps)
+	tk := g.Task("B", 10, workload.ShapeMixed)
+	cands := g.Candidates(tk, 50, ps, laws)
+	req := &Request{Task: tk, Properties: ps, Approach: qos.Pessimistic,
+		Constraints: g.Constraints(tk, ps, laws, workload.AtMean, 3)}
+	_, locals, err := NewSelector(Options{}).SelectReusing(context.Background(), req, cands, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eval, err := localEvaluator(req, cands, locals)
+	if err != nil {
+		b.Fatal(err)
+	}
+	acts := tk.Activities()
+	ranked := make([][]RankedCandidate, len(acts))
+	for i, a := range acts {
+		ranked[i] = locals[a.ID].Ranked
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := newEvalEngineRanked(eval, locals, ranked)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if eng.Violation() < 0 {
+			b.Fatal("negative violation")
+		}
 	}
 }

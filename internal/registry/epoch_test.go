@@ -133,8 +133,9 @@ func TestEpochRepublishAcrossCapabilities(t *testing.T) {
 }
 
 // TestLookupsShareFrozenDescription: every lookup of one publish points
-// at the same frozen description, each with its own fresh vector, and a
-// re-publish freezes a new description without touching the old one.
+// at the same frozen description and the same resolved vector, and a
+// re-publish freezes a new description and resolves a new vector
+// without touching the old ones.
 func TestLookupsShareFrozenDescription(t *testing.T) {
 	r := newTestRegistry()
 	if err := r.Publish(sliceService("b1", 40)); err != nil {
@@ -148,8 +149,8 @@ func TestLookupsShareFrozenDescription(t *testing.T) {
 	if c1[0].Service != c2[0].Service {
 		t.Error("two lookups of one publish hold different descriptions")
 	}
-	if &c1[0].Vector[0] == &c2[0].Vector[0] {
-		t.Error("two lookups share one vector; each must build its own")
+	if &c1[0].Vector[0] != &c2[0].Vector[0] {
+		t.Error("two lookups of one publish hold different vectors; they must share one")
 	}
 	if err := r.Publish(sliceService("b1", 50)); err != nil {
 		t.Fatal(err)
@@ -158,11 +159,116 @@ func TestLookupsShareFrozenDescription(t *testing.T) {
 	if len(c3) != 1 || c3[0].Service == c1[0].Service {
 		t.Fatal("a re-publish must freeze a new description")
 	}
+	if &c3[0].Vector[0] == &c1[0].Vector[0] {
+		t.Error("a re-publish must resolve a new vector")
+	}
 	if !reflect.DeepEqual(*c1[0].Service, sliceService("b1", 40)) || c1[0].Vector[0] != 40 {
 		t.Errorf("re-publish changed an earlier candidate: %+v %v", *c1[0].Service, c1[0].Vector)
 	}
-	if c3[0].Service.Offers[0].Value != 50 {
-		t.Errorf("re-published candidate offers %v, want 50", c3[0].Service.Offers[0].Value)
+	if c3[0].Service.Offers[0].Value != 50 || c3[0].Vector[0] != 50 {
+		t.Errorf("re-published candidate offers %v with vector %v, want 50", c3[0].Service.Offers[0].Value, c3[0].Vector)
+	}
+}
+
+// TestVectorCacheFollowsOntologyVersion: a publish's cached vector was
+// resolved under one ontology version, so an alias or a concept added
+// afterwards that makes an earlier offer match a property must show in
+// the next lookup's vector. The service lists an offer under a name the
+// ontology does not know yet, ahead of its canonical response-time
+// offer; once the name resolves to response time, the first matching
+// offer is the unknown one.
+func TestVectorCacheFollowsOntologyVersion(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(o *semantics.Ontology) error
+	}{
+		{"alias", func(o *semantics.Ontology) error { return o.AddAlias("QuickDelay", semantics.ResponseTime) }},
+		{"concept", func(o *semantics.Ontology) error { return o.AddConcept("QuickDelay", semantics.ResponseTime) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			onto := semantics.PervasiveWithScenarios()
+			r := New(onto)
+			d := bookService("b1", 40)
+			d.Offers = append([]QoSOffer{{Property: "QuickDelay", Value: 25}}, d.Offers...)
+			if err := r.Publish(d); err != nil {
+				t.Fatal(err)
+			}
+			ps := qos.StandardSet()
+			lookup := func() Candidate {
+				t.Helper()
+				c := r.Candidates(semantics.BookSale, ps)
+				if len(c) != 1 {
+					t.Fatalf("got %d candidates, want 1", len(c))
+				}
+				want, err := c[0].Service.VectorFor(ps, onto)
+				if err != nil || !reflect.DeepEqual(c[0].Vector, want) {
+					t.Fatalf("lookup vector %v, VectorFor %v (%v)", c[0].Vector, want, err)
+				}
+				return c[0]
+			}
+			before := lookup()
+			if before.Vector[0] != 40 {
+				t.Fatalf("response time %v before the ontology change, want 40", before.Vector[0])
+			}
+			if err := tc.mutate(onto); err != nil {
+				t.Fatal(err)
+			}
+			after := lookup()
+			if after.Vector[0] != 25 {
+				t.Errorf("response time %v after the ontology change, want 25", after.Vector[0])
+			}
+			if before.Vector[0] != 40 {
+				t.Errorf("the ontology change rewrote an earlier lookup's vector: %v", before.Vector)
+			}
+			if again := lookup(); &again.Vector[0] != &after.Vector[0] {
+				t.Error("a lookup under an unchanged version resolved the vector again")
+			}
+		})
+	}
+}
+
+// TestVectorCacheFollowsPropertySet: the cache holds one property set at
+// a time, so lookups that alternate two sets each get vectors of their
+// own set's arity and values, and an earlier lookup's vectors stay
+// as they were.
+func TestVectorCacheFollowsPropertySet(t *testing.T) {
+	r := newTestRegistry()
+	for i := 0; i < 3; i++ {
+		if err := r.Publish(bookService(fmt.Sprintf("b%d", i), 40+float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wide := qos.StandardSet()
+	narrow := qos.MustNewPropertySet(wide.At(1), wide.At(0))
+	var kept [][]Candidate
+	for round := 0; round < 4; round++ {
+		for _, ps := range []*qos.PropertySet{wide, narrow} {
+			got := r.Candidates(semantics.BookSale, ps)
+			if len(got) != 3 {
+				t.Fatalf("round %d: %d candidates, want 3", round, len(got))
+			}
+			for _, c := range got {
+				want, err := c.Service.VectorFor(ps, r.Ontology())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(c.Vector) != ps.Len() || !reflect.DeepEqual(c.Vector, want) {
+					t.Fatalf("round %d, %d properties: %s vector %v, want %v", round, ps.Len(), c.Service.ID, c.Vector, want)
+				}
+			}
+			kept = append(kept, got)
+		}
+	}
+	for i, got := range kept {
+		ps := wide
+		if i%2 == 1 {
+			ps = narrow
+		}
+		for _, c := range got {
+			if want, _ := c.Service.VectorFor(ps, r.Ontology()); !reflect.DeepEqual(c.Vector, want) {
+				t.Errorf("lookup %d: %s vector changed to %v, want %v", i, c.Service.ID, c.Vector, want)
+			}
+		}
 	}
 }
 

@@ -157,9 +157,11 @@ func (d Description) clone() Description {
 // A candidate is an immutable value. Service points at the description
 // the registry froze when it was published: every lookup of that
 // publish shares it, and a re-publish freezes a new one instead of
-// changing it. Vector is built fresh by the lookup and nothing writes it
-// afterwards. Copying a candidate is therefore enough to keep it; no
-// reader may write through Service or into Vector.
+// changing it. Vector is shared the same way: the registry resolves it
+// once per publish, property set and ontology version, and every lookup
+// that finds all three unchanged hands out the same vector. Copying a
+// candidate is therefore enough to keep it; no reader may write through
+// Service or into Vector.
 type Candidate struct {
 	Service *Description
 	Vector  qos.Vector

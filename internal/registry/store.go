@@ -89,6 +89,24 @@ type storedService struct {
 	// epoch-bumped under: its canonical capability plus every ancestor.
 	// Computed once per Publish and reused for filing and epoch bumps.
 	keys []semantics.ConceptID
+	// vec is the one-slot cache of the publish's QoS vector: the one
+	// resolved for the property set of the latest lookup that had to
+	// resolve it. Lookups that find their own property set and the
+	// current ontology version share its vector.
+	vec atomic.Pointer[resolvedVector]
+}
+
+// resolvedVector is one publish's QoS vector aligned to ps, resolved
+// under ontology version (read before resolving, so a vector resolved
+// while the ontology moved carries the older version and is resolved
+// again by the next lookup). ok is false when some property of ps has no
+// usable offer. Immutable once stored: vec is shared read-only by every
+// candidate handed out from it.
+type resolvedVector struct {
+	ps      *qos.PropertySet
+	version uint64
+	vec     qos.Vector
+	ok      bool
 }
 
 // capEntry is the state of one capability key. Entries are created
@@ -538,10 +556,14 @@ func (s *Store) collect(t TenantID, canon semantics.ConceptID) []*storedService 
 
 // candidates resolves the tenant's services able to provide the required
 // capability; see Registry.Candidates for the contract. A lookup sees the
-// same few capability concepts and offer names on every description, so
-// it matches each distinct one once per call: concepts against the
-// required capability, offer names against the properties of ps.
+// same few capability concepts on every description, so it matches each
+// distinct one once per call. Each publish's vector comes from its
+// one-slot cache; only a miss resolves offers, matching each distinct
+// offer name against the properties of ps once per call.
 func (s *Store) candidates(t TenantID, required semantics.ConceptID, ps *qos.PropertySet) []Candidate {
+	// Read before anything is resolved, so a cached vector never claims a
+	// newer ontology than the one it was resolved under.
+	version := s.ontologyVersion()
 	if s.ontology != nil {
 		required = s.ontology.Canonical(required)
 	}
@@ -549,26 +571,54 @@ func (s *Store) candidates(t TenantID, required semantics.ConceptID, ps *qos.Pro
 	// Services filed under the capability match it (exact or plug-in);
 	// only one lacking an offer drops out, so size for all of them.
 	out := make([]Candidate, 0, len(stored))
-	levels := make(map[semantics.ConceptID]semantics.MatchLevel)
-	names := make(map[semantics.ConceptID]uint64)
+	var levels levelMemo
+	var names map[semantics.ConceptID]uint64 // built on the first vector miss
 	vocab := offerVocab{o: s.ontology, ps: ps}
 	for _, ss := range stored {
-		level, ok := levels[ss.desc.Concept]
-		if !ok {
-			level = s.matchCapability(required, ss.desc.Concept)
-			levels[ss.desc.Concept] = level
-		}
+		level := levels.level(s, required, ss.desc.Concept)
 		if level != semantics.MatchExact && level != semantics.MatchPlugin {
 			continue
 		}
-		vec, ok := vocab.vectorFor(names, &ss.desc)
-		if !ok {
+		rv := ss.vec.Load()
+		if rv == nil || rv.ps != ps || rv.version != version {
+			if names == nil {
+				names = make(map[semantics.ConceptID]uint64)
+			}
+			rv = &resolvedVector{ps: ps, version: version}
+			rv.vec, rv.ok = vocab.vectorFor(names, &ss.desc)
+			ss.vec.Store(rv)
+		}
+		if !rv.ok {
 			continue
 		}
-		out = append(out, Candidate{Service: &ss.desc, Vector: vec, Match: level})
+		out = append(out, Candidate{Service: &ss.desc, Vector: rv.vec, Match: level})
 	}
 	sortCandidates(out)
 	return out
+}
+
+// levelMemo holds one lookup's capability match levels for the first
+// few distinct offered concepts; a concept past them is matched by the
+// ontology, whose Match is memoized itself.
+type levelMemo struct {
+	n        int
+	concepts [8]semantics.ConceptID
+	levels   [8]semantics.MatchLevel
+}
+
+// level returns the match level of offered against required.
+func (m *levelMemo) level(s *Store, required, offered semantics.ConceptID) semantics.MatchLevel {
+	for i := 0; i < m.n; i++ {
+		if m.concepts[i] == offered {
+			return m.levels[i]
+		}
+	}
+	level := s.matchCapability(required, offered)
+	if m.n < len(m.concepts) {
+		m.concepts[m.n], m.levels[m.n] = offered, level
+		m.n++
+	}
+	return level
 }
 
 func (s *Store) matchCapability(required, offered semantics.ConceptID) semantics.MatchLevel {

@@ -100,6 +100,8 @@ type Task struct {
 
 	// acts caches Activities, built on its first call.
 	acts atomic.Pointer[[]*Activity]
+	// flat caches Flat, built on its first call.
+	flat atomic.Pointer[Flat]
 }
 
 // Fingerprint returns a stable hash of the task's full structure —
@@ -261,6 +263,93 @@ func (t *Task) Activities() []*Activity {
 	out = slices.Clip(out) // an append by a caller must not write into the shared list
 	t.acts.Store(&out)
 	return out
+}
+
+// Flat is a task tree compiled for evaluators that fold QoS bottom-up:
+// every node in one array, children before parents, leaves addressed by
+// their activity's index in Activities. It depends on the tree alone, so
+// a task compiles it once and every evaluation over the task shares it.
+type Flat struct {
+	// Nodes holds every node of the tree, each after all of its children.
+	Nodes []FlatNode
+	// Root is the index of the root node in Nodes.
+	Root int32
+	// Leaf maps an activity's index in Activities to its node's index.
+	Leaf []int32
+	// MaxArity is the largest child count of any node, at least 1.
+	MaxArity int
+	// FoldRows counts the left-fold prefix rows of the sequence and
+	// parallel nodes together: one per child plus the identity row.
+	FoldRows int
+}
+
+// FlatNode is one node of a Flat tree.
+type FlatNode struct {
+	Kind Pattern
+	// Parent is the parent's index, -1 at the root; ChildPos is the
+	// node's position among the parent's children.
+	Parent   int32
+	ChildPos int32
+	// Children are the children's indices, in tree order.
+	Children []int32
+	// Probs and Loop are the tree node's (shared, not copied).
+	Probs []float64
+	Loop  qos.Loop
+	// Act is the activity's index in Activities at a leaf, -1 elsewhere.
+	Act int32
+	// Fold is the node's first prefix row (of len(Children)+1) at a
+	// sequence or parallel node, -1 elsewhere.
+	Fold int32
+}
+
+// Flat returns the task tree compiled into a Flat. It is built on the
+// first call and shared by every later one, concurrent callers
+// included, with the contract of Activities: it is read-only, and the
+// tree must be complete and valid (see Validate) before the first call.
+func (t *Task) Flat() *Flat {
+	if f := t.flat.Load(); f != nil {
+		return f
+	}
+	f := flatten(t.Root)
+	if !t.flat.CompareAndSwap(nil, f) {
+		return t.flat.Load()
+	}
+	return f
+}
+
+// flatten compiles the tree below root. A post-order walk visits the
+// leaves left to right, the order of Activities, so the n-th leaf
+// visited is activity n.
+func flatten(root *Node) *Flat {
+	f := &Flat{MaxArity: 1}
+	var rec func(n *Node) int32
+	rec = func(n *Node) int32 {
+		children := make([]int32, len(n.Children))
+		for i, c := range n.Children {
+			children[i] = rec(c)
+		}
+		self := int32(len(f.Nodes))
+		fn := FlatNode{Kind: n.Kind, Parent: -1, Children: children, Probs: n.Probs, Loop: n.Loop, Act: -1, Fold: -1}
+		switch n.Kind {
+		case PatternActivity:
+			fn.Act = int32(len(f.Leaf))
+			f.Leaf = append(f.Leaf, self)
+		case PatternSequence, PatternParallel:
+			fn.Fold = int32(f.FoldRows)
+			f.FoldRows += len(children) + 1
+		}
+		f.MaxArity = max(f.MaxArity, len(children))
+		for pos, ci := range children {
+			f.Nodes[ci].Parent = self
+			f.Nodes[ci].ChildPos = int32(pos)
+		}
+		f.Nodes = append(f.Nodes, fn)
+		return self
+	}
+	f.Root = rec(root)
+	f.Nodes = slices.Clip(f.Nodes)
+	f.Leaf = slices.Clip(f.Leaf)
+	return f
 }
 
 // ActivityByID returns the named activity, or nil.

@@ -14,6 +14,9 @@
 #   BENCH=<regex> scripts/benchcmp.sh        # subset of benchmarks
 #   BENCHTIME=0.3s scripts/benchcmp.sh       # faster counting passes
 #
+# BENCH selects benchmarks of the root package and of internal/core,
+# REGBENCH the root package's registry rows.
+#
 # Only benchmarks present in BOTH the run and the baseline are compared
 # (a new benchmark cannot fail the gate before its baseline is
 # committed; ops_per_sec-style throughput fields are recorded but not
@@ -58,7 +61,11 @@ BASE="${BASE:-BENCH_qassa.json}"
 # BenchmarkComposeMiss is a plan-cache miss served by the local-phase
 # memo: its alloc/byte budgets catch a return to per-miss candidate
 # lookup and clustering.
-BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkComposeFacade|BenchmarkComposeMiss}"
+# BenchmarkEngineBuild (internal/core) is one global-phase
+# engine build over memo-served local results: its alloc budget catches
+# a return to compiling the task tree or copying the local phase's
+# utilities per build.
+BENCH="${BENCH:-BenchmarkFailover|BenchmarkQASSA_RepairHeavy|BenchmarkEvalProbe|BenchmarkParetoProbe|BenchmarkParetoSelect|BenchmarkQASSA_Services|BenchmarkExhaustiveBaseline|BenchmarkGreedyBaseline|BenchmarkDistributedChurn|BenchmarkThroughput|BenchmarkOpenLoop|BenchmarkComposeFacade|BenchmarkComposeMiss|BenchmarkEngineBuild}"
 # The registry benchmarks are gated at the 100k population only: the
 # 1M rigs exist for the recorded table, not for a quick regression pass
 # (component-wise -bench regex, hence a separate run).
@@ -77,16 +84,17 @@ if [ ! -f "$BASE" ]; then
 	exit 1
 fi
 
-# Each side is built once into a test binary under a temporary
-# directory; without PARENT the only side is the working tree.
+# Each side is built once into a test binary per package under a
+# temporary directory; without PARENT the only side is the working tree.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM
 go test -c -o "$tmp/change.test" .
+go test -c -o "$tmp/change-core.test" ./internal/core
 if [ -n "$PARENT" ]; then
 	mkdir "$tmp/parent"
 	git archive "$PARENT" | tar -x -C "$tmp/parent"
-	(cd "$tmp/parent" && go test -c -o "$tmp/parent.test" .)
+	(cd "$tmp/parent" && go test -c -o "$tmp/parent.test" . && go test -c -o "$tmp/parent-core.test" ./internal/core)
 fi
 
 # bench SIDE: one counting pass of one side, run from its source tree.
@@ -96,10 +104,11 @@ bench() {
 	else
 		dir=.
 	fi
-	bin="$tmp/$(echo "$1" | tr A-Z a-z).test"
+	bin="$tmp/$(echo "$1" | tr A-Z a-z)"
 	for re in "$BENCH" "$REGBENCH"; do
-		(cd "$dir" && "$bin" -test.timeout 10m -test.run '^$' -test.bench "$re" -test.benchtime "$BENCHTIME" -test.benchmem)
+		(cd "$dir" && "$bin.test" -test.timeout 10m -test.run '^$' -test.bench "$re" -test.benchtime "$BENCHTIME" -test.benchmem)
 	done
+	(cd "$dir/internal/core" && "$bin-core.test" -test.timeout 10m -test.run '^$' -test.bench "$BENCH" -test.benchtime "$BENCHTIME" -test.benchmem)
 }
 
 raw=""

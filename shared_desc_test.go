@@ -1,17 +1,20 @@
 // The raced ownership test for shared service descriptions: every
-// candidate points at the description the registry froze at publish, so
-// lookups, compositions, substitutions and re-publishes all read the
-// same memory and none may write it.
+// candidate points at the description the registry froze at publish and
+// at the QoS vector it resolved once for that publish, so lookups,
+// compositions, substitutions and re-publishes all read the same memory
+// and none may write it.
 package qasom
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
 	"qasom/internal/adapt"
 	"qasom/internal/core"
+	"qasom/internal/qos"
 	"qasom/internal/registry"
 	"qasom/internal/semantics"
 	"qasom/internal/task"
@@ -67,16 +70,32 @@ func wholePublish(d *registry.Description) error {
 	return nil
 }
 
+// wholeCandidate reports whether c holds one whole publish and the
+// vector that publish's offers resolve to under ps.
+func wholeCandidate(c registry.Candidate, ps *qos.PropertySet, o *semantics.Ontology) error {
+	if err := wholePublish(c.Service); err != nil {
+		return err
+	}
+	want, err := c.Service.VectorFor(ps, o)
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(c.Vector, want) {
+		return fmt.Errorf("%s: vector %v, its offers resolve to %v", c.Service.ID, c.Vector, want)
+	}
+	return nil
+}
+
 // wholeResult checks every candidate a selection result holds.
-func wholeResult(res *core.Result) error {
+func wholeResult(res *core.Result, ps *qos.PropertySet, o *semantics.Ontology) error {
 	for act, c := range res.Assignment {
-		if err := wholePublish(c.Service); err != nil {
+		if err := wholeCandidate(c, ps, o); err != nil {
 			return fmt.Errorf("binding of %s: %w", act, err)
 		}
 	}
 	for act, alts := range res.Alternates() {
 		for _, c := range alts {
-			if err := wholePublish(c.Service); err != nil {
+			if err := wholeCandidate(c, ps, o); err != nil {
 				return fmt.Errorf("alternate of %s: %w", act, err)
 			}
 		}
@@ -86,9 +105,9 @@ func wholeResult(res *core.Result) error {
 
 // TestRacedSharedDescriptions runs registry lookups, composes,
 // substitutions and re-publishes of the same service IDs together.
-// Under -race it shows that nothing writes a shared description; every
-// reader also checks that each description it holds is one whole
-// publish.
+// Under -race it shows that nothing writes a shared description or a
+// shared vector; every reader also checks that each candidate it holds
+// is one whole publish with the vector its offers resolve to.
 func TestRacedSharedDescriptions(t *testing.T) {
 	mw, err := New()
 	if err != nil {
@@ -102,6 +121,7 @@ func TestRacedSharedDescriptions(t *testing.T) {
 			}
 		}
 	}
+	onto := mw.reg.Ontology()
 	acts := []*task.Activity{
 		{ID: "browse", Concept: "BrowseCatalog"}, {ID: "order", Concept: "OrderItem"}, {ID: "pay", Concept: "Payment"},
 	}
@@ -136,7 +156,7 @@ func TestRacedSharedDescriptions(t *testing.T) {
 		run(func(int) error { // registry lookups
 			for _, a := range acts {
 				for _, c := range mw.reg.CandidatesForActivity(a, mw.props) {
-					if err := wholePublish(c.Service); err != nil {
+					if err := wholeCandidate(c, mw.props, onto); err != nil {
 						return fmt.Errorf("lookup of %s: %w", a.ID, err)
 					}
 				}
@@ -158,11 +178,11 @@ func TestRacedSharedDescriptions(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if err := wholePublish(cand.Service); err != nil {
+				if err := wholeCandidate(cand, mw.props, onto); err != nil {
 					return fmt.Errorf("substitute: %w", err)
 				}
 			}
-			return wholeResult(comp.runtime.Result())
+			return wholeResult(comp.runtime.Result(), mw.props, onto)
 		})
 	}
 	wg.Wait()
